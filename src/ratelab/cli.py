@@ -81,12 +81,9 @@ def _cmd_filters(args) -> int:
     kinds = [args.filter] if args.filter else list(FILTER_KINDS)
     all_passed = True
     for kind in kinds:
-        spec = {"id": kind}
-        if kind == "iterated_tikhonov":
-            spec["nu"] = args.nu
-        if kind == "landweber":
-            spec["tau"] = args.tau
-        filt = filter_from_dict(spec, kappa_sq=args.kappa_sq)
+        filt = filter_from_dict(
+            {"id": kind, "nu": args.nu, "tau": args.tau}, kappa_sq=args.kappa_sq
+        )
         report = filt.verify(kappa_sq=args.kappa_sq)
         all_passed &= report.passed
         print(f"{kind}: {'ok' if report.passed else 'FAILED'}")
@@ -191,12 +188,9 @@ def _cmd_fit(args) -> int:
     noise = NoiseSpec("gaussian", sigma=args.sigma)
     data = sample_dataset(model, target, noise, args.m, _resolve_seed(args.seed))
     lam_choice = choose_lambda(args.rule, phi, args.b, args.m)
-    spec = {"id": args.filter}
-    if args.filter == "iterated_tikhonov":
-        spec["nu"] = args.nu
-    elif args.filter == "landweber":
-        spec["tau"] = args.tau
-    filt = filter_from_dict(spec, kappa_sq=model.kappa_sq)
+    filt = filter_from_dict(
+        {"id": args.filter, "nu": args.nu, "tau": args.tau}, kappa_sq=model.kappa_sq
+    )
     fitted = fit(data, model, filt, lam_choice.value)
     norms = error_norms(fitted, model, target)
     if args.out:

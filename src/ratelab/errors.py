@@ -43,7 +43,7 @@ class BracketUnderflowError(RateLabError, ValueError):
 
 
 class NumericalError(RateLabError, RuntimeError):
-    """A dense linear-algebra routine failed to converge."""
+    """An eigensolve or a bisection failed to converge."""
 
 
 class UnsupportedNormError(RateLabError, ValueError):

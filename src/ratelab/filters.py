@@ -6,6 +6,9 @@ declares four constants: a bound on |sigma * g|, a bound on |g| in units of
 p with its decay constant, meaning sup |r| * sigma**p <= decay(p) * lam**p.
 ``verify`` recomputes the attained suprema on dense grids so the declared
 values are never taken on faith.
+
+Each family is defined once, by its log-residual l = log r_lam(sigma):
+g = -expm1(l) / sigma, with the sigma -> 0 limit -dl/dsigma at 0.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class SpectralFilter:
     """One member of the built-in filter families.
 
     kind is one of "tikhonov", "iterated_tikhonov" (with ``iterations``),
-    "landweber" (with ``step``), "cutoff".
+    "landweber" (with ``step``), "cutoff". Tikhonov is iterated Tikhonov
+    with one iteration.
     """
 
     kind: str
@@ -71,72 +75,60 @@ class SpectralFilter:
             self.iterations < 1 or self.iterations != int(self.iterations)
         ):
             raise ParameterError(f"iterations must be a positive integer, got {self.iterations}")
+        if self.kind != "iterated_tikhonov" and self.iterations != 1:
+            raise ParameterError(
+                f"iterations applies to iterated_tikhonov only, got {self.iterations}"
+            )
         if self.kind == "landweber" and not 0 < self.step:
             raise ParameterError(f"step must be positive, got {self.step}")
 
     # -- evaluation ---------------------------------------------------------
 
-    def values(self, sigma, lam: float):
-        """Evaluate g_lam(sigma) for sigma >= 0 (the sigma = 0 limit is exact).
+    def _log_residual(self, sigma, lam: float):
+        """Validate the arguments and return (sigma as an array, l, g_lam(0)).
 
-        Accepts scalars or arrays. Negative sigma is a domain error; use
-        ``eval_filter`` for the strictly positive-entry contract.
+        l = log r_lam(sigma) defines the family; g_lam(0) = -dl/dsigma at 0.
         """
         if lam <= 0:
             raise ParameterError(f"lam must be positive, got {lam!r}")
         arr = np.atleast_1d(np.asarray(sigma, dtype=float))
         if arr.size and arr.min() < 0:
             raise DomainError("sigma must be nonnegative")
-        if self.kind == "tikhonov":
-            out = 1.0 / (arr + lam)
-        elif self.kind == "iterated_tikhonov":
+        if self.kind in ("tikhonov", "iterated_tikhonov"):
             nu = self.iterations
-            pos = arr > 0
-            out = np.full_like(arr, nu / lam)
-            out[pos] = -np.expm1(-nu * np.log1p(arr[pos] / lam)) / arr[pos]
-        elif self.kind == "landweber":
+            return arr, -nu * np.log1p(arr / lam), nu / lam
+        if self.kind == "landweber":
             if arr.size and arr.max() * self.step > 1 + 1e-12:
                 raise DomainError(
                     f"step {self.step!r} exceeds 1/sigma at sigma={arr.max()!r}"
                 )
             nu = _iteration_count(lam)
-            pos = arr > 0
-            out = np.full_like(arr, self.step * nu)
             with np.errstate(divide="ignore"):
-                out[pos] = -np.expm1(nu * np.log1p(-np.minimum(self.step * arr[pos], 1.0))) / arr[pos]
-        else:  # cutoff
-            out = np.where(arr >= lam, 1.0 / np.maximum(arr, lam), 0.0)
-        if np.ndim(sigma) == 0:
-            return float(out[0])
-        return out
+                log_r = nu * np.log1p(-np.minimum(self.step * arr, 1.0))
+            return arr, log_r, self.step * nu
+        return arr, np.where(arr >= lam, -np.inf, 0.0), 0.0  # cutoff
+
+    def values(self, sigma, lam: float):
+        """Evaluate g_lam(sigma) = (1 - r_lam(sigma)) / sigma for sigma >= 0.
+
+        Accepts scalars or arrays; the sigma = 0 limit is exact.
+        """
+        arr, log_r, limit = self._log_residual(sigma, lam)
+        out = np.full_like(arr, limit)
+        pos = arr > 0
+        out[pos] = -np.expm1(log_r[pos]) / arr[pos]
+        return float(out[0]) if np.ndim(sigma) == 0 else out
 
     def residuals(self, sigma, lam: float):
         """Evaluate r_lam(sigma) = 1 - sigma * g_lam(sigma) in closed form."""
-        if lam <= 0:
-            raise ParameterError(f"lam must be positive, got {lam!r}")
-        arr = np.atleast_1d(np.asarray(sigma, dtype=float))
-        if arr.size and arr.min() < 0:
-            raise DomainError("sigma must be nonnegative")
-        if self.kind == "tikhonov":
-            out = lam / (arr + lam)
-        elif self.kind == "iterated_tikhonov":
-            out = np.exp(-self.iterations * np.log1p(arr / lam))
-        elif self.kind == "landweber":
-            nu = _iteration_count(lam)
-            with np.errstate(divide="ignore"):
-                out = np.exp(nu * np.log1p(-np.minimum(self.step * arr, 1.0)))
-        else:  # cutoff
-            out = np.where(arr >= lam, 0.0, 1.0)
-        if np.ndim(sigma) == 0:
-            return float(out[0])
-        return out
+        _, log_r, _ = self._log_residual(sigma, lam)
+        out = np.exp(log_r)
+        return float(out[0]) if np.ndim(sigma) == 0 else out
 
     # -- declared constants --------------------------------------------------
 
     def constants(self) -> FilterConstants:
-        if self.kind == "tikhonov":
-            return FilterConstants(1.0, 1.0, 1.0, 1.0, 1.0)
-        if self.kind == "iterated_tikhonov":
+        if self.kind in ("tikhonov", "iterated_tikhonov"):
             nu = float(self.iterations)
             return FilterConstants(1.0, nu, 1.0, nu, 1.0)
         if self.kind == "landweber":
@@ -317,18 +309,3 @@ def filter_from_dict(spec: dict, kappa_sq: float | None = None) -> SpectralFilte
         return spectral_cutoff()
     raise ParameterError(f"unknown filter id {kind!r}")
 
-
-def eval_filter(filt: SpectralFilter, sigma, lam: float):
-    """Strict-contract evaluation: every sigma must be positive."""
-    arr = np.asarray(sigma, dtype=float)
-    if arr.size == 0 or arr.min() <= 0:
-        raise DomainError("eval_filter requires strictly positive sigma")
-    return filt.values(sigma, lam)
-
-
-def declared_constants(filt: SpectralFilter) -> FilterConstants:
-    return filt.constants()
-
-
-def verify_constants(filt: SpectralFilter, **kwargs) -> VerificationReport:
-    return filt.verify(**kwargs)

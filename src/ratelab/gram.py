@@ -100,7 +100,6 @@ class GramEigen:
     size: int
     complete: bool
     clamped: float = 0.0
-    jitter: float = 0.0
 
     @property
     def rank(self) -> int:

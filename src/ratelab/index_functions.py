@@ -28,6 +28,7 @@ from .errors import (
     ConstructionError,
     ContractError,
     DomainError,
+    NumericalError,
     ParameterError,
 )
 
@@ -84,10 +85,6 @@ class IndexFunction:
     @property
     def flags(self) -> "MonotoneFlags":
         return _flags_for(self)
-
-    @property
-    def is_holder(self) -> bool:
-        return isinstance(self, HolderIndex)
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -326,7 +323,9 @@ def invert_monotone(
 
     The lower bracket end is halved (by factors of 16) as needed, down to
     ``floor``; running out of bracket raises BracketUnderflowError. The
-    result t satisfies |func(t) - y| <= rel_tol * y. Deterministic.
+    result t satisfies |func(t) - y| <= rel_tol * y; when ``max_iters``
+    steps do not reach it (a jump in func across y), NumericalError is
+    raised. Deterministic.
     """
     if not 0 < lo < hi:
         raise ParameterError(f"need 0 < lo < hi, got lo={lo!r} hi={hi!r}")
@@ -357,4 +356,7 @@ def invert_monotone(
             a = mid
         else:
             b = mid
-    return mid
+    raise NumericalError(
+        f"bisection left |f(t) - {y!r}| above {rel_tol:g} * y after {max_iters} "
+        f"steps: f({mid!r}) = {f_mid!r}"
+    )

@@ -32,6 +32,7 @@ from .mercer import (
     MercerModel,
     TargetFunction,
     norms_of_expansion,
+    sample_two_point,
     target_from_source,
     two_point_weights,
 )
@@ -41,6 +42,7 @@ MIN_CODE_LENGTH = 24
 REJECTION_CAP = 10**6
 FANO_CONSTANT = math.exp(-3.0 / math.e)
 SEPARATION_SLACK = 1e-9
+PAIR_BLOCK = 1024  # family members per block in the pairwise separation check
 PERIOD = 2.0 * math.pi
 
 
@@ -219,14 +221,23 @@ def adversarial_family(
     )
 
 
-def _pairwise_separation(model, members, rkhs_variant, cap: int = 2048):
-    stack = np.stack([mem.coefficients[:, 0] for mem in members[:cap]])
+def _pairwise_separation(model, members, rkhs_variant):
+    """Smallest and largest distance over every pair of members.
+
+    Rows are compared in blocks of PAIR_BLOCK against every later member,
+    so memory stays at PAIR_BLOCK x len(members) however large the family.
+    """
+    stack = np.stack([mem.coefficients[:, 0] for mem in members])
     if not rkhs_variant:
         stack = stack * np.sqrt(model.eigenvalues)[None, :]
     sq = np.sum(stack * stack, axis=1)
-    dist_sq = sq[:, None] + sq[None, :] - 2.0 * stack @ stack.T
-    off = ~np.eye(stack.shape[0], dtype=bool)
-    return float(np.sqrt(max(dist_sq[off].min(), 0.0))), float(np.sqrt(dist_sq[off].max()))
+    lo, hi = math.inf, 0.0
+    for start in range(0, stack.shape[0] - 1, PAIR_BLOCK):
+        rows = slice(start, start + PAIR_BLOCK)
+        dist_sq = sq[rows, None] + sq[None, start:] - 2.0 * stack[rows] @ stack[start:].T
+        later = dist_sq[np.triu(np.ones(dist_sq.shape, dtype=bool), k=1)]
+        lo, hi = min(lo, float(later.min())), max(hi, float(later.max()))
+    return math.sqrt(max(lo, 0.0)), math.sqrt(hi)
 
 
 # -- bounded two-point output measure -----------------------------------------
@@ -266,12 +277,8 @@ class TwoPointMeasure:
 
     def sample(self, xs, rng: np.random.Generator) -> np.ndarray:
         """Draw one output per input point."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        f_vals = self.target.evaluate(xs)
-        atoms, weights = two_point_weights(f_vals, self.amplitude, self.model.output_dim)
-        draws = rng.random((xs.shape[0], 1))
-        idx = np.minimum((draws > np.cumsum(weights, axis=1)).sum(axis=1), atoms.shape[0] - 1)
-        return atoms[idx]
+        f_vals = self.target.evaluate(np.atleast_1d(np.asarray(xs, dtype=float)))
+        return sample_two_point(f_vals, self.amplitude, self.model.output_dim, rng)
 
 
 @dataclass(frozen=True)

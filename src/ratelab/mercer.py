@@ -38,7 +38,6 @@ from .index_functions import IndexFunction
 PERIOD = 2.0 * math.pi
 
 SPECTRUM_RULES = ("lower", "midpoint", "upper")
-KAPPA_GRID = 4096
 SOURCE_RADIUS_SLACK = 1e-12
 BOUND_SLACK = 1e-12
 
@@ -110,18 +109,6 @@ class MercerModel:
         }
 
 
-def _sup_feature_energy(eigenvalues: np.ndarray, grid_points: int) -> float:
-    """sup over x of sum_n t_n e_n(x)^2, evaluated on a uniform grid."""
-    xs = np.linspace(0.0, PERIOD, grid_points, endpoint=False)
-    best = 0.0
-    count = eigenvalues.shape[0]
-    for start in range(0, grid_points, 512):
-        chunk = xs[start : start + 512]
-        feats = trigonometric_basis(chunk, count)
-        best = max(best, float(((feats * feats) @ eigenvalues).max()))
-    return best
-
-
 def build_model(
     b: float,
     alpha: float = 1.0,
@@ -129,13 +116,16 @@ def build_model(
     spectrum_rule="lower",
     d: int = 1,
     n_trunc: int = 512,
-    kappa_grid: int = KAPPA_GRID,
 ) -> MercerModel:
     """Construct a truncated model with eigenvalues inside the decay envelope.
 
     ``spectrum_rule`` is "lower" (alpha * n**-b, the default), "midpoint",
     "upper", or an explicit array that must sit inside
     [alpha * n**-b, beta * n**-b] and be nonincreasing.
+
+    kappa_sq = sup_x d * sum_n t_n e_n(x)**2 is exact: each cos/sin pair
+    contributes 2 (t_cos cos**2 + t_sin sin**2) <= 2 t_cos, since the
+    spectrum is nonincreasing, with equality at x = 0.
     """
     if b < 1:
         raise ParameterError(f"decay exponent must be >= 1, got {b}")
@@ -172,7 +162,7 @@ def build_model(
             raise ConstructionError("explicit spectrum must be nonincreasing")
         rule_name = "explicit"
 
-    kappa_sq = d * _sup_feature_energy(eigs, kappa_grid)
+    kappa_sq = d * float(eigs[0] + 2.0 * eigs[1::2].sum())
     return MercerModel(
         eigenvalues=eigs,
         decay_b=float(b),
@@ -537,6 +527,17 @@ def two_point_weights(f_vals: np.ndarray, level: float, d: int):
     return atoms, weights
 
 
+def sample_two_point(f_vals: np.ndarray, level: float, d: int, rng: np.random.Generator):
+    """Draw one output per row of ``f_vals`` from the two-point measure.
+
+    Takes one uniform per row and inverts the cumulative atom weights.
+    """
+    atoms, weights = two_point_weights(f_vals, level, d)
+    draws = rng.random((weights.shape[0], 1))
+    idx = np.minimum((draws > np.cumsum(weights, axis=1)).sum(axis=1), atoms.shape[0] - 1)
+    return atoms[idx]
+
+
 def sample_dataset(
     model: MercerModel,
     target: TargetFunction,
@@ -559,10 +560,5 @@ def sample_dataset(
         else:
             ys = f_vals + noise.sigma * rng.standard_normal(f_vals.shape)
     else:
-        atoms, weights = two_point_weights(f_vals, noise.amplitude, model.output_dim)
-        draws = rng.random((m, 1))
-        idx = np.minimum(
-            (draws > np.cumsum(weights, axis=1)).sum(axis=1), atoms.shape[0] - 1
-        )
-        ys = atoms[idx]
+        ys = sample_two_point(f_vals, noise.amplitude, model.output_dim, rng)
     return Dataset(xs=xs, ys=ys)

@@ -8,7 +8,6 @@ import pytest
 from ratelab.errors import DomainError, ParameterError
 from ratelab.filters import (
     SpectralFilter,
-    eval_filter,
     filter_from_dict,
     iterated_tikhonov,
     landweber,
@@ -58,6 +57,8 @@ class TestIteratedTikhonov:
     def test_iterations_validated(self):
         with pytest.raises(ParameterError):
             iterated_tikhonov(0)
+        with pytest.raises(ParameterError):
+            SpectralFilter("tikhonov", iterations=2)
 
 
 class TestLandweber:
@@ -77,6 +78,10 @@ class TestLandweber:
         filt = landweber(step=1.0)
         with pytest.raises(DomainError):
             filt.values(2.0, 0.5)
+
+    def test_residuals_share_the_domain_check(self):
+        with pytest.raises(DomainError):
+            landweber(step=1.0).residuals(2.0, 0.5)
 
     def test_decay_constant_general_step(self):
         filt = landweber(step=1.0)
@@ -154,7 +159,3 @@ class TestConstruction:
             filter_from_dict({"id": "showalter"})
         with pytest.raises(ParameterError):
             SpectralFilter("showalter")
-
-    def test_strict_eval_rejects_zero(self):
-        with pytest.raises(DomainError):
-            eval_filter(tikhonov(), np.array([0.0, 1.0]), 0.5)

@@ -10,6 +10,7 @@ from ratelab.errors import (
     ConstructionError,
     ContractError,
     DomainError,
+    NumericalError,
     ParameterError,
 )
 from ratelab.index_functions import (
@@ -187,6 +188,11 @@ class TestInvertMonotone:
     def test_rejects_decreasing_map(self):
         with pytest.raises(ContractError):
             invert_monotone(lambda t: 1.0 / t, 2.0, 1e-6, 1.0)
+
+    def test_unconverged_bisection_raises(self):
+        # the map jumps over the target, so no t is within tolerance
+        with pytest.raises(NumericalError):
+            invert_monotone(lambda t: 1.0 if t < 0.5 else 3.0, 2.0, 1e-3, 1.0)
 
 
 class TestRateMaps:

@@ -1,6 +1,7 @@
 """Tests for sign packings, adversarial families, and the information bounds."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ratelab.index_functions import HolderIndex
 from ratelab.lower_bounds import (
     FANO_CONSTANT,
     TwoPointMeasure,
+    _pairwise_separation,
     adversarial_family,
     amplitude_for,
     bayes_error,
@@ -116,6 +118,16 @@ class TestAdversarialFamily:
         eps = separation_for_code_length(model, phi, 1.0, 48)
         with pytest.raises(ConstructionError):
             adversarial_family(model, phi, 1.0, eps, packing)
+
+    def test_every_pair_is_checked(self):
+        # 2050 distinct sign rows except the last two, which coincide
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, 2, size=(2050, 64)) * 2.0 - 1.0
+        codes[-1] = codes[-2]
+        members = [SimpleNamespace(coefficients=row[:, None]) for row in codes]
+        min_sep, max_sep = _pairwise_separation(None, members, rkhs_variant=True)
+        assert min_sep == 0.0
+        assert max_sep <= 2.0 * math.sqrt(64)
 
     def test_needs_enough_features(self):
         model_small, phi_small = _lab(n_trunc=16)

@@ -40,14 +40,30 @@ class TestBasis:
         np.testing.assert_allclose(feats[:, 0], 1.0)
 
 
+def _grid_sup_energy(model, points=4096):
+    """d * sup of sum_n t_n e_n(x)**2 over a uniform grid that contains x = 0."""
+    xs = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+    feats = trigonometric_basis(xs, model.n_trunc)
+    return model.output_dim * float(((feats * feats) @ model.eigenvalues).max())
+
+
 class TestBuildModel:
     def test_kappa_matches_energy_at_origin(self):
-        """Cosine features peak at x = 0, so the sup is t_1 + 2 sum t_even."""
+        """Cosine features peak at x = 0, where the grid sup is attained."""
         model = build_model(b=2.0, n_trunc=512)
-        t = model.eigenvalues
-        expected = t[0] + 2.0 * t[1::2].sum()
-        assert model.kappa_sq == pytest.approx(expected, rel=1e-12)
+        assert model.kappa_sq == pytest.approx(_grid_sup_energy(model), rel=1e-12)
         assert model.kappa_sq == pytest.approx(1.8205177181543402, rel=1e-12)
+
+    @pytest.mark.parametrize("n_trunc", [63, 64])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_kappa_equals_grid_sup_for_every_spectrum(self, n_trunc, d):
+        ns = np.arange(1, n_trunc + 1, dtype=float)
+        explicit = ns**-1.5 * (2.0 - (ns - 1.0) / n_trunc)
+        for rule in ("lower", "upper", "midpoint", explicit):
+            model = build_model(
+                b=1.5, alpha=0.5, beta=2.0, spectrum_rule=rule, d=d, n_trunc=n_trunc
+            )
+            assert model.kappa_sq == pytest.approx(_grid_sup_energy(model), rel=1e-12)
 
     def test_output_dim_scales_kappa(self):
         one = build_model(b=2.0, n_trunc=16)
