@@ -19,15 +19,7 @@ from .estimator import error_norms, export_coefficients, fit
 from .filters import FILTER_KINDS, filter_from_dict
 from .harness import SEED_ENV_VAR, load_config, rate_sweep, write_outputs
 from .index_functions import HolderIndex
-from .lower_bounds import (
-    adversarial_family,
-    amplitude_for,
-    build_packing,
-    empirical_fano_check,
-    kl_divergence,
-    separation_for_code_length,
-    TwoPointMeasure,
-)
+from .lower_bounds import TwoPointMeasure, amplitude_for, empirical_fano_check, kl_divergence
 from .mercer import NoiseSpec, build_model, power_law_source, sample_dataset, target_from_source
 from .rates import (
     choose_lambda,
@@ -156,11 +148,8 @@ def _cmd_lower_bound(args) -> int:
         packing_seed=seed,
     )
 
-    packing = build_packing(args.ell, seed=seed)
-    epsilon = separation_for_code_length(model, phi, args.radius, args.ell)
-    family = adversarial_family(model, phi, args.radius, epsilon, packing)
-    level = amplitude_for(phi, args.radius, model)
-    members = family.members[: min(len(family.members), 64)]
+    level = check["amplitude"]
+    members = check["family"].members[:64]
     kl_max = 0.0
     for i, first in enumerate(members):
         m_first = TwoPointMeasure(model=model, target=first, amplitude=level)

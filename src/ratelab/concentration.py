@@ -32,8 +32,8 @@ def sample_error_stat(
     """
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
-    feats = model.basis(dataset.xs)
-    resid = dataset.ys - target.evaluate(dataset.xs)
+    feats = model.basis_at(dataset.xs, dataset.basis)
+    resid = dataset.ys - target.evaluate(dataset.xs, basis=feats)
     raw = feats.T @ resid / dataset.m
     t = model.eigenvalues
     scaled = (np.sqrt(t) / np.sqrt(t + lam))[:, None] * raw
@@ -53,17 +53,18 @@ def sample_error_bound(
     ) * math.log(4.0 / eta)
 
 
-def operator_deviation(model: MercerModel, xs) -> dict:
+def operator_deviation(model: MercerModel, xs, basis=None) -> dict:
     """Spectral norm of (empirical feature second moment) - diag(t).
 
     The empirical operator in the orthonormal coefficient basis is
     B~^T B~ with B~ = basis(xs) diag(sqrt(t)) / sqrt(m), exact for the
     truncated kernel. Also reports the eigenvalue mass the truncation
-    dropped, which this statistic cannot see.
+    dropped, which this statistic cannot see. A precomputed ``basis`` at
+    ``xs`` is reused.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     m = xs.shape[0]
-    feats = model.basis(xs) * np.sqrt(model.eigenvalues)[None, :] / math.sqrt(m)
+    feats = model.basis_at(xs, basis) * np.sqrt(model.eigenvalues)[None, :] / math.sqrt(m)
     emp = feats.T @ feats
     emp[np.diag_indices_from(emp)] -= model.eigenvalues
     eigs = np.linalg.eigvalsh(emp)
@@ -154,7 +155,7 @@ def tail_test(
         if kind == "sample_error":
             stat = sample_error_stat(model, data, target, lam)
         else:
-            stat = operator_deviation(model, data.xs)["value"]
+            stat = operator_deviation(model, data.xs, data.basis)["value"]
         rows.append(TailRow(replicate=i, statistic=stat, bound=bound))
 
     report = TailReport(kind=kind, m=m, lam=lam, eta=eta, bound=bound, rows=tuple(rows))

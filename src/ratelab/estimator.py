@@ -43,7 +43,7 @@ class FittedEstimator:
 
 def _gram_eigen_for(dataset: Dataset, kernel) -> GramEigen:
     if isinstance(kernel, MercerModel) and dataset.m > kernel.n_trunc:
-        return mercer_gram_eigen(kernel, dataset.xs)
+        return mercer_gram_eigen(kernel, dataset.xs, dataset.basis)
     return eigendecompose(assemble_gram(kernel, dataset.xs))
 
 
@@ -107,7 +107,8 @@ def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.nd
     so the (N, d) coefficient array is diag(sqrt(t)) B^T c with B the basis
     matrix on the training inputs. Exact because the kernel is truncated.
     """
-    feats = model.basis(fit_result.dataset.xs)
+    data = fit_result.dataset
+    feats = model.basis_at(data.xs, data.basis)
     raw = feats.T @ fit_result.coefficients
     return np.sqrt(model.eigenvalues)[:, None] * raw
 

@@ -23,10 +23,16 @@ RANK_DROP = 1e-12  # factored path drops modes below this times the top one
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Paired samples: inputs ``xs`` of shape (m,), outputs ``ys`` of (m, d)."""
+    """Paired samples: inputs ``xs`` of shape (m,), outputs ``ys`` of (m, d).
+
+    ``basis`` optionally holds the feature basis evaluated at ``xs``, one
+    row per sample, so the fit and the norms need not evaluate it again.
+    It is stored read-only.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -41,6 +47,12 @@ class Dataset:
             raise DataError("dataset contains non-finite entries")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        if self.basis is not None:
+            basis = np.asarray(self.basis, dtype=float).view()
+            if basis.ndim != 2 or basis.shape[0] != xs.shape[0]:
+                raise DataError(f"basis{basis.shape} needs one row per sample, m={xs.shape[0]}")
+            basis.flags.writeable = False
+            object.__setattr__(self, "basis", basis)
 
     @property
     def m(self) -> int:
@@ -145,21 +157,23 @@ def eigendecompose(gram: np.ndarray) -> GramEigen:
     )
 
 
-def mercer_gram_eigen(model, xs) -> GramEigen:
+def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     """Exact Gram eigensystem for a finite-rank feature kernel.
 
     When m exceeds the feature count N, the nonzero spectrum of the scaled
     Gram equals the spectrum of the N-by-N feature-domain matrix, so the
     eigensolve runs at size N and the m-by-m matrix is never formed. For
     m <= N this falls back to the dense path. Either way the result is an
-    exact decomposition of the same matrix, not an approximation.
+    exact decomposition of the same matrix, not an approximation. A
+    precomputed ``basis`` at ``xs`` is reused and left unchanged.
     """
     xs = np.asarray(xs, dtype=float)
     n_feat = int(model.eigenvalues.shape[0])
     m = xs.shape[0]
     if m <= n_feat:
         return eigendecompose(assemble_gram(model, xs))
-    feats = model.basis(xs) * np.sqrt(model.eigenvalues)[None, :] / np.sqrt(m)
+    feats = model.basis_at(xs, basis) * np.sqrt(model.eigenvalues)[None, :]
+    feats /= np.sqrt(m)
     inner = feats.T @ feats
     try:
         vals, vecs = np.linalg.eigh(0.5 * (inner + inner.T))
@@ -172,7 +186,8 @@ def mercer_gram_eigen(model, xs) -> GramEigen:
     keep = vals > RANK_DROP * top
     vals = vals[keep]
     vecs = vecs[:, keep]
-    columns = (feats @ vecs) / np.sqrt(vals)[None, :]
+    columns = feats @ vecs
+    columns /= np.sqrt(vals)[None, :]
     return GramEigen(
         eigenvalues=vals,
         vectors=columns,

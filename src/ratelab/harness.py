@@ -43,6 +43,7 @@ GATE_EXTENSION = 64
 
 _MODEL_KEYS = {"b", "alpha", "beta", "N_trunc", "d", "spectrum_rule"}
 _SOURCE_KEYS = {"kind", "s", "R"}
+_FILTER_KEYS = {"id", "nu", "tau"}
 _TOP_KEYS = {
     "model",
     "phi",
@@ -110,6 +111,11 @@ class ExperimentConfig:
         if source.get("kind", "power") != "power":
             raise ConfigError("source.kind", f"unknown source kind {source['kind']!r}")
 
+        filter_spec = raw.get("filter", {"id": "tikhonov"})
+        for key in filter_spec:
+            if key not in _FILTER_KEYS:
+                raise ConfigError(f"filter.{key}", "unknown key")
+
         try:
             noise = noise_from_dict(raw.get("noise", {"kind": "gaussian", "sigma": 0.5}))
         except (KeyError, ValueError) as exc:
@@ -141,7 +147,7 @@ class ExperimentConfig:
             source_s=float(source.get("s", 1.0)),
             source_radius=float(source.get("R", 1.0)),
             noise=noise,
-            filter_spec=dict(raw.get("filter", {"id": "tikhonov"})),
+            filter_spec=dict(filter_spec),
             rule=rule,
             m_grid=m_grid,
             replicates=replicates,
@@ -338,6 +344,8 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
             norms = error_norms(fitted, model, target)
             errs_l2[rep] = norms.l2
             errs_rkhs[rep] = norms.rkhs
+            # free this replicate's basis and fit before the next one is drawn
+            del data, fitted
         high = 1.0 - config.eta
         rows.append(
             SweepRow(

@@ -275,9 +275,9 @@ class TwoPointMeasure:
             raise ContractError(f"conditional mean off by {mean_gap!r}")
         return atoms, weights
 
-    def sample(self, xs, rng: np.random.Generator) -> np.ndarray:
-        """Draw one output per input point."""
-        f_vals = self.target.evaluate(np.atleast_1d(np.asarray(xs, dtype=float)))
+    def sample(self, xs, rng: np.random.Generator, basis=None) -> np.ndarray:
+        """Draw one output per input point; a precomputed ``basis`` at ``xs`` is reused."""
+        f_vals = self.target.evaluate(np.atleast_1d(np.asarray(xs, dtype=float)), basis=basis)
         return sample_two_point(f_vals, self.amplitude, self.model.output_dim, rng)
 
 
@@ -306,8 +306,9 @@ def kl_divergence(
     level = first.amplitude
     d = first.model.output_dim
     grid = np.linspace(0.0, PERIOD, quadrature_points, endpoint=False)
-    _, w1 = two_point_weights(first.target.evaluate(grid), level, d)
-    _, w2 = two_point_weights(second.target.evaluate(grid), level, d)
+    basis = first.model.basis(grid)
+    _, w1 = two_point_weights(first.target.evaluate(grid, basis=basis), level, d)
+    _, w2 = two_point_weights(second.target.evaluate(grid, basis=basis), level, d)
     value = float(np.mean(np.sum(w1 * np.log(w1 / w2), axis=1)))
 
     gap = first.target.coefficients - second.target.coefficients
@@ -364,6 +365,7 @@ def empirical_fano_check(
     the fit landed epsilon/2 or farther from the truth in L2. The
     observed frequency must not undercut the floor by more than three
     binomial standard errors; ``consistent`` reports that comparison.
+    The result also holds the adversarial ``family`` the trials drew from.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -386,7 +388,8 @@ def empirical_fano_check(
         truth = family.members[truth_idx]
         measure = TwoPointMeasure(model=model, target=truth, amplitude=level)
         xs = rng.uniform(0.0, PERIOD, size=m)
-        data = Dataset(xs=xs, ys=measure.sample(xs, rng))
+        basis = model.basis(xs)
+        data = Dataset(xs=xs, ys=measure.sample(xs, rng, basis=basis), basis=basis)
         fitted = estimator_rule(data, model)
         gap = basis_coefficients(fitted, model) - truth.coefficients
         if norms_of_expansion(model, gap).l2 >= epsilon / 2.0:
@@ -406,6 +409,7 @@ def empirical_fano_check(
         "observed_frequency": observed,
         "standard_error": se,
         "consistent": observed >= bound - 3.0 * se,
+        "family": family,
     }
 
 

@@ -53,13 +53,9 @@ def trigonometric_basis(xs, count: int) -> np.ndarray:
         raise ParameterError(f"count must be >= 1, got {count}")
     out = np.empty((xs.shape[0], count))
     out[:, 0] = 1.0
-    if count > 1:
-        idx = np.arange(2, count + 1)
-        freqs = idx // 2
-        angles = xs[:, None] * freqs[None, :]
-        cos_cols = idx % 2 == 0
-        out[:, 1:][:, cos_cols] = math.sqrt(2.0) * np.cos(angles[:, cos_cols])
-        out[:, 1:][:, ~cos_cols] = math.sqrt(2.0) * np.sin(angles[:, ~cos_cols])
+    angles = xs[:, None] * np.arange(1, count // 2 + 1)
+    out[:, 1::2] = math.sqrt(2.0) * np.cos(angles)
+    out[:, 2::2] = math.sqrt(2.0) * np.sin(angles[:, : (count - 1) // 2])
     return out
 
 
@@ -82,9 +78,21 @@ class MercerModel:
     def basis(self, xs) -> np.ndarray:
         return trigonometric_basis(xs, self.n_trunc)
 
+    def basis_at(self, xs, basis=None) -> np.ndarray:
+        """The basis matrix at ``xs``, reusing a precomputed one if it fits.
+
+        ``basis`` is an earlier evaluation at the same ``xs``, such as the
+        one `sample_dataset` carries on its Dataset. It is used when its
+        shape is (len(xs), N); any other shape belongs to another
+        truncation, and the basis is evaluated afresh.
+        """
+        if basis is not None and basis.shape == (len(xs), self.n_trunc):
+            return basis
+        return self.basis(xs)
+
     def scalar_kernel(self, xs, zs) -> np.ndarray:
         bx = self.basis(xs)
-        bz = self.basis(zs)
+        bz = bx if zs is xs else self.basis(zs)
         return (bx * self.eigenvalues[None, :]) @ bz.T
 
     def trace_tail_bound(self) -> float:
@@ -217,8 +225,9 @@ class TargetFunction:
     def source_norm(self) -> float:
         return float(np.sqrt(np.sum(self.source**2)))
 
-    def evaluate(self, xs) -> np.ndarray:
-        feats = self.model.basis(xs)
+    def evaluate(self, xs, basis=None) -> np.ndarray:
+        """Target values at ``xs``; a precomputed ``basis`` at ``xs`` is reused if it fits."""
+        feats = self.model.basis_at(xs, basis)
         scaled = np.sqrt(self.model.eigenvalues)[:, None] * self.coefficients
         return feats @ scaled
 
@@ -547,13 +556,16 @@ def sample_dataset(
 ) -> Dataset:
     """Draw m i.i.d. pairs: uniform inputs, outputs from the noise model.
 
-    Deterministic for a fixed seed (int, SeedSequence, or Generator).
+    Deterministic for a fixed seed (int, SeedSequence, or Generator). The
+    basis at the drawn inputs is evaluated once and carried on the
+    Dataset, so fits, tail statistics and error norms reuse it.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     xs = rng.uniform(0.0, PERIOD, size=m)
-    f_vals = target.evaluate(xs)
+    basis = model.basis(xs)
+    f_vals = target.evaluate(xs, basis=basis)
     if noise.kind == "gaussian":
         if noise.sigma == 0:
             ys = f_vals.copy()
@@ -561,4 +573,4 @@ def sample_dataset(
             ys = f_vals + noise.sigma * rng.standard_normal(f_vals.shape)
     else:
         ys = sample_two_point(f_vals, noise.amplitude, model.output_dim, rng)
-    return Dataset(xs=xs, ys=ys)
+    return Dataset(xs=xs, ys=ys, basis=basis)

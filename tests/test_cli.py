@@ -87,6 +87,28 @@ class TestLowerBound:
         ]
         assert payload["N"] == 3
 
+    def test_builds_packing_and_family_once(self, monkeypatch, capsys):
+        from ratelab import cli, lower_bounds
+
+        calls = {"build_packing": 0, "adversarial_family": 0}
+        for name in calls:
+            original = getattr(lower_bounds, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (lower_bounds, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        argv = ["lower-bound", "--b", "2", "--n-trunc", "64", "--ell", "24", "--m", "16",
+                "--trials", "4"]
+        assert main(argv) == 0
+        assert calls == {"build_packing": 1, "adversarial_family": 1}
+        assert sorted(json.loads(capsys.readouterr().out)) == [
+            "N", "ell", "fano_bound", "kl_max", "observed_frequency", "separation"
+        ]
+
 
 class TestFit:
     def test_reports_errors_and_writes_dump(self, tmp_path, capsys):

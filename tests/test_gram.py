@@ -34,6 +34,16 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(xs=np.zeros(0), ys=np.zeros((0, 1)))
 
+    def test_basis_needs_one_row_per_sample(self):
+        with pytest.raises(DataError):
+            Dataset(xs=np.zeros(3), ys=np.zeros(3), basis=np.zeros((2, 8)))
+
+    def test_basis_stored_read_only(self):
+        basis = np.zeros((3, 8))
+        data = Dataset(xs=np.zeros(3), ys=np.zeros(3), basis=basis)
+        assert not data.basis.flags.writeable
+        assert basis.flags.writeable
+
 
 class TestAssembleGram:
     def test_scaling_and_symmetry(self):
@@ -94,6 +104,17 @@ class TestFactoredEigen:
             eig.eigenvalues, dense.eigenvalues[: eig.rank], rtol=1e-9, atol=1e-12
         )
         assert reconstruction_error(gram, eig) < 1e-12
+
+    def test_reuses_a_carried_basis_and_leaves_it_unchanged(self):
+        model = build_model(b=2.0, n_trunc=8)
+        xs = np.random.default_rng(5).uniform(0, 2 * np.pi, size=40)
+        basis = model.basis(xs)
+        kept = basis.copy()
+        eig = mercer_gram_eigen(model, xs, basis)
+        assert np.array_equal(basis, kept)
+        fresh = mercer_gram_eigen(model, xs)
+        assert np.array_equal(eig.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(eig.vectors, fresh.vectors)
 
     def test_small_sample_uses_dense_path(self):
         model = build_model(b=2.0, n_trunc=16)

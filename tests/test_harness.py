@@ -52,6 +52,11 @@ class TestConfig:
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "bogus": 1}, "bogus"),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "replicates": 1}, "replicates"),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "eta": 1.5}, "eta"),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "filter": {"id": "landweber", "tua": 0.5}},
+                "filter.tua",
+            ),
         ],
     )
     def test_rejects_bad_payloads(self, payload, key):

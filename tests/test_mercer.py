@@ -39,6 +39,18 @@ class TestBasis:
         feats = trigonometric_basis(np.array([0.3, 1.7]), 3)
         np.testing.assert_allclose(feats[:, 0], 1.0)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 512, 513])
+    def test_equals_per_column_reference(self, count):
+        """Column j >= 1 is sqrt(2) cos(kx) for odd j, sqrt(2) sin(kx) for even j, k = (j+1)//2."""
+        xs = np.random.default_rng(count).uniform(0.0, 2 * np.pi, 37)
+        ref = np.empty((xs.shape[0], count))
+        ref[:, 0] = 1.0
+        for j in range(1, count):
+            k = (j + 1) // 2
+            wave = np.cos if j % 2 == 1 else np.sin
+            ref[:, j] = math.sqrt(2.0) * wave(xs * k)
+        assert np.array_equal(trigonometric_basis(xs, count), ref)
+
 
 def _grid_sup_energy(model, points=4096):
     """d * sup of sum_n t_n e_n(x)**2 over a uniform grid that contains x = 0."""
