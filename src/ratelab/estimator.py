@@ -3,12 +3,17 @@
 The fitted function is f(x) = sum_i k(x, x_i) c_i with coefficient rows
 c_i read off the eigendecomposition of the scaled Gram matrix (1/m) K:
 
-    c = (1/m) U g_lam(w) U^T y + (g_lam(0)/m) (y - U U^T y)
+    c = (1/m) V g_lam(w) V^T y + (g_lam(0)/m) (y - V V^T y)
+      = (1/m) V (g_lam(w) - g_lam(0)) V^T y + (g_lam(0)/m) y
 
-where w are the retained eigenvalues. The second term carries the Gram
-null space (and any eigenpairs a factored decomposition omitted, which
-are all null); dropping it breaks exact agreement with direct solvers
-whenever the filter has g_lam(0) != 0, e.g. any Tikhonov variant.
+where w are the retained eigenvalues and V their orthonormal eigenvectors.
+The g_lam(0) term carries the Gram null space (and any eigenpairs a
+factored decomposition omitted, which are all null); dropping it breaks
+exact agreement with direct solvers whenever the filter has
+g_lam(0) != 0, e.g. any Tikhonov variant. `fit` evaluates the second
+line through `GramEigen.project` and `GramEigen.combine`, which apply V
+as its stored product; on the factored path that is the (m, N) feature
+matrix times an (N, k) mix, so the (m, k) matrix V is never formed.
 """
 
 from __future__ import annotations
@@ -67,9 +72,8 @@ def fit(
     m = dataset.m
     g_vals = np.atleast_1d(filt.values(eig.eigenvalues, lam))
     g_null = filt.values(0.0, lam)
-    proj = eig.vectors.T @ ys
-    coeff = (eig.vectors * g_vals[None, :]) @ proj / m
-    coeff += (g_null / m) * (ys - eig.vectors @ proj)
+    coeff = eig.combine((g_vals - g_null)[:, None] * eig.project(ys)) / m
+    coeff += (g_null / m) * ys
     return FittedEstimator(
         dataset=dataset,
         kernel=kernel,

@@ -4,7 +4,8 @@ The Gram matrix is always stored with the 1/m scaling, so its eigenvalues
 estimate the integral-operator spectrum directly. Decompositions are exact:
 either a dense symmetric eigensolve, or, for finite-rank feature kernels,
 an equivalent factored solve in the feature domain that yields the same
-nonzero spectrum without forming the m-by-m matrix. No sketching, no
+nonzero spectrum without forming the m-by-m matrix, and holds its
+eigenvectors as a product applied from right to left. No sketching, no
 default jitter.
 """
 
@@ -98,24 +99,64 @@ def assemble_gram(kernel, xs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramEigen:
-    """Orthonormal eigensystem of a scaled Gram matrix.
+    """Orthonormal eigensystem of a scaled Gram matrix, held as a product.
 
-    ``eigenvalues`` (k,) descending and nonnegative, ``vectors`` (m, k) with
-    orthonormal columns. ``complete`` marks whether k = m; when it does not,
-    the unlisted eigenvalues are exactly zero and the complement of the
-    stored columns spans their eigenspace. ``clamped`` records the magnitude
-    of the most negative raw eigenvalue rounded up to zero.
+    ``eigenvalues`` (k,) descending and nonnegative. The (m, k) matrix V of
+    orthonormal eigenvectors is ``factor @ mix``: the dense path stores
+    V itself as ``factor`` and no ``mix``; the factored path stores the
+    scaled (m, N) feature matrix and an (N, k) ``mix``. `project` and
+    `combine` apply V from right to left, so V is built only when the
+    ``vectors`` property is read. ``complete`` marks whether k = m; when it
+    does not, the unlisted eigenvalues are exactly zero and the complement
+    of V's columns spans their eigenspace. ``clamped`` records the
+    magnitude of the most negative raw eigenvalue the solver returned.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    factor: np.ndarray
     size: int
     complete: bool
+    mix: np.ndarray | None = None
     clamped: float = 0.0
 
     @property
     def rank(self) -> int:
         return int(self.eigenvalues.shape[0])
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (m, k) eigenvector matrix V, built on each access."""
+        return self.factor if self.mix is None else self.factor @ self.mix
+
+    def project(self, ys: np.ndarray) -> np.ndarray:
+        """V^T ys, shape (k, d)."""
+        proj = self.factor.T @ ys
+        return proj if self.mix is None else self.mix.T @ proj
+
+    def combine(self, z: np.ndarray) -> np.ndarray:
+        """V z, shape (m, d)."""
+        return self.factor @ (z if self.mix is None else self.mix @ z)
+
+
+def _descending(vals: np.ndarray, vecs: np.ndarray):
+    """Sort an eigensystem by descending eigenvalue and measure its clamp.
+
+    Returns the sorted pair and the magnitude of the most negative raw
+    eigenvalue; anything below -1e-10 times the top eigenvalue triggers a
+    warning, attributed to the caller's caller.
+    """
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    top = float(vals[0]) if vals.size else 0.0
+    most_negative = float(min(vals.min(), 0.0)) if vals.size else 0.0
+    if top > 0 and most_negative < -NEGATIVE_EIG_WARN * top:
+        warnings.warn(
+            f"clamping eigenvalue {most_negative:g} "
+            f"(relative {most_negative / top:g}) to zero",
+            stacklevel=3,
+        )
+    return vals, vecs, -most_negative
 
 
 def eigendecompose(gram: np.ndarray) -> GramEigen:
@@ -136,33 +177,27 @@ def eigendecompose(gram: np.ndarray) -> GramEigen:
             f"eigensolver failed on a {sym.shape[0]}x{sym.shape[0]} matrix "
             f"(max abs entry {scale:g}): {exc}"
         ) from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    top = float(vals[0]) if vals.size else 0.0
-    most_negative = float(min(vals.min(), 0.0)) if vals.size else 0.0
-    if top > 0 and most_negative < -NEGATIVE_EIG_WARN * top:
-        warnings.warn(
-            f"clamping eigenvalue {most_negative:g} "
-            f"(relative {most_negative / top:g}) to zero",
-            stacklevel=2,
-        )
-    vals = np.maximum(vals, 0.0)
+    vals, vecs, clamped = _descending(vals, vecs)
     return GramEigen(
-        eigenvalues=vals,
-        vectors=vecs,
+        eigenvalues=np.maximum(vals, 0.0),
+        factor=vecs,
         size=gram.shape[0],
         complete=True,
-        clamped=-most_negative,
+        clamped=clamped,
     )
 
 
 def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     """Exact Gram eigensystem for a finite-rank feature kernel.
 
-    When m exceeds the feature count N, the nonzero spectrum of the scaled
-    Gram equals the spectrum of the N-by-N feature-domain matrix, so the
-    eigensolve runs at size N and the m-by-m matrix is never formed. For
+    When m exceeds the feature count N, the scaled Gram is Phi Phi^T with
+    Phi = B diag(sqrt t) / sqrt(m) the (m, N) feature matrix, and its
+    nonzero spectrum equals that of the N-by-N matrix Phi^T Phi = W S W^T.
+    The eigensolve runs at size N and neither the m-by-m Gram nor its
+    (m, k) eigenvectors are formed: the result holds V = Phi W S^-1/2 as
+    ``factor = Phi`` and ``mix = W S^-1/2``, over the k modes above
+    RANK_DROP times the top one. ``clamped`` and its warning follow
+    `eigendecompose`, measured on the feature-domain spectrum. For
     m <= N this falls back to the dense path. Either way the result is an
     exact decomposition of the same matrix, not an approximation. A
     precomputed ``basis`` at ``xs`` is reused and left unchanged.
@@ -179,20 +214,19 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
         vals, vecs = np.linalg.eigh(0.5 * (inner + inner.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"feature-domain eigensolver failed: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs, clamped = _descending(vals, vecs)
     top = float(vals[0]) if vals.size else 0.0
     keep = vals > RANK_DROP * top
     vals = vals[keep]
-    vecs = vecs[:, keep]
-    columns = feats @ vecs
-    columns /= np.sqrt(vals)[None, :]
+    mix = vecs[:, keep]
+    mix /= np.sqrt(vals)[None, :]
     return GramEigen(
         eigenvalues=vals,
-        vectors=columns,
+        factor=feats,
         size=m,
         complete=False,
+        mix=mix,
+        clamped=clamped,
     )
 
 

@@ -353,19 +353,18 @@ def empirical_fano_check(
     ell: int,
     m: int,
     trials: int = 200,
-    estimator_rule=None,
     seed: int = 0,
     packing_seed: int = 0,
 ) -> dict:
     """Race an actual estimator against the error floor.
 
     Each trial hides a uniformly chosen family member behind the bounded
-    two-point noise, fits (Tikhonov at the RKHS-schedule level unless an
-    ``estimator_rule(dataset, model)`` is supplied), and records whether
-    the fit landed epsilon/2 or farther from the truth in L2. The
-    observed frequency must not undercut the floor by more than three
-    binomial standard errors; ``consistent`` reports that comparison.
-    The result also holds the adversarial ``family`` the trials drew from.
+    two-point noise, fits Tikhonov with lambda from the psi rule at this
+    m, and records whether the fit landed epsilon/2 or farther from the
+    truth in L2. The observed frequency must not undercut the floor by
+    more than three binomial standard errors; ``consistent`` reports that
+    comparison. The result also holds the adversarial ``family`` the
+    trials drew from.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -374,12 +373,7 @@ def empirical_fano_check(
     family = adversarial_family(model, phi, radius, epsilon, packing)
     level = amplitude_for(phi, radius, model)
     floor = fano_bound(ell, m, epsilon, model.output_dim, level)
-
-    if estimator_rule is None:
-        lam = float(choose_lambda("psi", phi, model.decay_b, m))
-
-        def estimator_rule(dataset, mdl):
-            return fit(dataset, mdl, tikhonov(), lam)
+    lam = float(choose_lambda("psi", phi, model.decay_b, m))
 
     misses = 0
     for trial in range(trials):
@@ -390,7 +384,7 @@ def empirical_fano_check(
         xs = rng.uniform(0.0, PERIOD, size=m)
         basis = model.basis(xs)
         data = Dataset(xs=xs, ys=measure.sample(xs, rng, basis=basis), basis=basis)
-        fitted = estimator_rule(data, model)
+        fitted = fit(data, model, tikhonov(), lam)
         gap = basis_coefficients(fitted, model) - truth.coefficients
         if norms_of_expansion(model, gap).l2 >= epsilon / 2.0:
             misses += 1

@@ -481,13 +481,19 @@ def noise_from_dict(spec: dict) -> NoiseSpec:
 
 
 def _gaussian_moment(sigma: float, scale: float, d: int) -> float:
-    """Radial evaluation of the centered exponential moment for N(0, sigma^2 I_d)."""
+    """Radial evaluation of the centered exponential moment for N(0, sigma^2 I_d).
+
+    The growth exp(t / scale) and the Gaussian decay exp(-q) are combined
+    into one exponent, so the integrand stays finite wherever quad samples
+    it, however small sigma is.
+    """
     surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     prefactor = surface / (2.0 * math.pi * sigma**2) ** (d / 2.0)
 
     def integrand(t):
         u = t / scale
-        return (math.exp(u) - u - 1.0) * math.exp(-(t * t) / (2.0 * sigma**2)) * t ** (d - 1)
+        q = (t * t) / (2.0 * sigma**2)
+        return (math.exp(u - q) - (u + 1.0) * math.exp(-q)) * t ** (d - 1)
 
     value, _ = quad(integrand, 0.0, np.inf, limit=200)
     return prefactor * value

@@ -62,6 +62,21 @@ class TestConcentration:
         assert payload["passed"] is True
         assert payload["frequency"] <= payload["eta"]
 
+    def test_small_sigma_certifies_and_runs(self, capsys):
+        code = main(
+            [
+                "concentration",
+                "--b", "2",
+                "--n-trunc", "8",
+                "--m", "32",
+                "--replicates", "100",
+                "--sigma", "0.3",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True
+
 
 class TestLowerBound:
     def test_report_field_names(self, capsys):

@@ -13,7 +13,7 @@ from ratelab.estimator import (
     fit_tikhonov_direct,
 )
 from ratelab.filters import iterated_tikhonov, landweber, spectral_cutoff, tikhonov
-from ratelab.gram import Dataset, GaussianRBF
+from ratelab.gram import Dataset, GaussianRBF, GramEigen, assemble_gram, eigendecompose
 from ratelab.index_functions import HolderIndex
 from ratelab.mercer import (
     NoiseSpec,
@@ -117,6 +117,51 @@ class TestFit:
         model, _, data = _toy_problem(m=8)
         with pytest.raises(ParameterError):
             fit(data, model, tikhonov(), lam=0.0)
+
+
+N_FACTORED = 16
+
+
+def _four_filters(model):
+    return {
+        "tikhonov": tikhonov(),
+        "iterated_tikhonov": iterated_tikhonov(3),
+        "landweber": landweber(step=1.0 / model.kappa_sq),
+        "cutoff": spectral_cutoff(),
+    }
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestFactoredFit:
+    """The factored eigensystem fits like the dense Gram it decomposes."""
+
+    @pytest.mark.parametrize("m", [N_FACTORED + 1, 2 * N_FACTORED, 8 * N_FACTORED])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_dense_oracle(self, m, d):
+        model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
+        dense = eigendecompose(assemble_gram(model, data.xs))
+        for name, filt in _four_filters(model).items():
+            factored = fit(data, model, filt, lam=0.05)
+            assert factored.gram.mix is not None, name
+            oracle = fit(data, model, filt, lam=0.05, gram=dense)
+            assert factored.coefficients.shape == (m, d)
+            assert _relative_gap(factored.coefficients, oracle.coefficients) <= 1e-10, name
+            assert _relative_gap(
+                basis_coefficients(factored, model), basis_coefficients(oracle, model)
+            ) <= 1e-10, name
+
+    def test_never_builds_the_eigenvector_matrix(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("fit built the (m, k) eigenvector matrix")
+
+        monkeypatch.setattr(GramEigen, "vectors", property(refuse))
+        model, target, data = _toy_problem(m=4 * N_FACTORED, d=3, n_trunc=N_FACTORED)
+        for filt in _four_filters(model).values():
+            result = fit(data, model, filt, lam=0.05)
+            assert np.isfinite(error_norms(result, model, target).l2)
 
 
 class TestErrorNorms:

@@ -1,5 +1,7 @@
 """Tests for datasets, Gram assembly, and exact eigendecompositions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,82 @@ class TestFactoredEigen:
         np.testing.assert_allclose(
             eig.vectors.T @ eig.vectors, np.eye(eig.rank), atol=1e-10
         )
+
+
+class TestProductForm:
+    """V = factor @ mix is applied from right to left and built only on request."""
+
+    @pytest.mark.parametrize("m", [5, 8, 9, 40])
+    def test_project_and_combine_agree_with_built_vectors(self, m):
+        model = build_model(b=2.0, n_trunc=8)
+        rng = np.random.default_rng(m)
+        eig = mercer_gram_eigen(model, rng.uniform(0, 2 * np.pi, size=m))
+        assert (eig.mix is None) == (m <= 8)
+        vectors = eig.vectors
+        assert vectors.shape == (m, eig.rank)
+        ys = rng.standard_normal((m, 3))
+        z = rng.standard_normal((eig.rank, 3))
+        np.testing.assert_allclose(eig.project(ys), vectors.T @ ys, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(eig.combine(z), vectors @ z, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [17, 32, 128])
+    def test_factored_reconstruction(self, m):
+        model = build_model(b=2.0, n_trunc=16)
+        xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
+        eig = mercer_gram_eigen(model, xs)
+        assert eig.factor.shape == (m, 16)
+        assert eig.mix.shape == (16, eig.rank)
+        assert reconstruction_error(assemble_gram(model, xs), eig) <= 1e-10
+
+
+def _perturbed_eigh(monkeypatch, relative):
+    """Make np.linalg.eigh report its smallest eigenvalue as -relative * top."""
+    original = np.linalg.eigh
+
+    def perturbed(matrix):
+        vals, vecs = original(matrix)
+        vals = vals.copy()
+        vals[np.argmin(vals)] = -relative * vals.max()
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+class TestFactoredClamp:
+    """The factored path records its most negative raw eigenvalue as the dense one does."""
+
+    def _solve(self, xs):
+        return mercer_gram_eigen(build_model(b=2.0, n_trunc=8), xs)
+
+    def test_records_the_raw_feature_spectrum(self):
+        """Three distinct inputs leave the 8 x 8 feature matrix at rank 3."""
+        model = build_model(b=2.0, n_trunc=8)
+        xs = np.tile([0.4, 2.0, 5.1], 14)
+        feats = model.basis(xs) * np.sqrt(model.eigenvalues)[None, :]
+        feats /= np.sqrt(xs.size)
+        inner = feats.T @ feats
+        raw = np.linalg.eigh(0.5 * (inner + inner.T))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = mercer_gram_eigen(model, xs)
+        assert eig.rank == 3
+        assert eig.clamped == max(-float(raw.min()), 0.0)
+
+    def test_large_clamp_warns(self, monkeypatch):
+        xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
+        top = self._solve(xs).eigenvalues[0]
+        _perturbed_eigh(monkeypatch, 1e-6)
+        with pytest.warns(UserWarning, match="clamping eigenvalue"):
+            eig = self._solve(xs)
+        assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
+        assert eig.rank == 7
+        assert eig.eigenvalues.min() > 0
+
+    def test_small_clamp_is_recorded_silently(self, monkeypatch):
+        xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
+        top = self._solve(xs).eigenvalues[0]
+        _perturbed_eigh(monkeypatch, 1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = self._solve(xs)
+        assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12)

@@ -255,6 +255,26 @@ class TestGaussianNoise:
         assert cert.satisfied
         assert cert.moment_value == 0.0
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 2.0])
+    def test_moment_equals_closed_form_at_every_sigma(self, sigma):
+        """At d = 1, M = 3 sigma and E[exp(|X|/M) - |X|/M - 1] is free of sigma:
+        2 exp(sigma^2 / 2M^2) Phi(sigma/M) - sigma sqrt(2/pi) / M - 1."""
+        ratio = 1.0 / 3.0
+        normal_cdf = 0.5 * (1.0 + math.erf(ratio / math.sqrt(2.0)))
+        closed = 2.0 * math.exp(ratio**2 / 2.0) * normal_cdf - ratio * math.sqrt(2.0 / math.pi) - 1.0
+        assert closed == pytest.approx(0.0672005877177568, rel=1e-14)
+        cert = NoiseSpec(kind="gaussian", sigma=sigma).certify(build_model(b=2.0, n_trunc=8))
+        assert cert.bernstein_scale == pytest.approx(3.0 * sigma)
+        assert cert.moment_value == pytest.approx(closed, rel=1e-10)
+        assert cert.satisfied
+
+    def test_small_sigma_certificate_in_three_dimensions(self):
+        model = build_model(b=2.0, d=3, n_trunc=8)
+        cert = NoiseSpec(kind="gaussian", sigma=0.1).certify(model)
+        assert math.isfinite(cert.moment_value)
+        assert cert.satisfied
+        assert cert.moment_value == pytest.approx(0.06408806124676189, rel=1e-9)
+
 
 class TestTwoPointNoise:
     def test_moment_constants(self):
