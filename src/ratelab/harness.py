@@ -4,7 +4,9 @@ A sweep draws replicated datasets over a geometric grid of sample
 sizes, fits with the configured filter at the scheduled regularization
 level, and records exact error quantiles per norm. Log-log slopes of
 the medians are then compared against the closed-form exponents, when
-the smoothness profile has them.
+the smoothness profile has them. The report also carries each size's
+numerical health: whether lambda was clipped into its admissible range,
+and the largest negative eigenvalue any replicate's eigensolve clamped.
 
 Output files are byte-deterministic for a fixed config and seed: floats
 are written with repr (shortest round trip) and JSON keys are sorted.
@@ -193,6 +195,8 @@ class SweepRow:
     q90_l2: float
     q50_rkhs: float
     q90_rkhs: float
+    lam_clipped: bool  # choose_lambda clipped lam into its admissible range
+    max_clamped: float  # largest negative eigenvalue magnitude clamped in any replicate
 
 
 @dataclass(frozen=True)
@@ -332,6 +336,7 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
         )["margin"]
         errs_l2 = np.empty(config.replicates)
         errs_rkhs = np.empty(config.replicates)
+        max_clamped = 0.0
         for rep in range(config.replicates):
             data = sample_dataset(
                 model,
@@ -344,6 +349,7 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
             norms = error_norms(fitted, model, target)
             errs_l2[rep] = norms.l2
             errs_rkhs[rep] = norms.rkhs
+            max_clamped = max(max_clamped, fitted.gram.clamped)
             # free this replicate's basis and fit before the next one is drawn
             del data, fitted
         high = 1.0 - config.eta
@@ -356,6 +362,8 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
                 q90_l2=float(np.quantile(errs_l2, high)),
                 q50_rkhs=float(np.quantile(errs_rkhs, 0.5)),
                 q90_rkhs=float(np.quantile(errs_rkhs, high)),
+                lam_clipped=lam.clipped,
+                max_clamped=max_clamped,
             )
         )
 
@@ -418,6 +426,10 @@ def write_outputs(result: SweepResult, outdir) -> dict:
         "gate": result.gate,
         "trace_tail_bound": result.trace_tail,
         "margins": {str(row.m): row.margin for row in result.rows},
+        "health": {
+            str(row.m): {"lambda_clipped": row.lam_clipped, "max_clamped": row.max_clamped}
+            for row in result.rows
+        },
         "slopes": {
             norm: {
                 "slope": s.slope,

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import xlogy
 
 from .errors import (
     AmplitudeError,
@@ -47,16 +48,50 @@ def trigonometric_basis(xs, count: int) -> np.ndarray:
 
     Ordering: constant, then cos/sin pairs of increasing frequency. The
     result has shape (len(xs), count).
+
+    Only cos(x) and sin(x) are computed by transcendental calls. The
+    higher frequencies follow by angle doubling: with frequencies 1..w
+    known, frequencies w+1..w+n (n <= w) come from
+
+        cos((w+r)x) = cos(rx) cos(wx) - sin(rx) sin(wx)
+        sin((w+r)x) = sin(rx) cos(wx) + cos(rx) sin(wx),
+
+    so N/2 frequencies take log2(N/2) vectorised steps, and sqrt(2) is
+    applied once at the end. A frequency-k column stays within 4 k eps
+    of the exact value (1.3 k eps is the worst seen); cos(k x) taken
+    directly reaches 4.4 k eps, since it rounds the angle k x first. Row
+    x = 0 is exact. The steps use elementwise real multiplies and adds
+    only, so row i is a function of xs[i] alone: evaluating a sample on
+    its own or inside any batch gives the same bits.
+
+    The matrix is built frequency-major and returned as its transpose
+    (Fortran-ordered), so every step runs along contiguous runs of
+    samples and no transposing copy is made.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    out = np.empty((xs.shape[0], count))
-    out[:, 0] = 1.0
-    angles = xs[:, None] * np.arange(1, count // 2 + 1)
-    out[:, 1::2] = math.sqrt(2.0) * np.cos(angles)
-    out[:, 2::2] = math.sqrt(2.0) * np.sin(angles[:, : (count - 1) // 2])
-    return out
+    n_freq = count // 2
+    # one spare row past the end holds sin(n_freq x) when count is even
+    waves = np.empty((count + 1, xs.shape[0]))
+    waves[0] = 1.0
+    cos, sin = waves[1::2][:n_freq], waves[2::2][:n_freq]
+    if n_freq:
+        cos[0], sin[0] = np.cos(xs), np.sin(xs)
+    tmp = np.empty((n_freq // 2, xs.shape[0]))
+    w = 1
+    while w < n_freq:
+        n = min(w, n_freq - w)
+        cos_w, sin_w, t = cos[w - 1], sin[w - 1], tmp[:n]
+        np.multiply(cos[:n], cos_w, out=cos[w : w + n])
+        np.multiply(sin[:n], sin_w, out=t)
+        np.subtract(cos[w : w + n], t, out=cos[w : w + n])
+        np.multiply(sin[:n], cos_w, out=sin[w : w + n])
+        np.multiply(cos[:n], sin_w, out=t)
+        np.add(sin[w : w + n], t, out=sin[w : w + n])
+        w += n
+    waves[1:count] *= math.sqrt(2.0)
+    return waves[:count].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,27 +518,50 @@ def noise_from_dict(spec: dict) -> NoiseSpec:
 def _gaussian_moment(sigma: float, scale: float, d: int) -> float:
     """Radial evaluation of the centered exponential moment for N(0, sigma^2 I_d).
 
-    The growth exp(t / scale) and the Gaussian decay exp(-q) are combined
-    into one exponent, so the integrand stays finite wherever quad samples
-    it, however small sigma is.
+    The norm of the noise has the chi density
+    2 t^(d-1) exp(-t^2 / 2 sigma^2) / (Gamma(d/2) (2 sigma^2)^(d/2)). Its
+    logarithm and the growth t / scale are summed into one exponent, so
+    the integrand stays finite wherever quad samples it, however small
+    sigma or large d is. The density peaks sharply at its mode
+    sigma sqrt(d - 1) when d is large, and quad over [0, inf) in one
+    piece can step over the peak, so the range is split there.
     """
-    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    prefactor = surface / (2.0 * math.pi * sigma**2) ** (d / 2.0)
+    log_norm = math.log(2.0) - math.lgamma(d / 2.0) - (d / 2.0) * math.log(2.0 * sigma**2)
 
     def integrand(t):
         u = t / scale
-        q = (t * t) / (2.0 * sigma**2)
-        return (math.exp(u - q) - (u + 1.0) * math.exp(-q)) * t ** (d - 1)
+        log_density = log_norm + xlogy(d - 1, t) - (t * t) / (2.0 * sigma**2)
+        return math.exp(u + log_density) - (u + 1.0) * math.exp(log_density)
 
-    value, _ = quad(integrand, 0.0, np.inf, limit=200)
-    return prefactor * value
+    return _split_at(integrand, sigma * math.sqrt(d - 1))
 
 
 def _gaussian_variance_cap(scale: float, sd: float, d: int) -> float:
-    """Conservative closed-form ceiling on the noise variance for (M, Sigma)."""
-    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    tail, _ = quad(lambda t: math.exp(-t * t + t) * t ** (d + 1), 0.0, np.inf, limit=200)
-    return min(scale**2 / 2.0, math.pi ** (d / 2.0) * sd**2 / (4.0 * surface * tail))
+    """Conservative closed-form ceiling on the noise variance for (M, Sigma).
+
+    The ceiling is Gamma(d/2) Sigma^2 / (8 I) with
+    I = int_0^inf exp(-t^2 + t) t^(d+1) dt, both taken in log space: I is
+    scaled by its integrand's peak value, at the root of
+    2 t^2 - t - (d + 1) = 0.
+    """
+    peak = (1.0 + math.sqrt(8.0 * d + 9.0)) / 4.0
+
+    def log_integrand(t):
+        return -t * t + t + xlogy(d + 1, t)
+
+    top = log_integrand(peak)
+    scaled = _split_at(lambda t: math.exp(log_integrand(t) - top), peak)
+    log_ceiling = (
+        math.lgamma(d / 2.0) + 2.0 * math.log(sd) - math.log(8.0) - top - math.log(scaled)
+    )
+    return min(scale**2 / 2.0, math.exp(log_ceiling))
+
+
+def _split_at(integrand, point: float) -> float:
+    """quad over [0, point] plus [point, inf)."""
+    head, _ = quad(integrand, 0.0, point, limit=200)
+    tail, _ = quad(integrand, point, np.inf, limit=200)
+    return head + tail
 
 
 def _two_point_moment(f_val: np.ndarray, level: float, d: int, scale: float) -> float:

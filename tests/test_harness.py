@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ratelab import harness
 from ratelab.errors import ConfigError, TruncationError
 from ratelab.harness import (
     DEFAULT_M_GRID,
@@ -122,13 +123,41 @@ class TestRateSweep:
     def test_report_contents(self, tmp_path):
         files = write_outputs(rate_sweep(ExperimentConfig.from_dict(MINI)), tmp_path / "out")
         report = json.loads(files["report"].read_text())
-        assert sorted(report) == ["config", "gate", "margins", "overall", "slopes", "trace_tail_bound"]
+        assert sorted(report) == [
+            "config", "gate", "health", "margins", "overall", "slopes", "trace_tail_bound"
+        ]
         assert report["config"]["model"]["b"] == 2.0
         assert report["gate"]["fraction"] <= 0.01
         header = files["sweep"].read_text().splitlines()[0]
         assert header == "m,lambda,norm,q50,q90,margin"
         curve_header = files["curve"].read_text().splitlines()[0]
         assert curve_header == "m,norm,fit"
+
+    def test_health_reports_clipped_lambda(self, tmp_path):
+        """At m = 1 the psi schedule leaves its range and lambda is clipped."""
+        config = ExperimentConfig.from_dict(dict(MINI, m_grid=[1, 32, 64, 128]))
+        files = write_outputs(rate_sweep(config), tmp_path / "out")
+        health = json.loads(files["report"].read_text())["health"]
+        assert sorted(health, key=int) == ["1", "32", "64", "128"]
+        assert health["1"]["lambda_clipped"] is True
+        assert [health[m]["lambda_clipped"] for m in ("32", "64", "128")] == [False] * 3
+
+    def test_health_reports_largest_clamp_per_size(self, monkeypatch, tmp_path):
+        clamps = {}
+        real_fit = harness.fit
+
+        def recording_fit(data, *args, **kwargs):
+            fitted = real_fit(data, *args, **kwargs)
+            clamps.setdefault(data.m, []).append(fitted.gram.clamped)
+            return fitted
+
+        monkeypatch.setattr("ratelab.harness.fit", recording_fit)
+        files = write_outputs(rate_sweep(ExperimentConfig.from_dict(MINI)), tmp_path / "out")
+        health = json.loads(files["report"].read_text())["health"]
+        assert {int(m): h["max_clamped"] for m, h in health.items()} == {
+            m: max(values) for m, values in clamps.items()
+        }
+        assert all(len(values) == MINI["replicates"] for values in clamps.values())
 
     def test_different_seed_changes_the_report(self, tmp_path):
         base = dict(MINI)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 from ratelab.errors import (
     AmplitudeError,
@@ -39,17 +41,43 @@ class TestBasis:
         feats = trigonometric_basis(np.array([0.3, 1.7]), 3)
         np.testing.assert_allclose(feats[:, 0], 1.0)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 512, 513])
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64 here, so it is no oracle",
+    )
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 512, 513, 1025])
     def test_equals_per_column_reference(self, count):
-        """Column j >= 1 is sqrt(2) cos(kx) for odd j, sqrt(2) sin(kx) for even j, k = (j+1)//2."""
-        xs = np.random.default_rng(count).uniform(0.0, 2 * np.pi, 37)
-        ref = np.empty((xs.shape[0], count))
+        """Column j >= 1 is sqrt(2) cos(kx) for odd j, sqrt(2) sin(kx) for even j,
+        k = (j+1)//2, each within 4 k eps of the same formula evaluated in
+        np.longdouble (which rounds the angle k x 2^11 times more finely than
+        float64). A float64 cos(k x) per column misses this bound by its
+        rounded angle alone."""
+        xs = np.random.default_rng(count).uniform(0.0, 2 * np.pi, 1024)
+        freqs = (np.arange(count) + 1) // 2
+        angles = xs.astype(np.longdouble)[:, None] * freqs.astype(np.longdouble)
+        ref = np.where(np.arange(count) % 2 == 1, np.cos(angles), np.sin(angles))
+        ref *= np.sqrt(np.longdouble(2.0))
         ref[:, 0] = 1.0
-        for j in range(1, count):
-            k = (j + 1) // 2
-            wave = np.cos if j % 2 == 1 else np.sin
-            ref[:, j] = math.sqrt(2.0) * wave(xs * k)
-        assert np.array_equal(trigonometric_basis(xs, count), ref)
+        err = np.abs(trigonometric_basis(xs, count).astype(np.longdouble) - ref).max(axis=0)
+        eps = np.finfo(float).eps
+        assert err[0] == 0.0
+        assert np.all(err[1:] <= 4.0 * freqs[1:] * eps)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 512, 513])
+    def test_row_at_origin_is_exact(self, count):
+        expected = np.zeros(count)
+        expected[0] = 1.0
+        expected[1::2] = math.sqrt(2.0)
+        assert np.array_equal(trigonometric_basis(np.array([0.0]), count)[0], expected)
+
+    @pytest.mark.parametrize("m", [1, 7, 1031])
+    @pytest.mark.parametrize("count", [9, 512, 513])
+    def test_rows_do_not_depend_on_the_batch(self, m, count):
+        """A sample evaluated alone gives the bits it gets inside any batch."""
+        xs = np.random.default_rng(m).uniform(0.0, 2 * np.pi, m)
+        batch = trigonometric_basis(xs, count)
+        for i in range(m):
+            assert np.array_equal(batch[i], trigonometric_basis(xs[i : i + 1], count)[0])
 
 
 def _grid_sup_energy(model, points=4096):
@@ -274,6 +302,30 @@ class TestGaussianNoise:
         assert math.isfinite(cert.moment_value)
         assert cert.satisfied
         assert cert.moment_value == pytest.approx(0.06408806124676189, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [200, 400])
+    def test_moment_matches_chi_expectation_in_high_dimension(self, d):
+        """The noise norm is sigma times a chi(d) variable; scipy integrates
+        the same moment against that distribution independently."""
+        sigma = 1.0
+        cert = NoiseSpec(kind="gaussian", sigma=sigma).certify(build_model(b=2.0, d=d, n_trunc=8))
+        scale = cert.bernstein_scale
+        oracle = stats.chi(d, scale=sigma).expect(lambda r: math.expm1(r / scale) - r / scale)
+        assert cert.moment_value == pytest.approx(oracle, rel=1e-8)
+        assert cert.satisfied
+        assert 0.0 < cert.variance_cap < math.inf
+
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    def test_variance_cap_equals_direct_formula(self, d):
+        """Where the direct powers and Gamma function stay finite, the log-space
+        cap equals pi^(d/2) Sigma^2 / (4 S_d I) computed term by term."""
+        cert = NoiseSpec(kind="gaussian", sigma=0.7).certify(build_model(b=2.0, d=d, n_trunc=8))
+        surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        tail, _ = quad(lambda t: math.exp(-t * t + t) * t ** (d + 1), 0.0, np.inf, limit=200)
+        direct = math.pi ** (d / 2.0) * cert.bernstein_sd**2 / (4.0 * surface * tail)
+        assert cert.variance_cap == pytest.approx(
+            min(cert.bernstein_scale**2 / 2.0, direct), rel=1e-12
+        )
 
 
 class TestTwoPointNoise:
