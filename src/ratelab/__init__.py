@@ -61,7 +61,6 @@ from .lower_bounds import (
     amplitude_for,
     bayes_error,
     build_packing,
-    code_length_for_separation,
     empirical_fano_check,
     fano_bound,
     kl_divergence,

@@ -52,7 +52,6 @@ class FilterConstants:
     scale_bound: float  # sup of |g_lam(sigma)| * lam
     residual_bound: float  # sup of |1 - sigma * g_lam(sigma)|
     qualification: float
-    decay_at_qualification: float | None
 
 
 @dataclass(frozen=True)
@@ -130,13 +129,13 @@ class SpectralFilter:
     def constants(self) -> FilterConstants:
         if self.kind in ("tikhonov", "iterated_tikhonov"):
             nu = float(self.iterations)
-            return FilterConstants(1.0, nu, 1.0, nu, 1.0)
+            return FilterConstants(1.0, nu, 1.0, nu)
         if self.kind == "landweber":
             # |g| <= step * ceil(1/lam) <= step * (1 + lam) / lam <= 2 * step / lam
             # on lam <= 1; the decay constant follows from maximizing
             # (1 - step*sigma)**n * sigma**p over sigma.
-            return FilterConstants(1.0, 2.0 * self.step, 1.0, math.inf, None)
-        return FilterConstants(1.0, 1.0, 1.0, math.inf, None)
+            return FilterConstants(1.0, 2.0 * self.step, 1.0, math.inf)
+        return FilterConstants(1.0, 1.0, 1.0, math.inf)
 
     def residual_decay_constant(self, p: float) -> float:
         """The constant in sup |r_lam(sigma)| sigma**p <= c * lam**p."""
@@ -157,31 +156,21 @@ class SpectralFilter:
 
     # -- verification ---------------------------------------------------------
 
-    def verify(
-        self,
-        kappa_sq: float = 1.0,
-        sigma_grid: np.ndarray | None = None,
-        lam_grid: np.ndarray | None = None,
-        orders: tuple | None = None,
-        slack: float = VERIFY_SLACK,
-    ) -> "VerificationReport":
+    def verify(self, kappa_sq: float = 1.0) -> "VerificationReport":
         """Recompute attained suprema on grids and compare with declarations.
 
-        Default grids are geometric with 256 points, sigma over
-        [1e-8 * kappa_sq, kappa_sq] and lam over [1e-6, 1].
+        The grids are geometric with 256 points, sigma over
+        [1e-8 * kappa_sq, kappa_sq] and lam over [1e-6, 1]. The decay is
+        checked at the qualification order, or at orders 1, 2 and 4 when
+        the qualification is unbounded.
         """
-        if sigma_grid is None:
-            sigma_grid = np.geomspace(1e-8 * kappa_sq, kappa_sq, VERIFY_POINTS)
-        if lam_grid is None:
-            lam_grid = np.geomspace(1e-6, 1.0, VERIFY_POINTS)
-        if len(sigma_grid) < 2 or len(lam_grid) < 2:
-            raise ParameterError("verification grids need at least 2 points")
+        sigma_grid = np.geomspace(1e-8 * kappa_sq, kappa_sq, VERIFY_POINTS)
+        lam_grid = np.geomspace(1e-6, 1.0, VERIFY_POINTS)
         cons = self.constants()
-        if orders is None:
-            if math.isfinite(cons.qualification):
-                orders = (cons.qualification,)
-            else:
-                orders = (1.0, 2.0, 4.0)
+        if math.isfinite(cons.qualification):
+            orders = (cons.qualification,)
+        else:
+            orders = (1.0, 2.0, 4.0)
 
         sup_op = sup_scale = sup_res = 0.0
         sup_order = {p: 0.0 for p in orders}
@@ -196,19 +185,13 @@ class SpectralFilter:
                 sup_order[p] = max(sup_order[p], attained)
 
         rows = [
-            CheckRow("operator_bound", sup_op, cons.operator_bound, slack),
-            CheckRow("scale_bound", sup_scale, cons.scale_bound, slack),
-            CheckRow("residual_bound", sup_res, cons.residual_bound, slack),
+            CheckRow("operator_bound", sup_op, cons.operator_bound),
+            CheckRow("scale_bound", sup_scale, cons.scale_bound),
+            CheckRow("residual_bound", sup_res, cons.residual_bound),
         ]
         for p in orders:
-            rows.append(
-                CheckRow(
-                    f"residual_decay_order_{p:g}",
-                    sup_order[p],
-                    self.residual_decay_constant(p),
-                    slack,
-                )
-            )
+            decay = self.residual_decay_constant(p)
+            rows.append(CheckRow(f"residual_decay_order_{p:g}", sup_order[p], decay))
         return VerificationReport(self.describe(), tuple(rows))
 
     def covers_index(self, phi: IndexFunction, extra_sqrt: bool = False) -> bool:
@@ -241,11 +224,10 @@ class CheckRow:
     name: str
     attained: float
     allowed: float
-    slack: float = VERIFY_SLACK
 
     @property
     def passed(self) -> bool:
-        return self.attained <= self.allowed * (1 + self.slack)
+        return self.attained <= self.allowed * (1 + VERIFY_SLACK)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .mercer import (
     sample_dataset,
     target_from_source,
 )
-from .rates import check_theorem_condition, choose_lambda, rate_exponents
+from .rates import LAMBDA_RULES, check_theorem_condition, choose_lambda, rate_exponents
 
 SEED_ENV_VAR = "RATE_LAB_SEED"
 DEFAULT_M_GRID = tuple(2**k for k in range(5, 13))
@@ -46,6 +46,8 @@ GATE_EXTENSION = 64
 _MODEL_KEYS = {"b", "alpha", "beta", "N_trunc", "d", "spectrum_rule"}
 _SOURCE_KEYS = {"kind", "s", "R"}
 _FILTER_KEYS = {"id", "nu", "tau"}
+_NOISE_KEYS = {"gaussian": {"kind", "sigma"}, "two_point": {"kind", "L"}}
+_PHI_KEYS = {"holder": {"kind", "r"}, "log": {"kind", "p", "nu"}, "product": {"kind", "factors"}}
 _TOP_KEYS = {
     "model",
     "phi",
@@ -94,39 +96,36 @@ class ExperimentConfig:
         model = raw.get("model")
         if not isinstance(model, dict) or "b" not in model:
             raise ConfigError("model.b", "required")
-        for key in model:
-            if key not in _MODEL_KEYS:
-                raise ConfigError(f"model.{key}", "unknown key")
+        _check_keys(model, _MODEL_KEYS, "model")
         alpha = float(model.get("alpha", 1.0))
         beta = float(model.get("beta", alpha))
 
         if "phi" not in raw:
             raise ConfigError("phi", "required")
         phi_spec = raw["phi"]
-        if not isinstance(phi_spec, dict) or "kind" not in phi_spec:
-            raise ConfigError("phi.kind", "required")
+        _check_phi_keys(phi_spec, "phi")
 
         source = raw.get("source", {})
-        for key in source:
-            if key not in _SOURCE_KEYS:
-                raise ConfigError(f"source.{key}", "unknown key")
+        _check_keys(source, _SOURCE_KEYS, "source")
         if source.get("kind", "power") != "power":
             raise ConfigError("source.kind", f"unknown source kind {source['kind']!r}")
 
         filter_spec = raw.get("filter", {"id": "tikhonov"})
-        for key in filter_spec:
-            if key not in _FILTER_KEYS:
-                raise ConfigError(f"filter.{key}", "unknown key")
+        _check_keys(filter_spec, _FILTER_KEYS, "filter")
 
+        noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
         try:
-            noise = noise_from_dict(raw.get("noise", {"kind": "gaussian", "sigma": 0.5}))
+            noise = noise_from_dict(noise_spec)
         except (KeyError, ValueError) as exc:
             raise ConfigError("noise", str(exc)) from None
+        _check_keys(noise_spec, _NOISE_KEYS[noise.kind], "noise")
 
         rule = raw.get("rule", "psi")
+        if rule not in LAMBDA_RULES:
+            raise ConfigError("rule", f"unknown rule {rule!r}; expected one of {LAMBDA_RULES}")
         m_grid = tuple(int(m) for m in raw.get("m_grid", DEFAULT_M_GRID))
-        if len(m_grid) < 1 or any(m < 1 for m in m_grid) or sorted(m_grid) != list(m_grid):
-            raise ConfigError("m_grid", f"need increasing positive sizes, got {m_grid}")
+        if not m_grid or m_grid[0] < 1 or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
+            raise ConfigError("m_grid", f"need strictly increasing positive sizes, got {m_grid}")
         replicates = int(raw.get("replicates", 16))
         if replicates < 2:
             raise ConfigError("replicates", f"need >= 2, got {replicates}")
@@ -179,6 +178,30 @@ class ExperimentConfig:
             "seed": self.seed,
             "slope_tolerance": self.slope_tolerance,
         }
+
+
+def _check_keys(spec, allowed, section: str):
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"{section}.{key}", "unknown key")
+
+
+def _check_phi_keys(spec, section: str):
+    """Require a phi object, and each product factor, to have exactly its kind's keys."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{section}.kind", "required")
+    keys = _PHI_KEYS.get(spec["kind"])
+    if keys is None:
+        raise ConfigError(f"{section}.kind", f"unknown kind {spec['kind']!r}")
+    _check_keys(spec, keys, section)
+    missing = sorted(keys - spec.keys())
+    if missing:
+        raise ConfigError(f"{section}.{missing[0]}", "required")
+    if spec["kind"] == "product":
+        if not isinstance(spec["factors"], list):
+            raise ConfigError(f"{section}.factors", "need a list of phi objects")
+        for i, factor in enumerate(spec["factors"]):
+            _check_phi_keys(factor, f"{section}.factors.{i}")
 
 
 def load_config(path) -> ExperimentConfig:

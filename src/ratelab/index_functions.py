@@ -43,12 +43,10 @@ INVERT_MAX_ITERS = 200
 INVERT_FLOOR = 1e-300
 
 
-def geometric_grid(domain_max: float, points: int = FLAG_GRID_POINTS) -> np.ndarray:
-    if points < 64:
-        raise ParameterError(f"grid needs at least 64 points, got {points}")
+def geometric_grid(domain_max: float) -> np.ndarray:
     if domain_max <= 0:
         raise ParameterError(f"domain_max must be positive, got {domain_max}")
-    return np.geomspace(domain_max * FLAG_GRID_SPAN, domain_max, points)
+    return np.geomspace(domain_max * FLAG_GRID_SPAN, domain_max, FLAG_GRID_POINTS)
 
 
 class IndexFunction:
@@ -227,13 +225,13 @@ class FlagReport:
         )
 
 
-def check_monotone_flags(phi: IndexFunction, grid_points: int = FLAG_GRID_POINTS) -> FlagReport:
+def check_monotone_flags(phi: IndexFunction) -> FlagReport:
     """Screen the four derived maps for monotonicity on a geometric grid.
 
     Comparisons use a relative tolerance of 1e-12, so flat stretches (power
     r = 0, frozen log factor) count as nondecreasing.
     """
-    grid = geometric_grid(phi.domain_max, grid_points)
+    grid = geometric_grid(phi.domain_max)
     vals = phi.value(grid)
     maps = (
         ("phi", vals),
@@ -260,11 +258,10 @@ def _flags_for(phi: IndexFunction) -> MonotoneFlags:
 
 @dataclass(frozen=True)
 class RateMaps:
-    """The three rate maps derived from an index function and a decay exponent.
+    """The two schedule maps derived from an index function and a decay exponent.
 
     ``schedule_rkhs`` is inverted at 1/sqrt(m) to tune for the RKHS norm,
-    ``schedule_l2`` for the L2 norm, and ``error_scale`` is the L2-error
-    scale that converts separations into frequency budgets.
+    ``schedule_l2`` for the L2 norm.
     """
 
     index: IndexFunction
@@ -276,21 +273,15 @@ class RateMaps:
     def schedule_l2(self, t):
         return np.asarray(t, float) ** (0.5 / self.decay_b) * self.index.value(t)
 
-    def error_scale(self, t):
-        return np.sqrt(np.asarray(t, float)) * self.index.value(t)
-
-    def _invert(self, func: Callable, y: float, rel_tol: float) -> float:
+    def _invert(self, func: Callable, y: float) -> float:
         hi = self.index.domain_max
-        return invert_monotone(lambda t: float(func(t)), y, hi * 1e-12, hi, rel_tol)
+        return invert_monotone(lambda t: float(func(t)), y, hi * 1e-12, hi)
 
-    def invert_schedule_rkhs(self, y: float, rel_tol: float = INVERT_REL_TOL) -> float:
-        return self._invert(self.schedule_rkhs, y, rel_tol)
+    def invert_schedule_rkhs(self, y: float) -> float:
+        return self._invert(self.schedule_rkhs, y)
 
-    def invert_schedule_l2(self, y: float, rel_tol: float = INVERT_REL_TOL) -> float:
-        return self._invert(self.schedule_l2, y, rel_tol)
-
-    def invert_error_scale(self, y: float, rel_tol: float = INVERT_REL_TOL) -> float:
-        return self._invert(self.error_scale, y, rel_tol)
+    def invert_schedule_l2(self, y: float) -> float:
+        return self._invert(self.schedule_l2, y)
 
 
 def make_rate_maps(phi: IndexFunction, b: float) -> RateMaps:
@@ -310,22 +301,14 @@ def make_rate_maps(phi: IndexFunction, b: float) -> RateMaps:
     return RateMaps(index=phi, decay_b=float(b))
 
 
-def invert_monotone(
-    func: Callable[[float], float],
-    y: float,
-    lo: float,
-    hi: float,
-    rel_tol: float = INVERT_REL_TOL,
-    max_iters: int = INVERT_MAX_ITERS,
-    floor: float = INVERT_FLOOR,
-) -> float:
+def invert_monotone(func: Callable[[float], float], y: float, lo: float, hi: float) -> float:
     """Invert a nondecreasing positive map by bisection in log space.
 
-    The lower bracket end is halved (by factors of 16) as needed, down to
-    ``floor``; running out of bracket raises BracketUnderflowError. The
-    result t satisfies |func(t) - y| <= rel_tol * y; when ``max_iters``
-    steps do not reach it (a jump in func across y), NumericalError is
-    raised. Deterministic.
+    The lower bracket end is divided by 16 as needed, down to
+    INVERT_FLOOR; running out of bracket raises BracketUnderflowError.
+    The result t satisfies |func(t) - y| <= INVERT_REL_TOL * y; when
+    INVERT_MAX_ITERS steps do not reach it (a jump in func across y),
+    NumericalError is raised. Deterministic.
     """
     if not 0 < lo < hi:
         raise ParameterError(f"need 0 < lo < hi, got lo={lo!r} hi={hi!r}")
@@ -336,27 +319,27 @@ def invert_monotone(
         raise ContractError(
             f"map is not nondecreasing on the bracket: f({lo!r})={f_lo!r} > f({hi!r})={f_hi!r}"
         )
-    if y > f_hi * (1 + rel_tol):
+    if y > f_hi * (1 + INVERT_REL_TOL):
         raise DomainError(f"target {y!r} above attainable maximum {f_hi!r}")
     while f_lo > y:
         lo /= 16.0
-        if lo < floor:
+        if lo < INVERT_FLOOR:
             raise BracketUnderflowError(
-                f"bracket expansion hit the floor {floor:g} before f(lo) <= {y!r}"
+                f"bracket expansion hit the floor {INVERT_FLOOR:g} before f(lo) <= {y!r}"
             )
         f_lo = func(lo)
     a, b = lo, hi
     mid = math.sqrt(a * b)
-    for _ in range(max_iters):
+    for _ in range(INVERT_MAX_ITERS):
         mid = math.sqrt(a * b)
         f_mid = func(mid)
-        if abs(f_mid - y) <= rel_tol * y:
+        if abs(f_mid - y) <= INVERT_REL_TOL * y:
             return mid
         if f_mid < y:
             a = mid
         else:
             b = mid
     raise NumericalError(
-        f"bisection left |f(t) - {y!r}| above {rel_tol:g} * y after {max_iters} "
+        f"bisection left |f(t) - {y!r}| above {INVERT_REL_TOL:g} * y after {INVERT_MAX_ITERS} "
         f"steps: f({mid!r}) = {f_mid!r}"
     )

@@ -27,7 +27,7 @@ from .errors import (
 from .estimator import basis_coefficients, fit
 from .filters import tikhonov
 from .gram import Dataset
-from .index_functions import IndexFunction, make_rate_maps
+from .index_functions import IndexFunction
 from .mercer import (
     MercerModel,
     TargetFunction,
@@ -43,6 +43,7 @@ REJECTION_CAP = 10**6
 FANO_CONSTANT = math.exp(-3.0 / math.e)
 SEPARATION_SLACK = 1e-9
 PAIR_BLOCK = 1024  # family members per block in the pairwise separation check
+KL_GRID_POINTS = 512  # input grid of the divergence average
 PERIOD = 2.0 * math.pi
 
 
@@ -116,29 +117,6 @@ def separation_for_code_length(
     return radius * math.sqrt(t) * phi.value(t)
 
 
-def code_length_for_separation(
-    model: MercerModel, phi: IndexFunction, radius: float, epsilon: float
-) -> int:
-    """Code length matched to a requested L2 separation.
-
-    Inverts the map t -> sqrt(t) phi(t) at epsilon / radius and returns
-    floor((alpha / t)**(1/b)), nudged so exact endpoints round down
-    to themselves.
-    """
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
-    maps = make_rate_maps(phi, model.decay_b)
-    t = maps.invert_error_scale(epsilon / radius)
-    raw = (model.decay_alpha / t) ** (1.0 / model.decay_b)
-    return int(math.floor(raw + 1e-9))
-
-
-def max_separation(model: MercerModel, phi: IndexFunction, radius: float) -> float:
-    """Separation below which the matched code length stays >= 16."""
-    t = model.decay_alpha * 17.0 ** -model.decay_b
-    return radius * math.sqrt(t) * phi.value(t)
-
-
 @dataclass(frozen=True, eq=False)
 class AdversarialFamily:
     """A separated family of targets inside one smoothness class."""
@@ -164,26 +142,20 @@ def adversarial_family(
     Member i places epsilon * code_i[n] / (sqrt(ell * t_n) phi(t_n)) on
     source mode n of output channel 0 (L2 flavor); the RKHS flavor uses
     5 ell / 4 modes with an all-ones prefix and drops the sqrt(t_n).
-    Every member is built through `target_from_source`, so class
-    membership is enforced, and pairwise separations are verified to lie
-    in [epsilon, 2 epsilon].
+    An epsilon above `separation_for_code_length` at the packing's ell
+    cannot fit in the class and raises ConstructionError. Every member is
+    built through `target_from_source`, so class membership is enforced,
+    and pairwise separations are verified to lie in [epsilon, 2 epsilon].
     """
+    if epsilon <= 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
     ell = packing.ell
-    if rkhs_variant:
-        needed = (5 * ell) // 4
-        feasible = separation_for_code_length(model, phi, radius, ell, rkhs_variant=True)
-        if epsilon > feasible * (1 + 1e-12):
-            raise ConstructionError(
-                f"separation {epsilon!r} exceeds the feasible {feasible!r} at ell={ell}"
-            )
-    else:
-        needed = ell
-        matched = code_length_for_separation(model, phi, radius, epsilon)
-        if matched != ell:
-            raise ConstructionError(
-                f"packing length {ell} does not match the separation: "
-                f"epsilon {epsilon!r} calls for ell={matched}"
-            )
+    needed = (5 * ell) // 4 if rkhs_variant else ell
+    feasible = separation_for_code_length(model, phi, radius, ell, rkhs_variant)
+    if epsilon > feasible * (1 + 1e-12):
+        raise ConstructionError(
+            f"separation {epsilon!r} exceeds the feasible {feasible!r} at ell={ell}"
+        )
     if model.n_trunc < needed:
         raise ConstructionError(
             f"family needs {needed} modes but the model truncates at {model.n_trunc}"
@@ -291,21 +263,20 @@ class KLComparison:
         return self.value <= self.bound * (1 + 1e-9)
 
 
-def kl_divergence(
-    first: TwoPointMeasure, second: TwoPointMeasure, quadrature_points: int = 512
-) -> KLComparison:
+def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparison:
     """Average conditional divergence of two measures sharing an amplitude.
 
     Computed exactly per grid point from the atom weights and averaged
-    over the uniform input measure. The closed-form ceiling
-    16 / (15 d L^2) times the squared L2 gap of the means must hold; a
-    violation raises since the inequality is analytic.
+    over the uniform input measure on KL_GRID_POINTS equispaced points.
+    The closed-form ceiling 16 / (15 d L^2) times the squared L2 gap of
+    the means must hold; a violation raises since the inequality is
+    analytic.
     """
     if first.model is not second.model or first.amplitude != second.amplitude:
         raise ParameterError("measures must share their model and amplitude")
     level = first.amplitude
     d = first.model.output_dim
-    grid = np.linspace(0.0, PERIOD, quadrature_points, endpoint=False)
+    grid = np.linspace(0.0, PERIOD, KL_GRID_POINTS, endpoint=False)
     basis = first.model.basis(grid)
     _, w1 = two_point_weights(first.target.evaluate(grid, basis=basis), level, d)
     _, w2 = two_point_weights(second.target.evaluate(grid, basis=basis), level, d)

@@ -217,12 +217,6 @@ def build_model(
     )
 
 
-def kernel_eval(model: MercerModel, x: float, z: float) -> np.ndarray:
-    """Operator-valued kernel block k(x, z) * I_d."""
-    k = float(model.scalar_kernel(np.atleast_1d(x), np.atleast_1d(z))[0, 0])
-    return k * np.eye(model.output_dim)
-
-
 class ExpansionNorms(NamedTuple):
     l2: float
     rkhs: float
@@ -465,10 +459,10 @@ class NoiseSpec:
                 satisfied=value <= limit * (1 + 1e-9) and self.sigma**2 <= scale**2 / 2.0,
             )
         level = self.amplitude
-        candidates = [np.zeros(d)]
         probe = np.zeros(d)
         probe[0] = level / 4.0
-        candidates += [probe, -probe, np.full(d, level / (4.0 * math.sqrt(d)))]
+        even = np.full(d, level / (4.0 * math.sqrt(d)))
+        candidates = np.vstack([np.zeros(d), probe, -probe, even])
         limit = sd**2 / (2.0 * scale**2)
         if target is not None:
             grid = np.linspace(0.0, PERIOD, 512, endpoint=False)
@@ -486,8 +480,11 @@ class NoiseSpec:
                     cap_satisfied=True,
                     satisfied=False,
                 )
-            candidates += list(f_vals)
-        value = max(_two_point_moment(np.asarray(f), level, d, scale) for f in candidates)
+            candidates = np.vstack([candidates, f_vals])
+        # exact moment sum over the 2d atoms at each candidate mean
+        atoms, weights = two_point_weights(candidates, level, d)
+        u = np.linalg.norm(atoms[None, :, :] - candidates[:, None, :], axis=2) / scale
+        value = float(np.max(np.sum(weights * (np.exp(u) - u - 1.0), axis=1)))
         return NoiseCertificate(
             kind="two_point",
             bernstein_scale=scale,
@@ -562,20 +559,6 @@ def _split_at(integrand, point: float) -> float:
     head, _ = quad(integrand, 0.0, point, limit=200)
     tail, _ = quad(integrand, point, np.inf, limit=200)
     return head + tail
-
-
-def _two_point_moment(f_val: np.ndarray, level: float, d: int, scale: float) -> float:
-    """Exact moment sum over the 2d atoms of the two-point measure at one x."""
-    total = 0.0
-    for j in range(d):
-        for sign in (1.0, -1.0):
-            atom = np.zeros(d)
-            atom[j] = sign * d * level
-            weight = (level + sign * f_val[j]) / (2.0 * d * level)
-            dist = float(np.linalg.norm(atom - f_val))
-            u = dist / scale
-            total += weight * (math.exp(u) - u - 1.0)
-    return total
 
 
 def two_point_weights(f_vals: np.ndarray, level: float, d: int):

@@ -73,25 +73,19 @@ class LambdaChoice:
         return self.value
 
 
-def choose_lambda(
-    rule: str,
-    phi: IndexFunction,
-    b: float,
-    m: int,
-    domain_max: float | None = None,
-) -> LambdaChoice:
+def choose_lambda(rule: str, phi: IndexFunction, b: float, m: int) -> LambdaChoice:
     """Pick the regularization level for m samples under the given schedule.
 
     "psi" and "theta" invert the corresponding schedule map at 1/sqrt(m)
     numerically; the "holder_*_closed" rules use the power-law solutions
     m**(-b/(2br+b+1)) and m**(-b/(2br+1)) and require a HolderIndex. The
-    value is clipped into (0, min(1, domain_max)] with a flag.
+    value is clipped into (0, min(1, phi.domain_max)] with a flag.
     """
     if rule not in LAMBDA_RULES:
         raise ParameterError(f"unknown lambda rule {rule!r}; expected one of {LAMBDA_RULES}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    cap = min(1.0, phi.domain_max if domain_max is None else domain_max)
+    cap = min(1.0, phi.domain_max)
 
     forced = False
     if rule in ("psi", "theta"):

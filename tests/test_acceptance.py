@@ -44,7 +44,7 @@ def test_criterion_01_filter_axioms():
     start = time.monotonic()
     filters = [tikhonov(), iterated_tikhonov(2), landweber(step=1.0), spectral_cutoff()]
     for filt in filters:
-        report = filt.verify(kappa_sq=1.0, slack=1e-9)
+        report = filt.verify(kappa_sq=1.0)
         assert report.passed, f"{filt.kind}: {[row for row in report.rows if not row.passed]}"
         assert len(report.rows) >= 4
     assert time.monotonic() - start < 5.0

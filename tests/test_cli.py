@@ -102,6 +102,16 @@ class TestLowerBound:
         ]
         assert payload["N"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, ell",
+        [(["--b", "2", "--ell", "28"], 28), (["--b", "1.1", "--r", "0"], 48)],
+        ids=["b2-ell28", "b1.1-r0"],
+    )
+    def test_feasible_lengths_run(self, argv, ell, capsys):
+        # here the separation inverts to just below ell, which flooring took to ell - 1
+        assert main(["lower-bound", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["ell"] == ell
+
     def test_builds_packing_and_family_once(self, monkeypatch, capsys):
         from ratelab import cli, lower_bounds
 

@@ -12,7 +12,7 @@ from ratelab.concentration import (
     sample_error_stat,
     tail_test,
 )
-from ratelab.errors import CertificationError, ContractError, ParameterError
+from ratelab.errors import CertificationError, ParameterError
 from ratelab.gram import Dataset
 from ratelab.index_functions import HolderIndex
 from ratelab.mercer import (
@@ -123,24 +123,3 @@ class TestTailTest:
             tail_test("sample_error", model, target, noise, lam=0.1, m=64, eta=0.2, replicates=50, seed=0)
         with pytest.raises(ParameterError):
             tail_test("median", model, target, noise, lam=0.1, m=64, eta=0.2, replicates=100, seed=0)
-
-    def test_strict_mode_raises_on_failure(self):
-        """Forcing eta far below the observed frequency trips the contract.
-
-        With a tiny eta the bound grows, so violations become rare; instead
-        drive failures by shrinking the bound through a huge eta on the
-        report side. Simplest reliable trigger: compare against eta = 1e-9
-        where even one violation out of 100 fails the test. If no violation
-        occurs the report passes and no error is raised, so accept both but
-        require consistency.
-        """
-        model, target = _setup()
-        noise = NoiseSpec(kind="gaussian", sigma=0.5)
-        try:
-            report = tail_test(
-                "sample_error", model, target, noise,
-                lam=0.1, m=64, eta=1e-9, replicates=100, seed=0, strict=True,
-            )
-        except ContractError:
-            return
-        assert report.passed

@@ -7,6 +7,7 @@ import pytest
 
 from ratelab.errors import DomainError, ParameterError
 from ratelab.filters import (
+    FilterConstants,
     SpectralFilter,
     filter_from_dict,
     iterated_tikhonov,
@@ -122,10 +123,17 @@ class TestVerification:
         report = landweber(step=1.0 / 0.04).verify(kappa_sq=0.04)
         assert report.passed, report.as_dict()
 
-    def test_violation_detected(self):
-        # shrink the allowance below what tikhonov attains
-        report = tikhonov().verify(slack=-0.6)
+    def test_violation_detected(self, monkeypatch):
+        # declare a residual bound below the 1.0 that tikhonov attains
+        filt = tikhonov()
+        declared = filt.constants()
+        understated = FilterConstants(
+            declared.operator_bound, declared.scale_bound, 0.4, declared.qualification
+        )
+        monkeypatch.setattr(SpectralFilter, "constants", lambda self: understated)
+        report = filt.verify()
         assert not report.passed
+        assert [row.name for row in report.rows if not row.passed] == ["residual_bound"]
 
 
 class TestCoverage:

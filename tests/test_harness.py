@@ -58,6 +58,33 @@ class TestConfig:
                  "filter": {"id": "landweber", "tua": 0.5}},
                 "filter.tua",
             ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "m_grid": [32, 64, 64, 128]},
+                "m_grid",
+            ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "noise": {"kind": "gaussian", "sgima": 0.05}},
+                "noise.sgima",
+            ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "noise": {"kind": "two_point", "L": 2.0, "sigma": 0.1}},
+                "noise.sigma",
+            ),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5, "p": 1.0}}, "phi.p"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "log", "p": 0.5, "nu": 1.0, "r": 1.0}}, "phi.r"),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "product", "factors": [
+                    {"kind": "holder", "r": 0.5}, {"kind": "log", "p": 0.25, "nu": 0.5, "mu": 1}
+                ]}},
+                "phi.factors.1.mu",
+            ),
+            ({"model": {"b": 2.0}, "phi": {"kind": "sobolev", "s": 1.0}}, "phi.kind"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder"}}, "phi.r"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "product", "factors": 3}}, "phi.factors"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "rule": "bogus"}, "rule"),
         ],
     )
     def test_rejects_bad_payloads(self, payload, key):

@@ -158,10 +158,6 @@ class TestGeometricGrid:
         assert math.isclose(grid[0], 4.0 * 1e-12, rel_tol=1e-9)
         assert grid[-1] == 4.0
 
-    def test_minimum_points(self):
-        with pytest.raises(ParameterError):
-            geometric_grid(1.0, points=32)
-
 
 class TestInvertMonotone:
     def test_cube_root(self):
@@ -197,12 +193,11 @@ class TestInvertMonotone:
 
 class TestRateMaps:
     def test_holder_closed_forms(self):
-        # for phi = t**r the three maps are pure powers
+        # for phi = t**r the two maps are pure powers
         maps = make_rate_maps(HolderIndex(r=0.5, domain_max=4.0), b=2.0)
         t = 0.3
         assert math.isclose(maps.schedule_rkhs(t), t ** (0.75 + 0.5), rel_tol=1e-12)
         assert math.isclose(maps.schedule_l2(t), t ** (0.25 + 0.5), rel_tol=1e-12)
-        assert math.isclose(maps.error_scale(t), t, rel_tol=1e-12)
 
     def test_inversion_round_trip(self):
         maps = make_rate_maps(HolderIndex(r=1.0), b=3.0)
@@ -211,8 +206,6 @@ class TestRateMaps:
             assert math.isclose(maps.schedule_rkhs(t), y, rel_tol=1e-9)
             t = maps.invert_schedule_l2(y)
             assert math.isclose(maps.schedule_l2(t), y, rel_tol=1e-9)
-            t = maps.invert_error_scale(y)
-            assert math.isclose(maps.error_scale(t), y, rel_tol=1e-9)
 
     def test_low_decay_warns(self):
         with pytest.warns(UserWarning):

@@ -19,12 +19,11 @@ from ratelab.lower_bounds import (
     adversarial_family,
     amplitude_for,
     bayes_error,
+    SignPacking,
     build_packing,
-    code_length_for_separation,
     empirical_fano_check,
     fano_bound,
     kl_divergence,
-    max_separation,
     packing_size,
     separation_for_code_length,
 )
@@ -76,17 +75,16 @@ class TestSeparations:
         eps = separation_for_code_length(model, phi, 1.0, 48)
         assert eps == pytest.approx(48.0**-2, rel=1e-12)
 
-    def test_code_length_round_trip(self):
-        model, phi = _lab()
-        eps = separation_for_code_length(model, phi, 1.0, 48)
-        assert code_length_for_separation(model, phi, 1.0, eps) == 48
-
     def test_largest_feasible_separation(self):
-        """Any separation at or below the cap maps back to a length above 16."""
+        """The forward map gives the largest separation a code length affords."""
         model, phi = _lab()
-        widest = max_separation(model, phi, 1.0)
-        assert widest == pytest.approx(17.0**-2, rel=1e-12)
-        assert code_length_for_separation(model, phi, 1.0, widest) == 17
+        packing = build_packing(48)
+        for rkhs_variant in (False, True):
+            feasible = separation_for_code_length(model, phi, 1.0, 48, rkhs_variant)
+            family = adversarial_family(model, phi, 1.0, feasible, packing, rkhs_variant)
+            assert family.min_separation >= feasible * (1 - 1e-9)
+            with pytest.raises(ConstructionError):
+                adversarial_family(model, phi, 1.0, feasible * (1 + 1e-9), packing, rkhs_variant)
 
     def test_norm_variant_value(self):
         model, phi = _lab()
@@ -113,11 +111,38 @@ class TestAdversarialFamily:
             assert member.source_norm <= 1.0 + 1e-9
 
     def test_mismatched_code_length_rejected(self):
+        # ell = 24 affords a larger separation than a 48-code packing can carry
         model, phi = _lab()
-        packing = build_packing(24)
-        eps = separation_for_code_length(model, phi, 1.0, 48)
+        packing = build_packing(48)
+        eps = separation_for_code_length(model, phi, 1.0, 24)
         with pytest.raises(ConstructionError):
             adversarial_family(model, phi, 1.0, eps, packing)
+
+    @pytest.mark.parametrize("rkhs_variant", [False, True], ids=["l2", "rkhs"])
+    def test_nonpositive_separation_rejected(self, rkhs_variant):
+        model, phi = _lab()
+        with pytest.raises(ParameterError):
+            adversarial_family(model, phi, 1.0, 0.0, build_packing(24), rkhs_variant)
+
+    def test_every_feasible_length_builds(self):
+        """The feasible separation builds at every ell on a grid of decays and smoothness.
+
+        Both variants, b in {1.0, ..., 2.0}, r in {0, 0.1, 0.5}, every
+        multiple of 4 in [24, 200], N = 512. Two codes (all ones, and the
+        same row with half its signs flipped) keep each family cheap.
+        """
+        for b in (1.0, 1.05, 1.1, 1.3, 1.5, 2.0):
+            model = build_model(b=b, n_trunc=512)
+            for r in (0.0, 0.1, 0.5):
+                phi = HolderIndex(r, domain_max=model.kappa_sq)
+                for ell in range(24, 201, 4):
+                    flipped = np.ones(ell)
+                    flipped[: ell // 2] = -1.0
+                    packing = SignPacking(codes=np.vstack([np.ones(ell), flipped]))
+                    for rkhs_variant in (False, True):
+                        eps = separation_for_code_length(model, phi, 1.0, ell, rkhs_variant)
+                        family = adversarial_family(model, phi, 1.0, eps, packing, rkhs_variant)
+                        assert family.min_separation == pytest.approx(math.sqrt(2.0) * eps)
 
     def test_every_pair_is_checked(self):
         # 2050 distinct sign rows except the last two, which coincide

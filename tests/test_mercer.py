@@ -18,7 +18,6 @@ from ratelab.mercer import (
     NoiseSpec,
     approx_error_norms,
     build_model,
-    kernel_eval,
     norms_of_expansion,
     population_regularized,
     power_law_source,
@@ -148,14 +147,6 @@ class TestBuildModel:
             build_model(b=2.0, n_trunc=4)
         with pytest.raises(ConstructionError):
             build_model(b=2.0, alpha=2.0, beta=1.0)
-
-    def test_kernel_eval_is_diagonal(self):
-        model = build_model(b=2.0, d=2, n_trunc=8)
-        block = kernel_eval(model, 0.4, 0.4)
-        feats = trigonometric_basis(np.array([0.4]), 8)[0]
-        assert block.shape == (2, 2)
-        assert block[0, 1] == 0.0
-        assert block[0, 0] == pytest.approx(float((feats**2) @ model.eigenvalues))
 
 
 class TestTargets:
@@ -355,6 +346,38 @@ class TestTwoPointNoise:
         assert cert.satisfied
         assert cert.moment_value == pytest.approx(0.42554092849246783, rel=1e-9)
         assert cert.moment_limit == pytest.approx(0.64)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_moment_matches_an_atom_by_atom_sum(self, d, with_target):
+        """The certificate's moment equals a direct sum over atoms +-d L e_j."""
+        model = build_model(b=2.0, d=d, n_trunc=16)
+        level = 1.5
+        probe = np.zeros(d)
+        probe[0] = level / 4.0
+        candidates = [np.zeros(d), probe, -probe, np.full(d, level / (4.0 * math.sqrt(d)))]
+        target = None
+        if with_target:
+            phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+            target = target_from_source(model, phi, power_law_source(model, radius=0.3), 0.3)
+            candidates += list(target.evaluate(np.linspace(0.0, 2 * np.pi, 512, endpoint=False)))
+        spec = NoiseSpec(kind="two_point", amplitude=level)
+        scale, _ = spec.moment_constants(d)
+
+        def direct(f):
+            total = 0.0
+            for j in range(d):
+                for sign in (1.0, -1.0):
+                    atom = np.zeros(d)
+                    atom[j] = sign * d * level
+                    weight = (level + sign * f[j]) / (2.0 * d * level)
+                    u = math.sqrt(sum((a - b) ** 2 for a, b in zip(atom, f))) / scale
+                    total += weight * (math.exp(u) - u - 1.0)
+            return total
+
+        expected = max(direct(f) for f in candidates)
+        cert = spec.certify(model, target=target)
+        assert cert.moment_value == pytest.approx(expected, rel=1e-14)
 
     def test_decertified_when_target_exceeds_amplitude(self):
         model = build_model(b=2.0, n_trunc=8)
