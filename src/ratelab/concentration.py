@@ -57,15 +57,14 @@ def operator_deviation(model: MercerModel, xs, basis=None) -> dict:
     """Spectral norm of (empirical feature second moment) - diag(t).
 
     The empirical operator in the orthonormal coefficient basis is
-    B~^T B~ with B~ = basis(xs) diag(sqrt(t)) / sqrt(m), exact for the
+    `MercerModel.empirical_operator`, diag(sqrt t) (B^T B / m) diag(sqrt t)
+    with B = basis(xs), built from Fourier moments and exact for the
     truncated kernel. Also reports the eigenvalue mass the truncation
     dropped, which this statistic cannot see. A precomputed ``basis`` at
     ``xs`` is reused.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    m = xs.shape[0]
-    feats = model.basis_at(xs, basis) * np.sqrt(model.eigenvalues)[None, :] / math.sqrt(m)
-    emp = feats.T @ feats
+    emp = model.empirical_operator(xs, basis)
     emp[np.diag_indices_from(emp)] -= model.eigenvalues
     eigs = np.linalg.eigvalsh(emp)
     return {

@@ -12,8 +12,10 @@ factored decomposition omitted, which are all null); dropping it breaks
 exact agreement with direct solvers whenever the filter has
 g_lam(0) != 0, e.g. any Tikhonov variant. `fit` evaluates the second
 line through `GramEigen.project` and `GramEigen.combine`, which apply V
-as its stored product; on the factored path that is the (m, N) feature
-matrix times an (N, k) mix, so the (m, k) matrix V is never formed.
+as its stored product; on the factored path that is the (m, N) basis
+matrix, the one the Dataset carries, times an (N, k) mix that holds the
+eigenvalue scaling, so neither the (m, k) matrix V nor a scaled copy of
+the basis is formed.
 """
 
 from __future__ import annotations

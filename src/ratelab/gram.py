@@ -4,9 +4,10 @@ The Gram matrix is always stored with the 1/m scaling, so its eigenvalues
 estimate the integral-operator spectrum directly. Decompositions are exact:
 either a dense symmetric eigensolve, or, for finite-rank feature kernels,
 an equivalent factored solve in the feature domain that yields the same
-nonzero spectrum without forming the m-by-m matrix, and holds its
-eigenvectors as a product applied from right to left. No sketching, no
-default jitter.
+nonzero spectrum without forming the m-by-m matrix. The factored solve
+decomposes the model's N-by-N empirical operator, built from Fourier
+moments, and holds its eigenvectors as the basis matrix times an (N, k)
+mix, applied from right to left. No sketching, no default jitter.
 """
 
 from __future__ import annotations
@@ -104,12 +105,15 @@ class GramEigen:
     ``eigenvalues`` (k,) descending and nonnegative. The (m, k) matrix V of
     orthonormal eigenvectors is ``factor @ mix``: the dense path stores
     V itself as ``factor`` and no ``mix``; the factored path stores the
-    scaled (m, N) feature matrix and an (N, k) ``mix``. `project` and
-    `combine` apply V from right to left, so V is built only when the
-    ``vectors`` property is read. ``complete`` marks whether k = m; when it
-    does not, the unlisted eigenvalues are exactly zero and the complement
-    of V's columns spans their eigenspace. ``clamped`` records the
-    magnitude of the most negative raw eigenvalue the solver returned.
+    (m, N) basis matrix B, read-only and shared with the Dataset when it
+    carries one, and an (N, k) ``mix``. `project` and `combine` apply V
+    from right to left, so V is built only when the ``vectors`` property
+    is read. ``complete`` marks whether k = m; when it does not, the
+    unlisted eigenvalues are exactly zero and the complement of V's
+    columns spans their eigenspace. ``clamped`` records the magnitude of
+    the most negative raw eigenvalue the solver returned, and ``dropped``
+    how many feature-domain modes the factored path discarded as below
+    RANK_DROP times the top one.
     """
 
     eigenvalues: np.ndarray
@@ -118,6 +122,7 @@ class GramEigen:
     complete: bool
     mix: np.ndarray | None = None
     clamped: float = 0.0
+    dropped: int = 0
 
     @property
     def rank(self) -> int:
@@ -191,27 +196,28 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     """Exact Gram eigensystem for a finite-rank feature kernel.
 
     When m exceeds the feature count N, the scaled Gram is Phi Phi^T with
-    Phi = B diag(sqrt t) / sqrt(m) the (m, N) feature matrix, and its
-    nonzero spectrum equals that of the N-by-N matrix Phi^T Phi = W S W^T.
-    The eigensolve runs at size N and neither the m-by-m Gram nor its
-    (m, k) eigenvectors are formed: the result holds V = Phi W S^-1/2 as
-    ``factor = Phi`` and ``mix = W S^-1/2``, over the k modes above
-    RANK_DROP times the top one. ``clamped`` and its warning follow
-    `eigendecompose`, measured on the feature-domain spectrum. For
-    m <= N this falls back to the dense path. Either way the result is an
-    exact decomposition of the same matrix, not an approximation. A
-    precomputed ``basis`` at ``xs`` is reused and left unchanged.
+    Phi = B diag(sqrt t) / sqrt(m), B the (m, N) basis matrix, and its
+    nonzero spectrum equals that of the N-by-N matrix
+    Phi^T Phi = `MercerModel.empirical_operator` = W S W^T, which is built
+    from Fourier moments in O(m N + N^2). The eigensolve runs at size N
+    and neither the m-by-m Gram, its (m, k) eigenvectors nor Phi are
+    formed: the result holds V = Phi W S^-1/2 as ``factor = B`` and
+    ``mix = diag(sqrt t) W S^-1/2 / sqrt(m)``, over the k modes above
+    RANK_DROP times the top one; ``dropped`` counts the rest. ``clamped``
+    and its warning follow `eigendecompose`, measured on the
+    feature-domain spectrum. For m <= N this falls back to the dense
+    path. Either way the result is an exact decomposition of the same
+    matrix, not an approximation. A precomputed ``basis`` at ``xs`` is
+    reused and left unchanged.
     """
     xs = np.asarray(xs, dtype=float)
     n_feat = int(model.eigenvalues.shape[0])
     m = xs.shape[0]
     if m <= n_feat:
         return eigendecompose(assemble_gram(model, xs))
-    feats = model.basis_at(xs, basis) * np.sqrt(model.eigenvalues)[None, :]
-    feats /= np.sqrt(m)
-    inner = feats.T @ feats
+    feats = model.basis_at(xs, basis)
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (inner + inner.T))
+        vals, vecs = np.linalg.eigh(model.empirical_operator(xs, feats))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"feature-domain eigensolver failed: {exc}") from exc
     vals, vecs, clamped = _descending(vals, vecs)
@@ -219,7 +225,7 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     keep = vals > RANK_DROP * top
     vals = vals[keep]
     mix = vecs[:, keep]
-    mix /= np.sqrt(vals)[None, :]
+    mix *= np.sqrt(model.eigenvalues / m)[:, None] / np.sqrt(vals)[None, :]
     return GramEigen(
         eigenvalues=vals,
         factor=feats,
@@ -227,6 +233,7 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
         complete=False,
         mix=mix,
         clamped=clamped,
+        dropped=int(keep.size - vals.size),
     )
 
 

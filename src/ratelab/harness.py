@@ -6,7 +6,8 @@ level, and records exact error quantiles per norm. Log-log slopes of
 the medians are then compared against the closed-form exponents, when
 the smoothness profile has them. The report also carries each size's
 numerical health: whether lambda was clipped into its admissible range,
-and the largest negative eigenvalue any replicate's eigensolve clamped.
+the largest negative eigenvalue any replicate's eigensolve clamped, and
+the most feature modes any replicate's factored eigensolve dropped.
 
 Output files are byte-deterministic for a fixed config and seed: floats
 are written with repr (shortest round trip) and JSON keys are sorted.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, TruncationError
 from .estimator import error_norms, fit
-from .filters import filter_from_dict
+from .filters import FILTER_KINDS, filter_from_dict
 from .index_functions import HolderIndex, IndexFunction, index_from_dict
 from .mercer import (
     MercerModel,
@@ -45,7 +46,7 @@ GATE_EXTENSION = 64
 
 _MODEL_KEYS = {"b", "alpha", "beta", "N_trunc", "d", "spectrum_rule"}
 _SOURCE_KEYS = {"kind", "s", "R"}
-_FILTER_KEYS = {"id", "nu", "tau"}
+_FILTER_NUMBERS = {"nu": int, "tau": float}
 _NOISE_KEYS = {"gaussian": {"kind", "sigma"}, "two_point": {"kind", "L"}}
 _PHI_KEYS = {"holder": {"kind", "r"}, "log": {"kind", "p", "nu"}, "product": {"kind", "factors"}}
 _TOP_KEYS = {
@@ -97,21 +98,27 @@ class ExperimentConfig:
         if not isinstance(model, dict) or "b" not in model:
             raise ConfigError("model.b", "required")
         _check_keys(model, _MODEL_KEYS, "model")
-        alpha = float(model.get("alpha", 1.0))
-        beta = float(model.get("beta", alpha))
+        alpha = _number(model, "alpha", 1.0, "model")
+        beta = _number(model, "beta", alpha, "model")
 
         if "phi" not in raw:
             raise ConfigError("phi", "required")
         phi_spec = raw["phi"]
         _check_phi_keys(phi_spec, "phi")
 
-        source = raw.get("source", {})
+        source = _section(raw, "source", {})
         _check_keys(source, _SOURCE_KEYS, "source")
         if source.get("kind", "power") != "power":
             raise ConfigError("source.kind", f"unknown source kind {source['kind']!r}")
 
-        filter_spec = raw.get("filter", {"id": "tikhonov"})
-        _check_keys(filter_spec, _FILTER_KEYS, "filter")
+        filter_spec = _section(raw, "filter", {"id": "tikhonov"})
+        _check_keys(filter_spec, {"id", *_FILTER_NUMBERS}, "filter")
+        if filter_spec.get("id") not in FILTER_KINDS:
+            raise ConfigError(
+                "filter.id", f"need one of {FILTER_KINDS}, got {filter_spec.get('id')!r}"
+            )
+        for key in filter_spec.keys() & _FILTER_NUMBERS.keys():
+            _number(filter_spec, key, None, "filter", _FILTER_NUMBERS[key])
 
         noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
         try:
@@ -123,30 +130,33 @@ class ExperimentConfig:
         rule = raw.get("rule", "psi")
         if rule not in LAMBDA_RULES:
             raise ConfigError("rule", f"unknown rule {rule!r}; expected one of {LAMBDA_RULES}")
-        m_grid = tuple(int(m) for m in raw.get("m_grid", DEFAULT_M_GRID))
+        try:
+            m_grid = tuple(int(m) for m in raw.get("m_grid", DEFAULT_M_GRID))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("m_grid", f"need a list of sizes, got {raw['m_grid']!r}") from None
         if not m_grid or m_grid[0] < 1 or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ConfigError("m_grid", f"need strictly increasing positive sizes, got {m_grid}")
-        replicates = int(raw.get("replicates", 16))
+        replicates = _number(raw, "replicates", 16, kind=int)
         if replicates < 2:
             raise ConfigError("replicates", f"need >= 2, got {replicates}")
-        eta = float(raw.get("eta", 0.1))
+        eta = _number(raw, "eta", 0.1)
         if not 0 < eta < 1:
             raise ConfigError("eta", f"need a level in (0, 1), got {eta}")
 
-        seed = int(raw.get("seed", 0))
+        seed = _number(raw, "seed", 0, kind=int)
         if SEED_ENV_VAR in os.environ:
-            seed = int(os.environ[SEED_ENV_VAR])
+            seed = _number(os.environ, SEED_ENV_VAR, None, kind=int)
 
         return cls(
-            model_b=float(model["b"]),
+            model_b=_number(model, "b", None, "model"),
             model_alpha=alpha,
             model_beta=beta,
-            n_trunc=int(model.get("N_trunc", 512)),
-            output_dim=int(model.get("d", 1)),
+            n_trunc=_number(model, "N_trunc", 512, "model", int),
+            output_dim=_number(model, "d", 1, "model", int),
             spectrum_rule=model.get("spectrum_rule", "lower"),
             phi_spec=dict(phi_spec),
-            source_s=float(source.get("s", 1.0)),
-            source_radius=float(source.get("R", 1.0)),
+            source_s=_number(source, "s", 1.0, "source"),
+            source_radius=_number(source, "R", 1.0, "source"),
             noise=noise,
             filter_spec=dict(filter_spec),
             rule=rule,
@@ -154,7 +164,7 @@ class ExperimentConfig:
             replicates=replicates,
             eta=eta,
             seed=seed,
-            slope_tolerance=float(raw.get("slope_tolerance", 0.1)),
+            slope_tolerance=_number(raw, "slope_tolerance", 0.1),
         )
 
     def as_dict(self) -> dict:
@@ -180,6 +190,24 @@ class ExperimentConfig:
         }
 
 
+def _section(raw: dict, name: str, default: dict) -> dict:
+    """The object ``raw[name]``, or ``default`` when it is absent."""
+    spec = raw.get(name, default)
+    if not isinstance(spec, dict):
+        raise ConfigError(name, f"need an object, got {spec!r}")
+    return spec
+
+
+def _number(spec, key: str, default, section: str = "", kind=float):
+    """``spec[key]``, or ``default`` when it is absent, converted by ``kind``."""
+    value = spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        name = f"{section}.{key}" if section else key
+        raise ConfigError(name, f"need a number, got {value!r}") from None
+
+
 def _check_keys(spec, allowed, section: str):
     for key in spec:
         if key not in allowed:
@@ -197,6 +225,8 @@ def _check_phi_keys(spec, section: str):
     missing = sorted(keys - spec.keys())
     if missing:
         raise ConfigError(f"{section}.{missing[0]}", "required")
+    for key in keys - {"kind", "factors"}:
+        _number(spec, key, None, section)
     if spec["kind"] == "product":
         if not isinstance(spec["factors"], list):
             raise ConfigError(f"{section}.factors", "need a list of phi objects")
@@ -220,6 +250,7 @@ class SweepRow:
     q90_rkhs: float
     lam_clipped: bool  # choose_lambda clipped lam into its admissible range
     max_clamped: float  # largest negative eigenvalue magnitude clamped in any replicate
+    max_dropped: int  # most rank-deficient modes dropped in any replicate
 
 
 @dataclass(frozen=True)
@@ -360,6 +391,7 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
         errs_l2 = np.empty(config.replicates)
         errs_rkhs = np.empty(config.replicates)
         max_clamped = 0.0
+        max_dropped = 0
         for rep in range(config.replicates):
             data = sample_dataset(
                 model,
@@ -373,6 +405,7 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
             errs_l2[rep] = norms.l2
             errs_rkhs[rep] = norms.rkhs
             max_clamped = max(max_clamped, fitted.gram.clamped)
+            max_dropped = max(max_dropped, fitted.gram.dropped)
             # free this replicate's basis and fit before the next one is drawn
             del data, fitted
         high = 1.0 - config.eta
@@ -387,6 +420,7 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
                 q90_rkhs=float(np.quantile(errs_rkhs, high)),
                 lam_clipped=lam.clipped,
                 max_clamped=max_clamped,
+                max_dropped=max_dropped,
             )
         )
 
@@ -450,7 +484,11 @@ def write_outputs(result: SweepResult, outdir) -> dict:
         "trace_tail_bound": result.trace_tail,
         "margins": {str(row.m): row.margin for row in result.rows},
         "health": {
-            str(row.m): {"lambda_clipped": row.lam_clipped, "max_clamped": row.max_clamped}
+            str(row.m): {
+                "lambda_clipped": row.lam_clipped,
+                "max_clamped": row.max_clamped,
+                "max_dropped": row.max_dropped,
+            }
             for row in result.rows
         },
         "slopes": {

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import hankel, toeplitz
 from scipy.special import xlogy
 
 from .errors import (
@@ -124,6 +125,63 @@ class MercerModel:
         if basis is not None and basis.shape == (len(xs), self.n_trunc):
             return basis
         return self.basis(xs)
+
+    def empirical_operator(self, xs, basis=None) -> np.ndarray:
+        """The (N, N) empirical operator diag(sqrt t) (B^T B / m) diag(sqrt t).
+
+        B is the basis at ``xs`` (a precomputed ``basis`` is reused if it
+        fits). Every entry of B^T B / m is a sum or difference of two
+        empirical Fourier moments C_n = mean cos(n x), S_n = mean sin(n x):
+
+            2 cos jx cos kx = cos (j-k)x + cos (j+k)x
+            2 sin jx sin kx = cos (j-k)x - cos (j+k)x
+            2 cos jx sin kx = sin (j+k)x - sin (j-k)x,
+
+        so the cos/cos and sin/sin blocks are Toeplitz plus or minus
+        Hankel in C, and the cos/sin block Hankel minus Toeplitz in S.
+        With h the highest cosine frequency, one product
+        B^T [1, sqrt(2) cos hx] / m gives the moments up to h (column
+        means) and those above it, from
+
+            C_(h+j) = 2 mean(cos hx cos jx) - C_(h-j)
+            S_(h+j) = 2 mean(cos hx sin jx) + S_(h-j).
+
+        An even N has no sin hx column, and S_h comes from
+        2 sin((h-1)x) cos x = sin hx + sin (h-2)x. The cost is O(m N + N^2)
+        against O(m N^2) for the product, and the result is exactly
+        symmetric.
+        """
+        feats = self.basis_at(xs, basis)
+        m, count = feats.shape
+        h = count // 2
+        h_sin = (count - 1) // 2
+        probe = np.ones((m, 2))
+        if h:
+            probe[:, 1] = feats[:, 2 * h - 1]
+        moments = feats.T @ probe / m
+        emp = np.empty((count, count))
+        emp[0] = emp[:, 0] = moments[:, 0]
+        if h:
+            c = np.empty(2 * h + 1)
+            c[0] = 1.0
+            c[1 : h + 1] = moments[1::2, 0] / math.sqrt(2.0)
+            c[h + 1 :] = moments[1::2, 1] - c[h - 1 :: -1]
+            toep, hank = toeplitz(c[:h]), hankel(c[2 : h + 2], c[h + 1 :])
+            emp[1::2, 1::2] = toep + hank
+        if h_sin:
+            emp[2::2, 2::2] = (toep - hank)[:h_sin, :h_sin]
+            s = np.empty(h + h_sin + 1)
+            s[0] = 0.0
+            s[1 : h_sin + 1] = moments[2::2, 0] / math.sqrt(2.0)
+            if h_sin < h:
+                s[h] = feats[:, 2 * h_sin] @ feats[:, 1] / m - s[h - 2]
+            s[h + 1 :] = moments[2::2, 1] + s[h - h_sin : h][::-1]
+            cross = hankel(s[2 : h + 2], s[h + 1 :]) - toeplitz(s[:h], -s[:h_sin])
+            emp[1::2, 2::2] = cross
+            emp[2::2, 1::2] = cross.T
+        root_t = np.sqrt(self.eigenvalues)
+        emp *= np.outer(root_t, root_t)
+        return emp
 
     def scalar_kernel(self, xs, zs) -> np.ndarray:
         bx = self.basis(xs)

@@ -184,6 +184,23 @@ class TestSweep:
         assert code == 2
         assert "model.b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"replicates": "many"}, "replicates"),
+            ({"model": {"b": 2.0, "N_trunc": "x"}}, "model.N_trunc"),
+            ({"filter": "landweber"}, "filter"),
+            ({"filter": {"id": "ridge"}}, "filter.id"),
+        ],
+    )
+    def test_malformed_value_exits_with_usage_error(self, change, key, tmp_path, capsys):
+        """A value of the wrong type is a usage error (2), not a FAIL verdict (1)."""
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(dict(MINI_CONFIG, **change)))
+        code = main(["sweep", "--config", str(config_path), "--outdir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_missing_config_file_exits_with_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "absent.json"), "--outdir", str(tmp_path / "o")])
         assert code == 2

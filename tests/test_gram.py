@@ -150,6 +150,15 @@ class TestProductForm:
         np.testing.assert_allclose(eig.project(ys), vectors.T @ ys, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(eig.combine(z), vectors @ z, rtol=1e-12, atol=1e-12)
 
+    def test_factor_is_the_carried_basis(self):
+        """The factored path keeps the Dataset's basis itself, not a scaled copy."""
+        model = build_model(b=2.0, n_trunc=8)
+        xs = np.random.default_rng(3).uniform(0, 2 * np.pi, size=40)
+        data = Dataset(xs=xs, ys=np.zeros(40), basis=model.basis(xs))
+        eig = mercer_gram_eigen(model, data.xs, data.basis)
+        assert eig.factor is data.basis
+        assert not eig.factor.flags.writeable
+
     @pytest.mark.parametrize("m", [17, 32, 128])
     def test_factored_reconstruction(self, m):
         model = build_model(b=2.0, n_trunc=16)
@@ -183,15 +192,19 @@ class TestFactoredClamp:
         """Three distinct inputs leave the 8 x 8 feature matrix at rank 3."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.tile([0.4, 2.0, 5.1], 14)
-        feats = model.basis(xs) * np.sqrt(model.eigenvalues)[None, :]
-        feats /= np.sqrt(xs.size)
-        inner = feats.T @ feats
-        raw = np.linalg.eigh(0.5 * (inner + inner.T))[0]
+        raw = np.linalg.eigh(model.empirical_operator(xs))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = mercer_gram_eigen(model, xs)
         assert eig.rank == 3
         assert eig.clamped == max(-float(raw.min()), 0.0)
+
+    def test_counts_the_dropped_modes(self):
+        """The same rank-3 input drops 5 of the 8 feature modes; full rank drops none."""
+        model = build_model(b=2.0, n_trunc=8)
+        assert mercer_gram_eigen(model, np.tile([0.4, 2.0, 5.1], 14)).dropped == 5
+        xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
+        assert self._solve(xs).dropped == 0
 
     def test_large_clamp_warns(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)

@@ -8,6 +8,7 @@ import pytest
 
 from ratelab import harness
 from ratelab.errors import ConfigError, TruncationError
+from ratelab.gram import Dataset
 from ratelab.harness import (
     DEFAULT_M_GRID,
     ExperimentConfig,
@@ -85,12 +86,60 @@ class TestConfig:
             ({"model": {"b": 2.0}, "phi": {"kind": "holder"}}, "phi.r"),
             ({"model": {"b": 2.0}, "phi": {"kind": "product", "factors": 3}}, "phi.factors"),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "rule": "bogus"}, "rule"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "filter": "landweber"}, "filter"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "source": "power"}, "source"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "filter": {"id": "ridge"}}, "filter.id"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "filter": {"tau": 0.5}}, "filter.id"),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "filter": {"id": "iterated_tikhonov", "nu": "two"}},
+                "filter.nu",
+            ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "filter": {"id": "landweber", "tau": None}},
+                "filter.tau",
+            ),
+            ({"model": {"b": "x"}, "phi": {"kind": "holder", "r": 0.5}}, "model.b"),
+            ({"model": {"b": 2.0, "N_trunc": "x"}, "phi": {"kind": "holder", "r": 0.5}}, "model.N_trunc"),
+            ({"model": {"b": 2.0, "alpha": [1]}, "phi": {"kind": "holder", "r": 0.5}}, "model.alpha"),
+            ({"model": {"b": 2.0, "d": "one"}, "phi": {"kind": "holder", "r": 0.5}}, "model.d"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": "half"}}, "phi.r"),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "product", "factors": [
+                    {"kind": "holder", "r": 0.5}, {"kind": "log", "p": 0.25, "nu": "x"}
+                ]}},
+                "phi.factors.1.nu",
+            ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "source": {"kind": "power", "s": "steep"}},
+                "source.s",
+            ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "noise": {"kind": "gaussian", "sigma": "x"}},
+                "noise",
+            ),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "m_grid": [32, "x"]}, "m_grid"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "m_grid": 64}, "m_grid"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "replicates": "many"}, "replicates"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "replicates": float("inf")}, "replicates"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "eta": "x"}, "eta"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "seed": "x"}, "seed"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "slope_tolerance": "x"}, "slope_tolerance"),
         ],
     )
     def test_rejects_bad_payloads(self, payload, key):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(payload)
         assert err.value.key == key
+
+    def test_non_numeric_seed_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("RATE_LAB_SEED", "abc")
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}})
+        assert err.value.key == "RATE_LAB_SEED"
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
@@ -153,6 +202,8 @@ class TestRateSweep:
         assert sorted(report) == [
             "config", "gate", "health", "margins", "overall", "slopes", "trace_tail_bound"
         ]
+        for health in report["health"].values():
+            assert sorted(health) == ["lambda_clipped", "max_clamped", "max_dropped"]
         assert report["config"]["model"]["b"] == 2.0
         assert report["gate"]["fraction"] <= 0.01
         header = files["sweep"].read_text().splitlines()[0]
@@ -185,6 +236,24 @@ class TestRateSweep:
             m: max(values) for m, values in clamps.items()
         }
         assert all(len(values) == MINI["replicates"] for values in clamps.values())
+
+    def test_health_reports_most_modes_dropped_per_size(self, monkeypatch, tmp_path):
+        """Replicates at m = 64 and 128 draw 3 distinct inputs, so the factored
+        path keeps 3 of the 16 modes; the dense path at m = 4 and 16 drops none."""
+        real_sample = harness.sample_dataset
+
+        def three_point_sample(model, target, noise, m, seed):
+            data = real_sample(model, target, noise, m, seed)
+            xs = np.resize([0.4, 2.0, 5.1], m)
+            return Dataset(xs=xs, ys=data.ys, basis=model.basis(xs))
+
+        monkeypatch.setattr("ratelab.harness.sample_dataset", three_point_sample)
+        config = dict(MINI, model={"b": 2.0, "N_trunc": 16}, m_grid=[4, 16, 64, 128])
+        files = write_outputs(rate_sweep(ExperimentConfig.from_dict(config)), tmp_path / "out")
+        health = json.loads(files["report"].read_text())["health"]
+        assert {m: h["max_dropped"] for m, h in health.items()} == {
+            "4": 0, "16": 0, "64": 13, "128": 13
+        }
 
     def test_different_seed_changes_the_report(self, tmp_path):
         base = dict(MINI)

@@ -15,6 +15,7 @@ from ratelab.errors import (
 )
 from ratelab.index_functions import HolderIndex, LogIndex
 from ratelab.mercer import (
+    MercerModel,
     NoiseSpec,
     approx_error_norms,
     build_model,
@@ -77,6 +78,56 @@ class TestBasis:
         batch = trigonometric_basis(xs, count)
         for i in range(m):
             assert np.array_equal(batch[i], trigonometric_basis(xs[i : i + 1], count)[0])
+
+
+def _unit_spectrum_model(count):
+    """A model with t_n = 1, whose empirical operator is B^T B / m itself."""
+    return MercerModel(
+        eigenvalues=np.ones(count),
+        decay_b=1.0,
+        decay_alpha=1.0,
+        decay_beta=1.0,
+        output_dim=1,
+        spectrum_rule="explicit",
+        kappa_sq=float(1 + 2 * (count // 2)),
+    )
+
+
+class TestEmpiricalOperator:
+    """The moment-built operator against the product it replaces."""
+
+    @pytest.mark.parametrize("m", [1, 3, 50, 4096])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 9, 128, 512, 513])
+    def test_equals_the_basis_product(self, count, m):
+        """Every entry is within 1e-13 of B^T B / m in float64, and the first and
+        last 8 rows, which hold every moment up to 2 h, within 1e-13 of the same
+        product in np.longdouble. The result is exactly symmetric."""
+        model = _unit_spectrum_model(count)
+        xs = np.random.default_rng(7 * count + m).uniform(0.0, 2 * np.pi, m)
+        basis = model.basis(xs)
+        emp = model.empirical_operator(xs, basis)
+        assert emp.shape == (count, count)
+        assert np.array_equal(emp, emp.T)
+        assert np.abs(emp - basis.T @ basis / m).max() <= 1e-13
+        rows = np.unique(np.r_[0 : min(count, 8), max(count - 8, 0) : count])
+        wide = basis.astype(np.longdouble)
+        ref = wide[:, rows].T @ wide / m
+        assert np.abs(emp[rows] - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("count", [8, 9])
+    def test_scales_by_the_spectrum(self, count):
+        model = build_model(b=2.0, n_trunc=count)
+        xs = np.random.default_rng(count).uniform(0.0, 2 * np.pi, 64)
+        basis = model.basis(xs)
+        root_t = np.sqrt(model.eigenvalues)
+        expected = root_t[:, None] * (basis.T @ basis / 64) * root_t[None, :]
+        np.testing.assert_allclose(model.empirical_operator(xs), expected, rtol=0, atol=1e-15)
+
+    def test_identity_on_an_alias_free_grid(self):
+        """2N equispaced points average products of the N features exactly."""
+        model = _unit_spectrum_model(9)
+        xs = np.linspace(0.0, 2 * np.pi, 18, endpoint=False)
+        np.testing.assert_allclose(model.empirical_operator(xs), np.eye(9), atol=1e-14)
 
 
 def _grid_sup_energy(model, points=4096):
