@@ -12,10 +12,12 @@ factored decomposition omitted, which are all null); dropping it breaks
 exact agreement with direct solvers whenever the filter has
 g_lam(0) != 0, e.g. any Tikhonov variant. `fit` evaluates the second
 line through `GramEigen.project` and `GramEigen.combine`, which apply V
-as its stored product; on the factored path that is the (m, N) basis
-matrix, the one the Dataset carries, times an (N, k) mix that holds the
-eigenvalue scaling, so neither the (m, k) matrix V nor a scaled copy of
-the basis is formed.
+as its stored product, one factor at a time: the orthogonal factor of a
+tridiagonal reduction, kept as Householder reflectors, times the sorted
+eigenbasis of the tridiagonal matrix, and on the factored path also the
+(m, N) basis matrix the Dataset carries and a diagonal scaling. Neither
+the (m, k) matrix V, the reflectors' product nor a scaled copy of the
+basis is formed.
 """
 
 from __future__ import annotations

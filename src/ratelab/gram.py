@@ -6,8 +6,12 @@ either a dense symmetric eigensolve, or, for finite-rank feature kernels,
 an equivalent factored solve in the feature domain that yields the same
 nonzero spectrum without forming the m-by-m matrix. The factored solve
 decomposes the model's N-by-N empirical operator, built from Fourier
-moments, and holds its eigenvectors as the basis matrix times an (N, k)
-mix, applied from right to left. No sketching, no default jitter.
+moments. Both solves reduce their matrix to tridiagonal form and keep the
+reduction's orthogonal factor as Householder reflectors, so the
+eigenvectors are held as a product (the basis matrix, a diagonal scaling,
+the reflectors and an eigenbasis of the tridiagonal matrix on the
+factored path; the last two alone on the dense path) and applied from
+right to left, never formed. No sketching, no default jitter.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DataError, NumericalError, ParameterError
 
@@ -102,25 +107,35 @@ def assemble_gram(kernel, xs) -> np.ndarray:
 class GramEigen:
     """Orthonormal eigensystem of a scaled Gram matrix, held as a product.
 
-    ``eigenvalues`` (k,) descending and nonnegative. The (m, k) matrix V of
-    orthonormal eigenvectors is ``factor @ mix``: the dense path stores
-    V itself as ``factor`` and no ``mix``; the factored path stores the
-    (m, N) basis matrix B, read-only and shared with the Dataset when it
-    carries one, and an (N, k) ``mix``. `project` and `combine` apply V
-    from right to left, so V is built only when the ``vectors`` property
-    is read. ``complete`` marks whether k = m; when it does not, the
-    unlisted eigenvalues are exactly zero and the complement of V's
-    columns spans their eigenspace. ``clamped`` records the magnitude of
-    the most negative raw eigenvalue the solver returned, and ``dropped``
-    how many feature-domain modes the factored path discarded as below
-    RANK_DROP times the top one.
+    ``eigenvalues`` (k,) descending and nonnegative. The solver reduced an
+    n-by-n symmetric matrix to tridiagonal form, A = Q T Q^T, and solved
+    T = Z diag(w) Z^T; Q stays as its n - 1 Householder ``reflectors``
+    (Fortran order, as LAPACK dormqr reads them) and their ``tau``, and
+    ``mix`` (n, k) holds the kept columns of Z in descending order. The
+    dense path decomposes the Gram itself, n = m, and its (m, k) matrix V
+    of orthonormal eigenvectors is Q mix. The factored path decomposes the
+    N-by-N empirical operator, and V = factor diag(scale) Q mix, with
+    ``factor`` the (m, N) basis matrix B, read-only and shared with the
+    Dataset when it carries one, ``scale`` = sqrt(t / m) and the inverse
+    root of each kept eigenvalue folded into ``mix``. `project` and
+    `combine` apply these factors one at a time, Q in O(n^2 d), so neither
+    Q nor V is formed; V is built only when the ``vectors`` property is
+    read. ``complete`` marks whether k = m; when it does not, the unlisted
+    eigenvalues are exactly zero and the complement of V's columns spans
+    their eigenspace. ``clamped`` records the magnitude of the most
+    negative raw eigenvalue the solver returned, and ``dropped`` how many
+    feature-domain modes the factored path discarded as below RANK_DROP
+    times the top one.
     """
 
     eigenvalues: np.ndarray
-    factor: np.ndarray
+    mix: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
     size: int
     complete: bool
-    mix: np.ndarray | None = None
+    factor: np.ndarray | None = None
+    scale: np.ndarray | None = None
     clamped: float = 0.0
     dropped: int = 0
 
@@ -131,16 +146,60 @@ class GramEigen:
     @property
     def vectors(self) -> np.ndarray:
         """The (m, k) eigenvector matrix V, built on each access."""
-        return self.factor if self.mix is None else self.factor @ self.mix
+        return self.combine(np.eye(self.rank))
 
     def project(self, ys: np.ndarray) -> np.ndarray:
         """V^T ys, shape (k, d)."""
-        proj = self.factor.T @ ys
-        return proj if self.mix is None else self.mix.T @ proj
+        x = ys if self.factor is None else self.scale[:, None] * (self.factor.T @ ys)
+        return self.mix.T @ self._reflect(x, "T")
 
     def combine(self, z: np.ndarray) -> np.ndarray:
         """V z, shape (m, d)."""
-        return self.factor @ (z if self.mix is None else self.mix @ z)
+        x = self._reflect(self.mix @ z, "N")
+        return x if self.factor is None else self.factor @ (self.scale[:, None] * x)
+
+    def _reflect(self, x: np.ndarray, trans: str) -> np.ndarray:
+        """Q x for ``trans`` "N", Q^T x for "T", with x of shape (n, d).
+
+        Q fixes the first coordinate and the reflectors act on the rest,
+        which is how LAPACK dormtr applies a lower-triangle reduction.
+        lwork = d keeps dormqr unblocked, the faster choice for the few
+        columns of a fit.
+        """
+        if not self.tau.size:
+            return x
+        tail, _, info = lapack.dormqr(
+            "L", trans, self.reflectors, self.tau,
+            np.array(x[1:], dtype=float, order="F"), max(1, x.shape[1]), overwrite_c=1,
+        )
+        if info != 0:
+            raise NumericalError(f"dormqr rejected argument {-info}")
+        return np.concatenate((x[:1], tail))
+
+
+def _tridiagonal_eigh(a: np.ndarray):
+    """Ascending eigenvalues w, Z, reflectors and tau with a = Q Z diag(w) Z^T Q^T.
+
+    LAPACK dsytrd reduces the lower triangle of the symmetric ``a`` to
+    tridiagonal T = Q^T a Q with its optimal blocked workspace, and dstevd
+    solves T = Z diag(w) Z^T by divide and conquer. Q is left as the
+    reflectors dsytrd stores below the subdiagonal, the (n - 1)-square
+    block a[1:, :-1], copied once to Fortran order so that dormqr reads it
+    in place. This skips the O(n^3) back-transformation Q Z that a full
+    eigensolver performs. At n = 1 there are no reflectors, and dstevd
+    still takes an off-diagonal of length one.
+    """
+    n = a.shape[0]
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    packed, diag, off, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork))
+    if info == 0:
+        vals, z, info = lapack.dstevd(diag, off if n > 1 else np.zeros(1))
+    if info != 0:
+        scale = float(np.max(np.abs(a)))
+        raise NumericalError(
+            f"eigensolver failed on a {n}x{n} matrix (max abs entry {scale:g}): LAPACK info {info}"
+        )
+    return vals, z, np.asfortranarray(packed[1:, :-1]), tau
 
 
 def _descending(vals: np.ndarray, vecs: np.ndarray):
@@ -167,25 +226,21 @@ def _descending(vals: np.ndarray, vecs: np.ndarray):
 def eigendecompose(gram: np.ndarray) -> GramEigen:
     """Dense symmetric eigendecomposition with descending eigenvalues.
 
-    Tiny negative eigenvalues are clamped to zero; anything below
-    -1e-10 times the top eigenvalue triggers a warning first.
+    The m-by-m Gram goes through `_tridiagonal_eigh`, and its eigenvectors
+    are held as Q times the sorted tridiagonal eigenbasis. Tiny negative
+    eigenvalues are clamped to zero; anything below -1e-10 times the top
+    eigenvalue triggers a warning first.
     """
     gram = np.asarray(gram, dtype=float)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise DataError(f"gram must be square, got shape {gram.shape}")
-    sym = 0.5 * (gram + gram.T)
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(sym))) if sym.size else 0.0
-        raise NumericalError(
-            f"eigensolver failed on a {sym.shape[0]}x{sym.shape[0]} matrix "
-            f"(max abs entry {scale:g}): {exc}"
-        ) from exc
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
+        raise DataError(f"gram must be square and nonempty, got shape {gram.shape}")
+    vals, vecs, reflectors, tau = _tridiagonal_eigh(0.5 * (gram + gram.T))
     vals, vecs, clamped = _descending(vals, vecs)
     return GramEigen(
         eigenvalues=np.maximum(vals, 0.0),
-        factor=vecs,
+        mix=vecs,
+        reflectors=reflectors,
+        tau=tau,
         size=gram.shape[0],
         complete=True,
         clamped=clamped,
@@ -200,15 +255,16 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     nonzero spectrum equals that of the N-by-N matrix
     Phi^T Phi = `MercerModel.empirical_operator` = W S W^T, which is built
     from Fourier moments in O(m N + N^2). The eigensolve runs at size N
-    and neither the m-by-m Gram, its (m, k) eigenvectors nor Phi are
-    formed: the result holds V = Phi W S^-1/2 as ``factor = B`` and
-    ``mix = diag(sqrt t) W S^-1/2 / sqrt(m)``, over the k modes above
-    RANK_DROP times the top one; ``dropped`` counts the rest. ``clamped``
-    and its warning follow `eigendecompose`, measured on the
-    feature-domain spectrum. For m <= N this falls back to the dense
-    path. Either way the result is an exact decomposition of the same
-    matrix, not an approximation. A precomputed ``basis`` at ``xs`` is
-    reused and left unchanged.
+    through `_tridiagonal_eigh`, so W = Q Z, and neither the m-by-m Gram,
+    W, its (m, k) eigenvectors nor Phi are formed: the result holds
+    V = Phi W S^-1/2 as ``factor = B``, ``scale = sqrt(t / m)``, Q's
+    reflectors and ``mix = Z S^-1/2``, over the k modes above RANK_DROP
+    times the top one; ``dropped`` counts the rest. ``clamped`` and its
+    warning follow `eigendecompose`, measured on the feature-domain
+    spectrum. For m <= N this falls back to the dense path. Either way the
+    result is an exact decomposition of the same matrix, not an
+    approximation. A precomputed ``basis`` at ``xs`` is reused and left
+    unchanged.
     """
     xs = np.asarray(xs, dtype=float)
     n_feat = int(model.eigenvalues.shape[0])
@@ -216,22 +272,20 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     if m <= n_feat:
         return eigendecompose(assemble_gram(model, xs))
     feats = model.basis_at(xs, basis)
-    try:
-        vals, vecs = np.linalg.eigh(model.empirical_operator(xs, feats))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"feature-domain eigensolver failed: {exc}") from exc
+    vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(xs, feats))
     vals, vecs, clamped = _descending(vals, vecs)
     top = float(vals[0]) if vals.size else 0.0
     keep = vals > RANK_DROP * top
     vals = vals[keep]
-    mix = vecs[:, keep]
-    mix *= np.sqrt(model.eigenvalues / m)[:, None] / np.sqrt(vals)[None, :]
     return GramEigen(
         eigenvalues=vals,
-        factor=feats,
+        mix=vecs[:, keep] / np.sqrt(vals)[None, :],
+        reflectors=reflectors,
+        tau=tau,
         size=m,
         complete=False,
-        mix=mix,
+        factor=feats,
+        scale=np.sqrt(model.eigenvalues / m),
         clamped=clamped,
         dropped=int(keep.size - vals.size),
     )

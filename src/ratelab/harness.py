@@ -126,14 +126,16 @@ class ExperimentConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError("noise", str(exc)) from None
         _check_keys(noise_spec, _NOISE_KEYS[noise.kind], "noise")
+        for key in noise_spec.keys() - {"kind"}:
+            _number(noise_spec, key, None, "noise")
 
         rule = raw.get("rule", "psi")
         if rule not in LAMBDA_RULES:
             raise ConfigError("rule", f"unknown rule {rule!r}; expected one of {LAMBDA_RULES}")
-        try:
-            m_grid = tuple(int(m) for m in raw.get("m_grid", DEFAULT_M_GRID))
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("m_grid", f"need a list of sizes, got {raw['m_grid']!r}") from None
+        sizes = raw.get("m_grid", DEFAULT_M_GRID)
+        if not isinstance(sizes, (list, tuple)):
+            raise ConfigError("m_grid", f"need a list of sizes, got {sizes!r}")
+        m_grid = tuple(_convert(m, "m_grid", int) for m in sizes)
         if not m_grid or m_grid[0] < 1 or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ConfigError("m_grid", f"need strictly increasing positive sizes, got {m_grid}")
         replicates = _number(raw, "replicates", 16, kind=int)
@@ -200,12 +202,24 @@ def _section(raw: dict, name: str, default: dict) -> dict:
 
 def _number(spec, key: str, default, section: str = "", kind=float):
     """``spec[key]``, or ``default`` when it is absent, converted by ``kind``."""
-    value = spec.get(key, default)
+    return _convert(spec.get(key, default), f"{section}.{key}" if section else key, kind)
+
+
+def _convert(value, name: str, kind=float):
+    """``value`` converted by ``kind``, refused unless finite and, for int, integral.
+
+    A float such as 64.0 is a valid int; 64.9 is refused, not truncated,
+    and NaN or infinity is refused for either kind.
+    """
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(name, f"need an integer, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        name = f"{section}.{key}" if section else key
         raise ConfigError(name, f"need a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(name, f"need a finite number, got {value!r}")
+    return number
 
 
 def _check_keys(spec, allowed, section: str):

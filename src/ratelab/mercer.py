@@ -228,7 +228,7 @@ def build_model(
     contributes 2 (t_cos cos**2 + t_sin sin**2) <= 2 t_cos, since the
     spectrum is nonincreasing, with equality at x = 0.
     """
-    if b < 1:
+    if not b >= 1:
         raise ParameterError(f"decay exponent must be >= 1, got {b}")
     beta = alpha if beta is None else beta
     if not 0 < alpha <= beta:

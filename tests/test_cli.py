@@ -191,6 +191,8 @@ class TestSweep:
             ({"model": {"b": 2.0, "N_trunc": "x"}}, "model.N_trunc"),
             ({"filter": "landweber"}, "filter"),
             ({"filter": {"id": "ridge"}}, "filter.id"),
+            ({"model": {"b": 2.0, "N_trunc": 64.9}}, "model.N_trunc"),
+            ({"slope_tolerance": float("nan")}, "slope_tolerance"),
         ],
     )
     def test_malformed_value_exits_with_usage_error(self, change, key, tmp_path, capsys):

@@ -145,7 +145,7 @@ class TestFactoredFit:
         dense = eigendecompose(assemble_gram(model, data.xs))
         for name, filt in _four_filters(model).items():
             factored = fit(data, model, filt, lam=0.05)
-            assert factored.gram.mix is not None, name
+            assert factored.gram.factor is not None, name
             oracle = fit(data, model, filt, lam=0.05, gram=dense)
             assert factored.coefficients.shape == (m, d)
             assert _relative_gap(factored.coefficients, oracle.coefficients) <= 1e-10, name
@@ -162,6 +162,53 @@ class TestFactoredFit:
         for filt in _four_filters(model).values():
             result = fit(data, model, filt, lam=0.05)
             assert np.isfinite(error_norms(result, model, target).l2)
+
+
+def _eigh_oracle(data, model, filt, lam):
+    """Filtered coefficients from a full np.linalg.eigh of the scaled Gram, built here.
+
+    c = (1/m) V (g(w) - g(0)) V^T y + (g(0)/m) y over all m eigenpairs,
+    negative round-off clamped to zero, independent of `GramEigen`.
+    """
+    vals, vecs = np.linalg.eigh(assemble_gram(model, data.xs))
+    g_null = filt.values(0.0, lam)
+    g_vals = np.atleast_1d(filt.values(np.maximum(vals, 0.0), lam)) - g_null
+    return (vecs @ (g_vals[:, None] * (vecs.T @ data.ys)) + g_null * data.ys) / data.m
+
+
+class TestEighOracle:
+    """Both fit paths match coefficients built from np.linalg.eigh in the test itself."""
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 5, N_FACTORED, N_FACTORED + 1, 8 * N_FACTORED]
+    )
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_an_eigh_eigensystem(self, m, d):
+        model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
+        for name, filt in _four_filters(model).items():
+            result = fit(data, model, filt, lam=0.05)
+            assert (result.gram.factor is None) == (m <= N_FACTORED), name
+            oracle = _eigh_oracle(data, model, filt, 0.05)
+            assert result.coefficients.shape == (m, d)
+            assert _relative_gap(result.coefficients, oracle) <= 1e-10, name
+        direct = fit_tikhonov_direct(data, model, lam=0.05)
+        tik = fit(data, model, tikhonov(), lam=0.05)
+        assert _relative_gap(tik.coefficients, direct.coefficients) <= 1e-10
+
+    def test_fits_without_eigh(self, monkeypatch):
+        """Neither path calls np.linalg.eigh, dense (m <= N) or factored (m > N)."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("np.linalg.eigh was called")
+
+        for m in (N_FACTORED // 2, 4 * N_FACTORED):
+            model, target, data = _toy_problem(m=m, d=3, seed=m, n_trunc=N_FACTORED)
+            oracle = _eigh_oracle(data, model, tikhonov(), 0.05)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", refuse)
+                result = fit(data, model, tikhonov(), lam=0.05)
+                assert np.isfinite(error_norms(result, model, target).l2)
+            assert (result.gram.factor is None) == (m <= N_FACTORED)
+            assert _relative_gap(result.coefficients, oracle) <= 1e-10
 
 
 class TestErrorNorms:

@@ -9,6 +9,7 @@ from ratelab.errors import DataError, ParameterError
 from ratelab.gram import (
     Dataset,
     GaussianRBF,
+    _tridiagonal_eigh,
     assemble_gram,
     eigendecompose,
     mercer_gram_eigen,
@@ -91,6 +92,26 @@ class TestEigendecompose:
         with pytest.raises(DataError):
             eigendecompose(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DataError):
+            eigendecompose(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 512])
+    def test_built_vectors_are_orthonormal_and_reconstruct(self, n):
+        """The reflectors times the tridiagonal eigenbasis, built on request, at n = 1 too."""
+        model = build_model(b=2.0, n_trunc=512)
+        xs = np.random.default_rng(n).uniform(0, 2 * np.pi, size=n)
+        gram_matrix = assemble_gram(model, xs)
+        eig = eigendecompose(gram_matrix)
+        assert eig.tau.shape == (n - 1,)
+        vectors = eig.vectors
+        assert vectors.shape == (n, n)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), rtol=0, atol=1e-12)
+        assert reconstruction_error(gram_matrix, eig) <= 1e-10
+        np.testing.assert_allclose(
+            eig.eigenvalues, np.linalg.eigvalsh(gram_matrix)[::-1], rtol=0, atol=1e-12
+        )
+
 
 class TestFactoredEigen:
     def test_matches_dense_beyond_feature_count(self):
@@ -135,20 +156,33 @@ class TestFactoredEigen:
 
 
 class TestProductForm:
-    """V = factor @ mix is applied from right to left and built only on request."""
+    """V = [factor diag(scale)] Q mix is applied from right to left and built only on request."""
 
     @pytest.mark.parametrize("m", [5, 8, 9, 40])
     def test_project_and_combine_agree_with_built_vectors(self, m):
+        """Agreement to 1e-12, or to the rounding that S^-1/2 amplifies when that is larger.
+
+        The factored mix carries S^-1/2, which scales rounding by up to
+        sqrt(w_max / w_min): at m = 9 the 8 x 8 operator's smallest
+        eigenvalue is about 2e-9 of its top one, an amplification of 2.3e4,
+        and the two association orders differ by about 3e-12. The bound is
+        8 eps times that amplification; at m = 5, 8 and 40 it stays 1e-12.
+        """
         model = build_model(b=2.0, n_trunc=8)
         rng = np.random.default_rng(m)
         eig = mercer_gram_eigen(model, rng.uniform(0, 2 * np.pi, size=m))
-        assert (eig.mix is None) == (m <= 8)
+        assert (eig.factor is None) == (m <= 8)
+        tol = 1e-12
+        if eig.factor is not None:
+            amplification = np.sqrt(eig.eigenvalues[0] / eig.eigenvalues[-1])
+            tol = max(tol, 8 * np.finfo(float).eps * amplification)
+        assert (tol > 1e-12) == (m == 9)
         vectors = eig.vectors
         assert vectors.shape == (m, eig.rank)
         ys = rng.standard_normal((m, 3))
         z = rng.standard_normal((eig.rank, 3))
-        np.testing.assert_allclose(eig.project(ys), vectors.T @ ys, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(eig.combine(z), vectors @ z, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(eig.project(ys), vectors.T @ ys, rtol=tol, atol=tol)
+        np.testing.assert_allclose(eig.combine(z), vectors @ z, rtol=tol, atol=tol)
 
     def test_factor_is_the_carried_basis(self):
         """The factored path keeps the Dataset's basis itself, not a scaled copy."""
@@ -165,21 +199,20 @@ class TestProductForm:
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
         eig = mercer_gram_eigen(model, xs)
         assert eig.factor.shape == (m, 16)
+        assert eig.reflectors.shape == (15, 15)
         assert eig.mix.shape == (16, eig.rank)
         assert reconstruction_error(assemble_gram(model, xs), eig) <= 1e-10
 
 
-def _perturbed_eigh(monkeypatch, relative):
-    """Make np.linalg.eigh report its smallest eigenvalue as -relative * top."""
-    original = np.linalg.eigh
-
+def _perturbed_solver(monkeypatch, relative):
+    """Make the tridiagonal eigensolver report its smallest eigenvalue as -relative * top."""
     def perturbed(matrix):
-        vals, vecs = original(matrix)
+        vals, *rest = _tridiagonal_eigh(matrix)
         vals = vals.copy()
         vals[np.argmin(vals)] = -relative * vals.max()
-        return vals, vecs
+        return (vals, *rest)
 
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    monkeypatch.setattr("ratelab.gram._tridiagonal_eigh", perturbed)
 
 
 class TestFactoredClamp:
@@ -192,7 +225,7 @@ class TestFactoredClamp:
         """Three distinct inputs leave the 8 x 8 feature matrix at rank 3."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.tile([0.4, 2.0, 5.1], 14)
-        raw = np.linalg.eigh(model.empirical_operator(xs))[0]
+        raw = _tridiagonal_eigh(model.empirical_operator(xs))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = mercer_gram_eigen(model, xs)
@@ -209,7 +242,7 @@ class TestFactoredClamp:
     def test_large_clamp_warns(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
-        _perturbed_eigh(monkeypatch, 1e-6)
+        _perturbed_solver(monkeypatch, 1e-6)
         with pytest.warns(UserWarning, match="clamping eigenvalue"):
             eig = self._solve(xs)
         assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
@@ -219,8 +252,8 @@ class TestFactoredClamp:
     def test_small_clamp_is_recorded_silently(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
-        _perturbed_eigh(monkeypatch, 1e-13)
+        _perturbed_solver(monkeypatch, 1e-13)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
-        assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12)
+        assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12, abs=0)

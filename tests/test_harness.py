@@ -135,6 +135,51 @@ class TestConfig:
             ExperimentConfig.from_dict(payload)
         assert err.value.key == key
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"model": {"b": 2.0, "N_trunc": 64.9}}, "model.N_trunc"),
+            ({"m_grid": [32.7, 64, 128, 256]}, "m_grid"),
+            ({"replicates": 2.9}, "replicates"),
+            ({"model": {"b": 2.0, "d": 2.5}}, "model.d"),
+            ({"seed": 1.5}, "seed"),
+            ({"filter": {"id": "iterated_tikhonov", "nu": 2.5}}, "filter.nu"),
+            ({"model": {"b": float("nan")}}, "model.b"),
+            ({"phi": {"kind": "holder", "r": float("nan")}}, "phi.r"),
+            ({"model": {"b": float("inf")}}, "model.b"),
+            ({"slope_tolerance": float("nan")}, "slope_tolerance"),
+            ({"noise": {"kind": "gaussian", "sigma": float("nan")}}, "noise.sigma"),
+            ({"noise": {"kind": "two_point", "L": float("inf")}}, "noise.L"),
+            ({"m_grid": [32, 64, float("nan"), 256]}, "m_grid"),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integral_numbers(self, change, key):
+        """A number is refused, never truncated to an int or carried as NaN or infinity."""
+        payload = dict({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}}, **change)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(payload)
+        assert err.value.key == key
+
+    def test_integral_floats_stay_valid(self):
+        cfg = ExperimentConfig.from_dict({
+            "model": {"b": 2.0, "N_trunc": 64.0, "d": 2.0},
+            "phi": {"kind": "holder", "r": 0.5},
+            "filter": {"id": "iterated_tikhonov", "nu": 3.0},
+            "m_grid": [32.0, 64, 128.0, 256],
+            "replicates": 4.0,
+            "seed": 7.0,
+        })
+        assert (cfg.n_trunc, cfg.output_dim, cfg.replicates, cfg.seed) == (64, 2, 4, 7)
+        assert cfg.m_grid == (32, 64, 128, 256)
+        assert all(type(m) is int for m in cfg.m_grid)
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "inf"])
+    def test_non_integral_seed_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("RATE_LAB_SEED", value)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}})
+        assert err.value.key == "RATE_LAB_SEED"
+
     def test_non_numeric_seed_env_rejected(self, monkeypatch):
         monkeypatch.setenv("RATE_LAB_SEED", "abc")
         with pytest.raises(ConfigError) as err:

@@ -199,6 +199,10 @@ class TestBuildModel:
         with pytest.raises(ConstructionError):
             build_model(b=2.0, alpha=2.0, beta=1.0)
 
+    def test_nan_decay_exponent_refused(self):
+        with pytest.raises(ParameterError):
+            build_model(b=float("nan"), n_trunc=8)
+
 
 class TestTargets:
     def test_power_law_source_hits_radius(self):
