@@ -51,9 +51,11 @@ class FittedEstimator:
 
 
 def _gram_eigen_for(dataset: Dataset, kernel) -> GramEigen:
-    if isinstance(kernel, MercerModel) and dataset.m > kernel.n_trunc:
+    if not isinstance(kernel, MercerModel):
+        return eigendecompose(assemble_gram(kernel, dataset.xs))
+    if dataset.m > kernel.n_trunc:
         return mercer_gram_eigen(kernel, dataset.xs, dataset.basis)
-    return eigendecompose(assemble_gram(kernel, dataset.xs))
+    return eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis))
 
 
 def fit(

@@ -89,23 +89,25 @@ class GaussianRBF:
         return {"kind": "gaussian_rbf", "lengthscale": self.lengthscale}
 
 
-def assemble_gram(kernel, xs) -> np.ndarray:
-    """Build the scaled Gram matrix (1/m) k(x_i, x_j), symmetrized."""
+def assemble_gram(kernel, xs, basis=None) -> np.ndarray:
+    """The scaled Gram matrix (1/m) k(x_i, x_j), as symmetric as the kernel
+    returns it (`eigendecompose` symmetrizes). A MercerModel kernel reuses
+    a ``basis`` at ``xs`` (see `MercerModel.basis_at`)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 1:
         raise DataError(f"xs must be a nonempty 1-d array, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise DataError("xs contains non-finite entries")
-    k = np.asarray(kernel.scalar_kernel(xs, xs), dtype=float)
+    k = kernel.scalar_kernel(xs, xs) if basis is None else kernel.scalar_kernel(xs, xs, basis)
+    k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise DataError("kernel evaluations contain non-finite entries")
-    k = 0.5 * (k + k.T)
     return k / xs.size
 
 
 @dataclass(frozen=True, eq=False)
 class GramEigen:
-    """Orthonormal eigensystem of a scaled Gram matrix, held as a product.
+    """Eigensystem of a scaled Gram matrix, held as a product.
 
     ``eigenvalues`` (k,) descending and nonnegative. The solver reduced an
     n-by-n symmetric matrix to tridiagonal form, A = Q T Q^T, and solved
@@ -117,15 +119,19 @@ class GramEigen:
     N-by-N empirical operator, and V = factor diag(scale) Q mix, with
     ``factor`` the (m, N) basis matrix B, read-only and shared with the
     Dataset when it carries one, ``scale`` = sqrt(t / m) and the inverse
-    root of each kept eigenvalue folded into ``mix``. `project` and
-    `combine` apply these factors one at a time, Q in O(n^2 d), so neither
-    Q nor V is formed; V is built only when the ``vectors`` property is
-    read. ``complete`` marks whether k = m; when it does not, the unlisted
-    eigenvalues are exactly zero and the complement of V's columns spans
-    their eigenspace. ``clamped`` records the magnitude of the most
-    negative raw eigenvalue the solver returned, and ``dropped`` how many
-    feature-domain modes the factored path discarded as below RANK_DROP
-    times the top one.
+    root of each kept eigenvalue folded into ``mix``. That root amplifies
+    rounding by up to sqrt(w_max / w_min), so only the dense path's V is
+    orthonormal to rounding: at N = 512, max |V^T V - I| on the factored
+    path is 1.0e-6 at m = N + 1 (amplification 8.7e5) and 6.9e-12 at
+    m = 2N (1.4e4). Fits are unaffected, as g(w) - g(0) vanishes with w.
+    `project` and `combine` apply these factors one at a time, Q in
+    O(n^2 d), so neither Q nor V is formed; V is built only when the
+    ``vectors`` property is read. ``complete`` marks whether k = m; when it
+    does not, the unlisted eigenvalues are exactly zero and the complement
+    of V's columns spans their eigenspace. ``clamped`` records the
+    magnitude of the most negative raw eigenvalue the solver returned, and
+    ``dropped`` how many feature-domain modes the factored path discarded
+    as below RANK_DROP times the top one.
     """
 
     eigenvalues: np.ndarray
@@ -226,10 +232,10 @@ def _descending(vals: np.ndarray, vecs: np.ndarray):
 def eigendecompose(gram: np.ndarray) -> GramEigen:
     """Dense symmetric eigendecomposition with descending eigenvalues.
 
-    The m-by-m Gram goes through `_tridiagonal_eigh`, and its eigenvectors
-    are held as Q times the sorted tridiagonal eigenbasis. Tiny negative
-    eigenvalues are clamped to zero; anything below -1e-10 times the top
-    eigenvalue triggers a warning first.
+    The m-by-m Gram is symmetrized, 0.5 (G + G^T), and goes through
+    `_tridiagonal_eigh`; its eigenvectors are held as Q times the sorted
+    tridiagonal eigenbasis. Tiny negative eigenvalues are clamped to zero;
+    anything below -1e-10 times the top eigenvalue triggers a warning first.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
@@ -270,7 +276,7 @@ def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
     n_feat = int(model.eigenvalues.shape[0])
     m = xs.shape[0]
     if m <= n_feat:
-        return eigendecompose(assemble_gram(model, xs))
+        return eigendecompose(assemble_gram(model, xs, basis))
     feats = model.basis_at(xs, basis)
     vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(xs, feats))
     vals, vecs, clamped = _descending(vals, vecs)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import (
     AmplitudeError,
@@ -389,4 +388,4 @@ def bayes_error(gamma, sigma: float) -> float:
         raise ParameterError(f"sigma must be >= 0, got {sigma!r}")
     if sigma == 0:
         return 0.0 if norm > 0 else 0.5
-    return float(erfc(norm / (sigma * math.sqrt(2.0))) / 2.0)
+    return math.erfc(norm / (sigma * math.sqrt(2.0))) / 2.0

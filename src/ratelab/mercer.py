@@ -12,7 +12,8 @@ RKHS norm ||c|| and L2 norm ||sqrt(t) c||, both exact.
 
 Targets live in a smoothness class: coefficients phi(t_n) * g_n with
 ||g|| <= R for an index function phi. Noise models certify explicit
-Bernstein moment constants before any tail bound may use them.
+Bernstein moment constants before any tail bound may use them; the
+Gaussian moment is a series of chi moments, so no quadrature is needed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import hankel, toeplitz
-from scipy.special import xlogy
 
 from .errors import (
     AmplitudeError,
@@ -183,8 +182,9 @@ class MercerModel:
         emp *= np.outer(root_t, root_t)
         return emp
 
-    def scalar_kernel(self, xs, zs) -> np.ndarray:
-        bx = self.basis(xs)
+    def scalar_kernel(self, xs, zs, basis=None) -> np.ndarray:
+        """k(x_i, z_j); a precomputed ``basis`` at ``xs`` is reused if it fits."""
+        bx = self.basis_at(xs, basis)
         bz = bx if zs is xs else self.basis(zs)
         return (bx * self.eigenvalues[None, :]) @ bz.T
 
@@ -494,7 +494,7 @@ class NoiseSpec:
     def certify(self, model: MercerModel, target: TargetFunction | None = None) -> NoiseCertificate:
         """Verify the exponential moment condition for this noise model.
 
-        Gaussian noise is checked by radial quadrature; the two-point
+        Gaussian noise is checked by a series of chi moments; the two-point
         measure by exact finite sums over its atoms, maximized over
         representative (or supplied) target values.
         """
@@ -571,52 +571,42 @@ def noise_from_dict(spec: dict) -> NoiseSpec:
 
 
 def _gaussian_moment(sigma: float, scale: float, d: int) -> float:
-    """Radial evaluation of the centered exponential moment for N(0, sigma^2 I_d).
+    """The centered exponential moment for N(0, sigma^2 I_d), as a series.
 
-    The norm of the noise has the chi density
-    2 t^(d-1) exp(-t^2 / 2 sigma^2) / (Gamma(d/2) (2 sigma^2)^(d/2)). Its
-    logarithm and the growth t / scale are summed into one exponent, so
-    the integrand stays finite wherever quad samples it, however small
-    sigma or large d is. The density peaks sharply at its mode
-    sigma sqrt(d - 1) when d is large, and quad over [0, inf) in one
-    piece can step over the peak, so the range is split there.
+    The noise norm is sigma times a chi(d) variable, whose k-th moment is
+    2^(k/2) Gamma((d + k)/2) / Gamma(d/2), so expanding e^u - u - 1 gives
+    E[e^(|e|/M) - |e|/M - 1] = sum_{k>=2} (sigma sqrt(2) / M)^k
+    Gamma((d + k)/2) / (Gamma(d/2) k!). Terms are taken in log space, so
+    none overflows however small sigma or large d is.
     """
-    log_norm = math.log(2.0) - math.lgamma(d / 2.0) - (d / 2.0) * math.log(2.0 * sigma**2)
-
-    def integrand(t):
-        u = t / scale
-        log_density = log_norm + xlogy(d - 1, t) - (t * t) / (2.0 * sigma**2)
-        return math.exp(u + log_density) - (u + 1.0) * math.exp(log_density)
-
-    return _split_at(integrand, sigma * math.sqrt(d - 1))
+    log_ratio, base = math.log(sigma * math.sqrt(2.0) / scale), math.lgamma(d / 2.0)
+    return _positive_series(
+        lambda k: k * log_ratio + math.lgamma((d + k) / 2.0) - base - math.lgamma(k + 1.0), 2
+    )
 
 
 def _gaussian_variance_cap(scale: float, sd: float, d: int) -> float:
     """Conservative closed-form ceiling on the noise variance for (M, Sigma).
 
     The ceiling is Gamma(d/2) Sigma^2 / (8 I) with
-    I = int_0^inf exp(-t^2 + t) t^(d+1) dt, both taken in log space: I is
-    scaled by its integrand's peak value, at the root of
-    2 t^2 - t - (d + 1) = 0.
+    I = int_0^inf exp(-t^2 + t) t^(d+1) dt = sum_{k>=0} Gamma((d + k + 2)/2) / (2 k!)
+    (expand e^t), taken in log space with the terms scaled by Gamma((d + 2)/2).
     """
-    peak = (1.0 + math.sqrt(8.0 * d + 9.0)) / 4.0
-
-    def log_integrand(t):
-        return -t * t + t + xlogy(d + 1, t)
-
-    top = log_integrand(peak)
-    scaled = _split_at(lambda t: math.exp(log_integrand(t) - top), peak)
-    log_ceiling = (
-        math.lgamma(d / 2.0) + 2.0 * math.log(sd) - math.log(8.0) - top - math.log(scaled)
-    )
+    half = d / 2.0 + 1.0
+    top = math.lgamma(half)
+    scaled = _positive_series(lambda k: math.lgamma(half + k / 2.0) - top - math.lgamma(k + 1), 0)
+    log_ceiling = math.lgamma(d / 2.0) + 2.0 * math.log(sd / 2.0) - top - math.log(scaled)
     return min(scale**2 / 2.0, math.exp(log_ceiling))
 
 
-def _split_at(integrand, point: float) -> float:
-    """quad over [0, point] plus [point, inf)."""
-    head, _ = quad(integrand, 0.0, point, limit=200)
-    tail, _ = quad(integrand, point, np.inf, limit=200)
-    return head + tail
+def _positive_series(log_term, start: int) -> float:
+    """fsum of exp(log_term(k)) over k >= start, for terms that rise, then fall
+    with a shrinking ratio: it stops at a falling term below 2^-60 of the sum."""
+    terms, k = [math.exp(log_term(start))], start
+    while terms[-1] > 2.0**-60 * sum(terms) or (len(terms) > 1 and terms[-1] > terms[-2]):
+        k += 1
+        terms.append(math.exp(log_term(k)))
+    return math.fsum(terms)
 
 
 def two_point_weights(f_vals: np.ndarray, level: float, d: int):

@@ -60,6 +60,13 @@ class TestAssembleGram:
         gram = assemble_gram(GaussianRBF(lengthscale=2.0), np.array([1.5]))
         np.testing.assert_allclose(gram, [[1.0]])
 
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_mercer_gram_from_a_carried_basis_is_identical(self, m):
+        model = build_model(b=2.0, n_trunc=8)
+        xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
+        basis = model.basis(xs)
+        assert np.array_equal(assemble_gram(model, xs, basis), assemble_gram(model, xs))
+
     def test_bad_lengthscale(self):
         with pytest.raises(ParameterError):
             GaussianRBF(lengthscale=0.0)
@@ -87,6 +94,21 @@ class TestEigendecompose:
             eig = eigendecompose(gram)
         assert eig.eigenvalues.min() == 0.0
         assert eig.clamped == pytest.approx(1e-8)
+
+    def test_asymmetric_argument_is_symmetrized(self):
+        """The result is that of 0.5 (G + G^T), bit for bit, not of G's lower triangle."""
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((7, 7))
+        gram = raw @ raw.T / 7.0 + 1e-3 * rng.standard_normal((7, 7))
+        symmetric = 0.5 * (gram + gram.T)
+        eig, want = eigendecompose(gram), eigendecompose(symmetric)
+        for field in ("eigenvalues", "mix", "reflectors", "tau"):
+            assert np.array_equal(getattr(eig, field), getattr(want, field))
+        np.testing.assert_allclose(
+            eig.eigenvalues, np.linalg.eigvalsh(symmetric)[::-1], rtol=0, atol=1e-13
+        )
+        lower = np.tril(gram) + np.tril(gram, -1).T
+        assert not np.allclose(eig.eigenvalues, np.linalg.eigvalsh(lower)[::-1], rtol=0, atol=1e-6)
 
     def test_rejects_non_square(self):
         with pytest.raises(DataError):
@@ -153,6 +175,19 @@ class TestFactoredEigen:
         np.testing.assert_allclose(
             eig.vectors.T @ eig.vectors, np.eye(eig.rank), atol=1e-10
         )
+
+    @pytest.mark.parametrize("m, deviation", [(513, 1.0e-6), (1024, 6.9e-12)])
+    def test_orthonormality_loss_near_the_switch(self, m, deviation):
+        """V = Phi W S^-1/2 amplifies rounding by up to sqrt(w_max / w_min). Just
+        above m = N the smallest kept eigenvalue is tiny and V^T V strays far from
+        I; the pinned deviations, within a factor 10, are those measured at N = 512."""
+        model = build_model(b=2.0, n_trunc=512)
+        xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
+        eig = mercer_gram_eigen(model, xs)
+        assert not eig.complete
+        vectors = eig.vectors
+        measured = np.abs(vectors.T @ vectors - np.eye(eig.rank)).max()
+        assert deviation / 10 < measured < deviation * 10
 
 
 class TestProductForm:

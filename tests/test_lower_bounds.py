@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from ratelab.errors import (
     AmplitudeError,
@@ -283,6 +284,13 @@ class TestBayesError:
         assert bayes_error(np.array([3.0, 4.0]), 5.0) == pytest.approx(
             0.15865525393145707, rel=1e-12
         )
+
+    @pytest.mark.parametrize("gamma", [[1e-3], [0.3, 0.4], [2.0], [3.0, 4.0], [30.0]])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 5.0])
+    def test_matches_scipy_erfc(self, gamma, sigma):
+        norm = float(np.linalg.norm(gamma))
+        oracle = erfc(norm / (sigma * math.sqrt(2.0))) / 2.0
+        assert bayes_error(np.array(gamma), sigma) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     def test_noiseless_edge_cases(self):
         assert bayes_error(np.array([1.0]), 0.0) == 0.0

@@ -374,6 +374,69 @@ class TestGaussianNoise:
         )
 
 
+SERIES_DIMS = [1, 2, 3, 5, 50, 200, 400]
+SERIES_SIGMAS = [0.05, 0.5, 2.0]
+
+
+def _split_quad(integrand, point):
+    """quad over [0, point] plus [point, inf), to near full precision."""
+    tol = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    return quad(integrand, 0.0, point, **tol)[0] + quad(integrand, point, np.inf, **tol)[0]
+
+
+def _moment_by_quadrature(sigma, scale, d):
+    """E[exp(|e|/M) - |e|/M - 1] against the chi density of |e|, in log space,
+    split at the density's mode."""
+    log_norm = math.log(2.0) - math.lgamma(d / 2.0) - (d / 2.0) * math.log(2.0 * sigma**2)
+
+    def integrand(t):
+        if t == 0.0:
+            return 0.0
+        u = t / scale
+        log_density = log_norm + (d - 1) * math.log(t) - t * t / (2.0 * sigma**2)
+        return math.exp(u + log_density) - (u + 1.0) * math.exp(log_density)
+
+    return _split_quad(integrand, sigma * math.sqrt(d - 1))
+
+
+def _variance_cap_by_quadrature(scale, sd, d):
+    """min(M^2 / 2, Gamma(d/2) Sigma^2 / (8 I)) with
+    I = int_0^inf exp(-t^2 + t) t^(d+1) dt, scaled by its peak."""
+    peak = (1.0 + math.sqrt(8.0 * d + 9.0)) / 4.0
+
+    def log_integrand(t):
+        return -t * t + t + (d + 1) * math.log(t)
+
+    top = log_integrand(peak)
+    scaled = _split_quad(lambda t: math.exp(log_integrand(t) - top) if t > 0 else 0.0, peak)
+    log_cap = math.lgamma(d / 2.0) + 2.0 * math.log(sd) - math.log(8.0) - top - math.log(scaled)
+    return min(scale**2 / 2.0, math.exp(log_cap))
+
+
+class TestGaussianSeries:
+    """The certificate's chi-moment series against quadrature of the same integrals."""
+
+    @pytest.mark.parametrize("sigma", SERIES_SIGMAS)
+    @pytest.mark.parametrize("d", SERIES_DIMS)
+    def test_moment_matches_quadrature_and_chi_expectation(self, d, sigma):
+        cert = NoiseSpec(kind="gaussian", sigma=sigma).certify(build_model(b=2.0, d=d, n_trunc=8))
+        ratio = sigma / cert.bernstein_scale
+        chi = stats.chi(d).expect(
+            lambda r: math.expm1(r * ratio) - r * ratio, epsabs=0.0, epsrel=1e-13
+        )
+        assert cert.moment_value == pytest.approx(chi, rel=1e-12, abs=0)
+        radial = _moment_by_quadrature(sigma, cert.bernstein_scale, d)
+        assert cert.moment_value == pytest.approx(radial, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sigma", SERIES_SIGMAS)
+    @pytest.mark.parametrize("d", SERIES_DIMS)
+    def test_variance_cap_matches_quadrature(self, d, sigma):
+        cert = NoiseSpec(kind="gaussian", sigma=sigma).certify(build_model(b=2.0, d=d, n_trunc=8))
+        oracle = _variance_cap_by_quadrature(cert.bernstein_scale, cert.bernstein_sd, d)
+        assert oracle < cert.bernstein_scale**2 / 2.0  # the series, not the clip, is tested
+        assert cert.variance_cap == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
 class TestTwoPointNoise:
     def test_moment_constants(self):
         spec = NoiseSpec(kind="two_point", amplitude=4.0)
