@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ParameterError
+from .gram import spectral_norm
 from .mercer import MercerModel, NoiseCertificate, NoiseSpec, TargetFunction, sample_dataset
 from .rates import effective_dimension
 
@@ -59,16 +60,16 @@ def operator_deviation(model: MercerModel, xs, basis=None) -> dict:
     The empirical operator in the orthonormal coefficient basis is
     `MercerModel.empirical_operator`, diag(sqrt t) (B^T B / m) diag(sqrt t)
     with B = basis(xs), built from Fourier moments and exact for the
-    truncated kernel. Also reports the eigenvalue mass the truncation
-    dropped, which this statistic cannot see. A precomputed ``basis`` at
-    ``xs`` is reused.
+    truncated kernel. The norm comes from the two ends of the spectrum
+    (`gram.spectral_norm`), not from every eigenvalue. Also reports the
+    eigenvalue mass the truncation dropped, which this statistic cannot
+    see. A precomputed ``basis`` at ``xs`` is reused.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     emp = model.empirical_operator(xs, basis)
     emp[np.diag_indices_from(emp)] -= model.eigenvalues
-    eigs = np.linalg.eigvalsh(emp)
     return {
-        "value": float(np.max(np.abs(eigs))),
+        "value": spectral_norm(emp),
         "truncation_tail": model.trace_tail_bound(),
     }
 

@@ -183,29 +183,64 @@ class GramEigen:
         return np.concatenate((x[:1], tail))
 
 
-def _tridiagonal_eigh(a: np.ndarray):
-    """Ascending eigenvalues w, Z, reflectors and tau with a = Q Z diag(w) Z^T Q^T.
+def _tridiagonalize(a: np.ndarray):
+    """LAPACK dsytrd on the lower triangle of the symmetric ``a``.
 
-    LAPACK dsytrd reduces the lower triangle of the symmetric ``a`` to
-    tridiagonal T = Q^T a Q with its optimal blocked workspace, and dstevd
-    solves T = Z diag(w) Z^T by divide and conquer. Q is left as the
-    reflectors dsytrd stores below the subdiagonal, the (n - 1)-square
-    block a[1:, :-1], copied once to Fortran order so that dormqr reads it
-    in place. This skips the O(n^3) back-transformation Q Z that a full
-    eigensolver performs. At n = 1 there are no reflectors, and dstevd
-    still takes an off-diagonal of length one.
+    Returns the packed result (reflectors below the subdiagonal), the
+    diagonal and off-diagonal of T = Q^T a Q, and the reflectors' tau,
+    using dsytrd's optimal blocked workspace. At n = 1 the off-diagonal
+    is one zero, since dstevd wants a length of at least one.
     """
     n = a.shape[0]
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
     packed, diag, off, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork))
-    if info == 0:
-        vals, z, info = lapack.dstevd(diag, off if n > 1 else np.zeros(1))
     if info != 0:
-        scale = float(np.max(np.abs(a)))
-        raise NumericalError(
-            f"eigensolver failed on a {n}x{n} matrix (max abs entry {scale:g}): LAPACK info {info}"
-        )
+        raise _eigensolver_error(a, info)
+    return packed, diag, off if n > 1 else np.zeros(1), tau
+
+
+def _tridiagonal_eigh(a: np.ndarray):
+    """Ascending eigenvalues w, Z, reflectors and tau with a = Q Z diag(w) Z^T Q^T.
+
+    `_tridiagonalize` reduces ``a`` to tridiagonal T = Q^T a Q, and dstevd
+    solves T = Z diag(w) Z^T by divide and conquer. Q is left as the
+    reflectors dsytrd stores below the subdiagonal, the (n - 1)-square
+    block a[1:, :-1], copied once to Fortran order so that dormqr reads it
+    in place. This skips the O(n^3) back-transformation Q Z that a full
+    eigensolver performs.
+    """
+    packed, diag, off, tau = _tridiagonalize(a)
+    vals, z, info = lapack.dstevd(diag, off)
+    if info != 0:
+        raise _eigensolver_error(a, info)
     return vals, z, np.asfortranarray(packed[1:, :-1]), tau
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """max |eigenvalue| of the symmetric ``a``, from the ends of its spectrum.
+
+    Reduces ``a`` to tridiagonal form and bisects (LAPACK dstebz) for its
+    smallest and its largest eigenvalue only, O(n) per bisection step
+    after the O(n^3) reduction, where a symmetric eigenvalue solver
+    would compute the whole spectrum.
+    """
+    _, diag, off, _ = _tridiagonalize(a)
+    n = diag.shape[0]
+    ends = []
+    for index in (1, n):
+        _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
+        if info != 0:
+            raise _eigensolver_error(a, info)
+        ends.append(abs(vals[0]))
+    return float(max(ends))
+
+
+def _eigensolver_error(a: np.ndarray, info: int) -> NumericalError:
+    scale = float(np.max(np.abs(a)))
+    return NumericalError(
+        f"eigensolver failed on a {a.shape[0]}x{a.shape[0]} matrix "
+        f"(max abs entry {scale:g}): LAPACK info {info}"
+    )
 
 
 def _descending(vals: np.ndarray, vecs: np.ndarray):

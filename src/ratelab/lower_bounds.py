@@ -12,7 +12,9 @@ stress-tested against an actual estimator.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +46,12 @@ SEPARATION_SLACK = 1e-9
 PAIR_BLOCK = 1024  # family members per block in the pairwise separation check
 KL_GRID_POINTS = 512  # input grid of the divergence average
 PERIOD = 2.0 * math.pi
+KL_GRID = np.linspace(0.0, PERIOD, KL_GRID_POINTS, endpoint=False)
+KL_GRID.flags.writeable = False
+
+# Basis on KL_GRID, read-only, one per live model: an entry dies with its
+# model, so each new model pays for one evaluation and no more.
+_GRID_BASES = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +116,8 @@ def separation_for_code_length(
     """
     if ell % 4 != 0 or ell < 4:
         raise ParameterError(f"code length must be a positive multiple of 4, got {ell}")
+    if not radius > 0:
+        raise ParameterError(f"radius must be positive, got {radius!r}")
     alpha, b = model.decay_alpha, model.decay_b
     if rkhs_variant:
         t = alpha * (1.25 * ell) ** -b
@@ -236,6 +246,18 @@ class TwoPointMeasure:
         if self.amplitude <= 0:
             raise AmplitudeError(f"amplitude must be positive, got {self.amplitude!r}")
 
+    @cached_property
+    def grid_weights(self) -> np.ndarray:
+        """Atom weights (KL_GRID_POINTS, 2d) at every point of KL_GRID.
+
+        Computed on first use from the model's shared grid basis and kept
+        on the instance, which is frozen, so the cache cannot go stale.
+        """
+        f_vals = self.target.evaluate(KL_GRID, basis=_grid_basis(self.model))
+        weights = two_point_weights(f_vals, self.amplitude, self.model.output_dim)[1]
+        weights.flags.writeable = False
+        return weights
+
     def conditional(self, x: float):
         """Atoms (2d, d) and their weights at one input point."""
         f_val = self.target.evaluate(np.atleast_1d(x))[0]
@@ -252,6 +274,16 @@ class TwoPointMeasure:
         return sample_two_point(f_vals, self.amplitude, self.model.output_dim, rng)
 
 
+def _grid_basis(model: MercerModel) -> np.ndarray:
+    """The basis at KL_GRID, evaluated once per model and stored read-only."""
+    basis = _GRID_BASES.get(model)
+    if basis is None:
+        basis = model.basis(KL_GRID)
+        basis.flags.writeable = False
+        _GRID_BASES[model] = basis
+    return basis
+
+
 @dataclass(frozen=True)
 class KLComparison:
     value: float
@@ -266,8 +298,10 @@ def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparis
     """Average conditional divergence of two measures sharing an amplitude.
 
     Computed exactly per grid point from the atom weights and averaged
-    over the uniform input measure on KL_GRID_POINTS equispaced points.
-    The closed-form ceiling 16 / (15 d L^2) times the squared L2 gap of
+    over the uniform input measure on KL_GRID_POINTS equispaced points;
+    each measure's weights are computed once (`TwoPointMeasure.grid_weights`),
+    so comparing K measures pairwise costs K grid evaluations. The
+    closed-form ceiling 16 / (15 d L^2) times the squared L2 gap of
     the means must hold; a violation raises since the inequality is
     analytic.
     """
@@ -275,10 +309,7 @@ def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparis
         raise ParameterError("measures must share their model and amplitude")
     level = first.amplitude
     d = first.model.output_dim
-    grid = np.linspace(0.0, PERIOD, KL_GRID_POINTS, endpoint=False)
-    basis = first.model.basis(grid)
-    _, w1 = two_point_weights(first.target.evaluate(grid, basis=basis), level, d)
-    _, w2 = two_point_weights(second.target.evaluate(grid, basis=basis), level, d)
+    w1, w2 = first.grid_weights, second.grid_weights
     value = float(np.mean(np.sum(w1 * np.log(w1 / w2), axis=1)))
 
     gap = first.target.coefficients - second.target.coefficients
@@ -306,8 +337,14 @@ def fano_bound(ell: int, m: int, epsilon: float, d: int, amplitude: float) -> di
     """
     if ell < MIN_CODE_LENGTH or ell % 4 != 0:
         raise ParameterError(f"need ell >= {MIN_CODE_LENGTH} divisible by 4, got {ell}")
-    if m < 1 or epsilon <= 0 or d < 1 or amplitude <= 0:
-        raise ParameterError(f"bad arguments {(m, epsilon, d, amplitude)!r}")
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m!r}")
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d!r}")
+    if not epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
+    if not amplitude > 0:
+        raise ParameterError(f"amplitude must be positive, got {amplitude!r}")
     plateau = 1.0 / (1.0 + math.exp(-ell / 24.0))
     info = ell / 48.0 - 64.0 * m * epsilon**2 / (15.0 * d * amplitude**2)
     exponential = FANO_CONSTANT * math.exp(info)

@@ -112,6 +112,13 @@ class TestLowerBound:
         assert main(["lower-bound", *argv]) == 0
         assert json.loads(capsys.readouterr().out)["ell"] == ell
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--radius", "-1"), ("--radius", "0"), ("--radius", "nan"), ("--m", "0")]
+    )
+    def test_bad_value_names_its_flag(self, flag, value, capsys):
+        assert main(["lower-bound", "--b", "2", flag, value]) == 2
+        assert f"error: {flag[2:]} must be" in capsys.readouterr().err
+
     def test_builds_packing_and_family_once(self, monkeypatch, capsys):
         from ratelab import cli, lower_bounds
 

@@ -64,6 +64,17 @@ class TestOperatorDeviation:
         out = operator_deviation(model, xs)
         assert out["value"] < 1e-13
 
+    @pytest.mark.parametrize("m", [1, 3, 1024])
+    @pytest.mark.parametrize("n_trunc", [8, 16, 128])
+    def test_matches_the_full_spectrum(self, n_trunc, m):
+        """The two ends of the spectrum give max |eigenvalue| of the full eigvalsh."""
+        model, _ = _setup(n_trunc=n_trunc)
+        xs = np.random.default_rng(m).uniform(0.0, 2 * np.pi, size=m)
+        emp = model.empirical_operator(xs)
+        emp[np.diag_indices_from(emp)] -= model.eigenvalues
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh(emp))))
+        assert operator_deviation(model, xs)["value"] == pytest.approx(oracle, rel=1e-13)
+
     def test_reports_truncation_tail(self):
         model, _ = _setup(n_trunc=8)
         out = operator_deviation(model, np.linspace(0.0, 2 * np.pi, 64, endpoint=False))

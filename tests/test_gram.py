@@ -14,6 +14,7 @@ from ratelab.gram import (
     eigendecompose,
     mercer_gram_eigen,
     reconstruction_error,
+    spectral_norm,
 )
 from ratelab.mercer import build_model
 
@@ -109,6 +110,22 @@ class TestEigendecompose:
         )
         lower = np.tril(gram) + np.tril(gram, -1).T
         assert not np.allclose(eig.eigenvalues, np.linalg.eigvalsh(lower)[::-1], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_spectral_norm_takes_the_larger_end(self, sign):
+        """Whichever end of the spectrum is larger in magnitude sets the norm."""
+        rng = np.random.default_rng(5)
+        rotation, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        matrix = sign * (rotation * np.array([-3.0, 0.5, 1.0, 2.0])) @ rotation.T
+        assert spectral_norm(matrix) == pytest.approx(3.0, rel=1e-14)
+        assert spectral_norm(np.zeros((1, 1))) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
+    def test_spectral_norm_matches_the_full_spectrum(self, n):
+        raw = np.random.default_rng(n).standard_normal((n, n))
+        matrix = raw + raw.T
+        oracle = float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
+        assert spectral_norm(matrix) == pytest.approx(oracle, rel=1e-13)
 
     def test_rejects_non_square(self):
         with pytest.raises(DataError):

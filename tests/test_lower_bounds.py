@@ -87,6 +87,12 @@ class TestSeparations:
             with pytest.raises(ConstructionError):
                 adversarial_family(model, phi, 1.0, feasible * (1 + 1e-9), packing, rkhs_variant)
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
+    def test_nonpositive_radius_rejected(self, radius):
+        model, phi = _lab()
+        with pytest.raises(ParameterError, match="radius"):
+            separation_for_code_length(model, phi, radius, 48)
+
     def test_norm_variant_value(self):
         model, phi = _lab()
         eps = separation_for_code_length(model, phi, 1.0, 48, rkhs_variant=True)
@@ -277,6 +283,16 @@ class TestFanoBound:
     def test_code_length_validation(self):
         with pytest.raises(ParameterError):
             fano_bound(20, m=1, epsilon=0.01, d=1, amplitude=1.0)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("m", 0), ("d", 0), ("epsilon", 0.0), ("epsilon", math.nan), ("amplitude", 0.0),
+         ("amplitude", math.nan)],
+    )
+    def test_rejection_names_the_argument(self, name, bad):
+        args = {"m": 1, "epsilon": 0.01, "d": 1, "amplitude": 1.0, name: bad}
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            fano_bound(48, **args)
 
 
 class TestBayesError:
