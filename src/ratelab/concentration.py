@@ -29,14 +29,18 @@ def sample_error_stat(
     """Whitened norm of the empirical residual moment.
 
     Expands (1/m) sum_i k(., x_i) (y_i - f(x_i)) in the basis, divides
-    each mode by sqrt(t_n + lam), and returns the Frobenius norm.
+    each mode by sqrt(t_n + lam), and returns the Frobenius norm. Before
+    the whitening the expansion is diag(sqrt t) (B^T y / m - M s), with
+    M = B^T B / m and f = B s, so it comes from the sample's moments
+    (`MercerModel.moments_of`): M s by `MercerModel.moment_product`, with
+    no basis evaluation and no N-by-N matrix.
     """
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
-    feats = model.basis_at(dataset.xs, dataset.basis)
-    resid = dataset.ys - target.evaluate(dataset.xs, basis=feats)
-    raw = feats.T @ resid / dataset.m
+    moments = model.moments_of(dataset)
     t = model.eigenvalues
+    signal = np.sqrt(t)[:, None] * target.coefficients
+    raw = moments.response - model.moment_product(moments, signal)
     scaled = (np.sqrt(t) / np.sqrt(t + lam))[:, None] * raw
     return float(np.sqrt(np.sum(scaled * scaled)))
 
@@ -54,19 +58,19 @@ def sample_error_bound(
     ) * math.log(4.0 / eta)
 
 
-def operator_deviation(model: MercerModel, xs, basis=None) -> dict:
+def operator_deviation(model: MercerModel, xs, basis=None, moments=None) -> dict:
     """Spectral norm of (empirical feature second moment) - diag(t).
 
     The empirical operator in the orthonormal coefficient basis is
     `MercerModel.empirical_operator`, diag(sqrt t) (B^T B / m) diag(sqrt t)
-    with B = basis(xs), built from Fourier moments and exact for the
+    with B = basis(xs), assembled from Fourier moments and exact for the
     truncated kernel. The norm comes from the two ends of the spectrum
     (`gram.spectral_norm`), not from every eigenvalue. Also reports the
     eigenvalue mass the truncation dropped, which this statistic cannot
-    see. A precomputed ``basis`` at ``xs`` is reused.
+    see. The sample's carried ``moments`` are used when they are this
+    model's; otherwise they come from ``xs``, reusing a fitting ``basis``.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    emp = model.empirical_operator(xs, basis)
+    emp = model.empirical_operator(xs, basis, moments)
     emp[np.diag_indices_from(emp)] -= model.eigenvalues
     return {
         "value": spectral_norm(emp),
@@ -152,7 +156,7 @@ def tail_test(
         if kind == "sample_error":
             stat = sample_error_stat(model, data, target, lam)
         else:
-            stat = operator_deviation(model, data.xs, data.basis)["value"]
+            stat = operator_deviation(model, data.xs, moments=data.moments)["value"]
         rows.append(TailRow(replicate=i, statistic=stat, bound=bound))
 
     return TailReport(kind=kind, m=m, lam=lam, eta=eta, bound=bound, rows=tuple(rows))

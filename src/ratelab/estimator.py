@@ -8,21 +8,34 @@ c_i read off the eigendecomposition of the scaled Gram matrix (1/m) K:
 
 where w are the retained eigenvalues and V their orthonormal eigenvectors.
 The g_lam(0) term carries the Gram null space (and any eigenpairs a
-factored decomposition omitted, which are all null); dropping it breaks
-exact agreement with direct solvers whenever the filter has
-g_lam(0) != 0, e.g. any Tikhonov variant. `fit` evaluates the second
-line through `GramEigen.project` and `GramEigen.combine`, which apply V
-as its stored product, one factor at a time: the orthogonal factor of a
-tridiagonal reduction, kept as Householder reflectors, times the sorted
-eigenbasis of the tridiagonal matrix, and on the factored path also the
-(m, N) basis matrix the Dataset carries and a diagonal scaling. Neither
-the (m, k) matrix V, the reflectors' product nor a scaled copy of the
-basis is formed.
+decomposition omitted, which are all null); dropping it breaks exact
+agreement with direct solvers whenever the filter has g_lam(0) != 0,
+e.g. any Tikhonov variant. Below N samples, and for kernels that are
+not a MercerModel, `fit` evaluates the second line on the dense
+eigensystem through `GramEigen.project` and `GramEigen.combine`, which
+apply V as the reflectors of a tridiagonal reduction times the sorted
+eigenbasis of the tridiagonal matrix, never formed.
+
+From m = N on, a MercerModel fit stays in the feature domain. With
+Phi = B diag(sqrt t) / sqrt(m) for the (m, N) basis matrix B and the
+empirical operator Phi^T Phi = W S W^T, the Gram eigenvectors are
+V = Phi W S^-1/2, so the expansion a = diag(sqrt t) B^T c of the fit
+against sqrt(t_n) e_n is
+
+    a = W (g_lam(w) - g_lam(0)) W^T u + g_lam(0) u,   u = diag(sqrt t) B^T y / m,
+
+O(N^2 d) from the sample's moments (`gram.SampleMoments`), with no
+m-sized array. The coefficient rows themselves,
+
+    c = (1/m) B diag(sqrt t) W ((g_lam(w) - g_lam(0)) / w) W^T u + (g_lam(0)/m) y,
+
+are derived only when read, in one chunked pass over the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,26 +49,43 @@ MONTE_CARLO_POINTS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class FittedEstimator:
-    """A fitted regressor: training data, kernel, filter, and coefficients."""
+    """A fitted regressor: training data, kernel, filter and representation.
+
+    A dense fit holds its coefficient rows c (m, d) in ``dual``. A fit in
+    the feature domain (``gram.complete`` False) holds the expansion
+    a (N, d) against sqrt(t_n) e_n in ``expansion`` instead, and
+    ``coefficients`` derives c from it when first read.
+    """
 
     dataset: Dataset
     kernel: object
     filter: SpectralFilter
     lam: float
-    coefficients: np.ndarray  # (m, d)
     gram: GramEigen | None = None
+    dual: np.ndarray | None = None
+    expansion: np.ndarray | None = None
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The coefficient rows c, shape (m, d)."""
+        if self.dual is not None:
+            return self.dual
+        model, eig, data = self.kernel, self.gram, self.dataset
+        g_null = self.filter.values(0.0, self.lam)
+        gain = np.atleast_1d(self.filter.values(eig.eigenvalues, self.lam)) - g_null
+        root_t = np.sqrt(model.eigenvalues)[:, None]
+        u = root_t * model.moments_of(data).response
+        weights = root_t * eig.combine((gain / eig.eigenvalues)[:, None] * eig.project(u)) / data.m
+        coeff = (g_null / data.m) * data.ys
+        for rows, feats in model.basis_chunks(data.xs, data.basis):
+            coeff[rows] += feats @ weights
+        return coeff
 
     def predict(self, xs) -> np.ndarray:
+        if self.expansion is not None:
+            return self.kernel.expand(self.expansion, xs)
         cross = self.kernel.scalar_kernel(np.atleast_1d(xs), self.dataset.xs)
         return cross @ self.coefficients
-
-
-def _gram_eigen_for(dataset: Dataset, kernel) -> GramEigen:
-    if not isinstance(kernel, MercerModel):
-        return eigendecompose(assemble_gram(kernel, dataset.xs))
-    if dataset.m > kernel.n_trunc:
-        return mercer_gram_eigen(kernel, dataset.xs, dataset.basis)
-    return eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis))
 
 
 def fit(
@@ -68,25 +98,41 @@ def fit(
     """Fit by applying the spectral filter to the scaled Gram spectrum.
 
     ``kernel`` is anything with scalar_kernel(xs, zs); for a MercerModel
-    with m > N the decomposition runs through the exact factored path.
-    A precomputed ``gram`` eigendecomposition is reused as is.
+    with m >= N the fit runs in the feature domain, from the moments the
+    Dataset carries (or moments computed from its samples). A
+    precomputed ``gram`` eigendecomposition is reused as is.
     """
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
-    eig = _gram_eigen_for(dataset, kernel) if gram is None else gram
-    ys = dataset.ys
-    m = dataset.m
+    moments = None
+    if gram is not None:
+        eig = gram
+    elif not isinstance(kernel, MercerModel):
+        eig = eigendecompose(assemble_gram(kernel, dataset.xs))
+    elif dataset.m < kernel.n_trunc:
+        eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis))
+    else:
+        moments = kernel.moments_of(dataset)
+        eig = mercer_gram_eigen(kernel, dataset.xs, moments=moments)
     g_vals = np.atleast_1d(filt.values(eig.eigenvalues, lam))
     g_null = filt.values(0.0, lam)
-    coeff = eig.combine((g_vals - g_null)[:, None] * eig.project(ys)) / m
-    coeff += (g_null / m) * ys
+    dual = expansion = None
+    if eig.complete:
+        ys, m = dataset.ys, dataset.m
+        dual = eig.combine((g_vals - g_null)[:, None] * eig.project(ys)) / m
+        dual += (g_null / m) * ys
+    else:
+        moments = kernel.moments_of(dataset) if moments is None else moments
+        u = np.sqrt(kernel.eigenvalues)[:, None] * moments.response
+        expansion = eig.combine((g_vals - g_null)[:, None] * eig.project(u)) + g_null * u
     return FittedEstimator(
         dataset=dataset,
         kernel=kernel,
         filter=filt,
         lam=lam,
-        coefficients=coeff,
         gram=eig,
+        dual=dual,
+        expansion=expansion,
     )
 
 
@@ -105,8 +151,7 @@ def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator
         kernel=kernel,
         filter=tikhonov(),
         lam=lam,
-        coefficients=coeff,
-        gram=None,
+        dual=coeff,
     )
 
 
@@ -115,11 +160,16 @@ def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.nd
 
     f = sum_i k(., x_i) c_i = sum_n sqrt(t_n) (B^T c)_n * (sqrt(t_n) e_n),
     so the (N, d) coefficient array is diag(sqrt(t)) B^T c with B the basis
-    matrix on the training inputs. Exact because the kernel is truncated.
+    matrix on the training inputs, summed over row chunks of B. A fit in
+    the feature domain under ``model`` holds that array already. Exact
+    because the kernel is truncated.
     """
-    data = fit_result.dataset
-    feats = model.basis_at(data.xs, data.basis)
-    raw = feats.T @ fit_result.coefficients
+    if fit_result.expansion is not None and fit_result.kernel is model:
+        return fit_result.expansion
+    data, coeff = fit_result.dataset, fit_result.coefficients
+    raw = np.zeros((model.n_trunc, coeff.shape[1]))
+    for rows, feats in model.basis_chunks(data.xs, data.basis):
+        raw += feats.T @ coeff[rows]
     return np.sqrt(model.eigenvalues)[:, None] * raw
 
 

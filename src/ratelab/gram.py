@@ -2,16 +2,17 @@
 
 The Gram matrix is always stored with the 1/m scaling, so its eigenvalues
 estimate the integral-operator spectrum directly. Decompositions are exact:
-either a dense symmetric eigensolve, or, for finite-rank feature kernels,
-an equivalent factored solve in the feature domain that yields the same
-nonzero spectrum without forming the m-by-m matrix. The factored solve
-decomposes the model's N-by-N empirical operator, built from Fourier
-moments. Both solves reduce their matrix to tridiagonal form and keep the
+either a dense symmetric eigensolve of the m-by-m Gram, or, for
+finite-rank feature kernels with at least as many samples as features, a
+solve in the feature domain that decomposes the model's N-by-N empirical
+operator, built from Fourier moments. That operator has the Gram's
+nonzero spectrum, and a spectral fit needs nothing else from the sample
+than it and B^T y / m, so the feature path never touches an m-sized
+array. Both solves reduce their matrix to tridiagonal form and keep the
 reduction's orthogonal factor as Householder reflectors, so the
-eigenvectors are held as a product (the basis matrix, a diagonal scaling,
-the reflectors and an eigenbasis of the tridiagonal matrix on the
-factored path; the last two alone on the dense path) and applied from
-right to left, never formed. No sketching, no default jitter.
+eigenvectors are held as the reflectors times an eigenbasis of the
+tridiagonal matrix and applied from right to left, never formed. No
+sketching, no default jitter.
 """
 
 from __future__ import annotations
@@ -29,17 +30,42 @@ RANK_DROP = 1e-12  # factored path drops modes below this times the top one
 
 
 @dataclass(frozen=True, eq=False)
+class SampleMoments:
+    """The sufficient statistics of a sample for an N-feature trigonometric model.
+
+    ``cos`` (2h + 1,) holds C_n = mean cos(n x) and ``sin`` (N,) holds
+    S_n = mean sin(n x), n = 0, 1, ..., with h = N // 2; they determine
+    the empirical operator (`MercerModel.empirical_operator`). An even N
+    has no sin(h x) feature, and its sin moments stop at S_(2h-1).
+    ``response`` (N, d) is B^T y / m for the (m, N) basis matrix B and
+    the outputs y, or None when the moments were taken from inputs alone.
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    response: np.ndarray | None = None
+
+    @property
+    def n_feat(self) -> int:
+        return int(self.sin.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Paired samples: inputs ``xs`` of shape (m,), outputs ``ys`` of (m, d).
 
-    ``basis`` optionally holds the feature basis evaluated at ``xs``, one
-    row per sample, so the fit and the norms need not evaluate it again.
-    It is stored read-only.
+    ``moments`` optionally holds the sample's `SampleMoments` for a
+    trigonometric model, and ``basis`` the feature basis evaluated at
+    ``xs``, one row per sample (stored read-only). `sample_dataset`
+    carries the moments at every m and the basis only below the feature
+    count, where the dense Gram path needs it; a fit at m >= N reads the
+    moments and no m-by-N array.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     basis: np.ndarray | None = None
+    moments: SampleMoments | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -60,6 +86,9 @@ class Dataset:
                 raise DataError(f"basis{basis.shape} needs one row per sample, m={xs.shape[0]}")
             basis.flags.writeable = False
             object.__setattr__(self, "basis", basis)
+        response = None if self.moments is None else self.moments.response
+        if response is not None and response.shape[1:] != ys.shape[1:]:
+            raise DataError(f"moment response{response.shape} needs {ys.shape[1]} channels")
 
     @property
     def m(self) -> int:
@@ -92,7 +121,7 @@ class GaussianRBF:
 def assemble_gram(kernel, xs, basis=None) -> np.ndarray:
     """The scaled Gram matrix (1/m) k(x_i, x_j), as symmetric as the kernel
     returns it (`eigendecompose` symmetrizes). A MercerModel kernel reuses
-    a ``basis`` at ``xs`` (see `MercerModel.basis_at`)."""
+    a ``basis`` at ``xs`` (see `MercerModel.scalar_kernel`)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 1:
         raise DataError(f"xs must be a nonempty 1-d array, got shape {xs.shape}")
@@ -107,31 +136,26 @@ def assemble_gram(kernel, xs, basis=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramEigen:
-    """Eigensystem of a scaled Gram matrix, held as a product.
+    """Eigensystem of a scaled Gram matrix, or of its feature-domain twin.
 
     ``eigenvalues`` (k,) descending and nonnegative. The solver reduced an
     n-by-n symmetric matrix to tridiagonal form, A = Q T Q^T, and solved
     T = Z diag(w) Z^T; Q stays as its n - 1 Householder ``reflectors``
     (Fortran order, as LAPACK dormqr reads them) and their ``tau``, and
-    ``mix`` (n, k) holds the kept columns of Z in descending order. The
-    dense path decomposes the Gram itself, n = m, and its (m, k) matrix V
-    of orthonormal eigenvectors is Q mix. The factored path decomposes the
-    N-by-N empirical operator, and V = factor diag(scale) Q mix, with
-    ``factor`` the (m, N) basis matrix B, read-only and shared with the
-    Dataset when it carries one, ``scale`` = sqrt(t / m) and the inverse
-    root of each kept eigenvalue folded into ``mix``. That root amplifies
-    rounding by up to sqrt(w_max / w_min), so only the dense path's V is
-    orthonormal to rounding: at N = 512, max |V^T V - I| on the factored
-    path is 1.0e-6 at m = N + 1 (amplification 8.7e5) and 6.9e-12 at
-    m = 2N (1.4e4). Fits are unaffected, as g(w) - g(0) vanishes with w.
-    `project` and `combine` apply these factors one at a time, Q in
-    O(n^2 d), so neither Q nor V is formed; V is built only when the
-    ``vectors`` property is read. ``complete`` marks whether k = m; when it
-    does not, the unlisted eigenvalues are exactly zero and the complement
-    of V's columns spans their eigenspace. ``clamped`` records the
-    magnitude of the most negative raw eigenvalue the solver returned, and
-    ``dropped`` how many feature-domain modes the factored path discarded
-    as below RANK_DROP times the top one.
+    ``mix`` (n, k) holds the kept columns of Z in descending order, so the
+    orthonormal eigenvectors are Q mix. The dense path decomposes the
+    m-by-m Gram itself, n = m, and ``complete`` is True. The feature path
+    decomposes the N-by-N empirical operator, n = N and ``complete`` is
+    False: its eigenvalues are the Gram's nonzero ones and its
+    eigenvectors W live in the feature domain, where a fit needs them
+    (`estimator.fit`); the Gram's remaining eigenvalues are exactly zero.
+    ``size`` is the sample count m either way. `project` and `combine`
+    apply Q mix and its transpose one factor at a time, Q in O(n^2 d), so
+    the eigenvectors are built only when the ``vectors`` property is
+    read. ``clamped`` records the magnitude of the most negative raw
+    eigenvalue the solver returned, and ``dropped`` how many
+    feature-domain modes the feature path discarded as below RANK_DROP
+    times the top one.
     """
 
     eigenvalues: np.ndarray
@@ -140,8 +164,6 @@ class GramEigen:
     tau: np.ndarray
     size: int
     complete: bool
-    factor: np.ndarray | None = None
-    scale: np.ndarray | None = None
     clamped: float = 0.0
     dropped: int = 0
 
@@ -151,18 +173,16 @@ class GramEigen:
 
     @property
     def vectors(self) -> np.ndarray:
-        """The (m, k) eigenvector matrix V, built on each access."""
+        """The (n, k) eigenvector matrix Q mix, built on each access."""
         return self.combine(np.eye(self.rank))
 
-    def project(self, ys: np.ndarray) -> np.ndarray:
-        """V^T ys, shape (k, d)."""
-        x = ys if self.factor is None else self.scale[:, None] * (self.factor.T @ ys)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """(Q mix)^T x for x of shape (n, d), shape (k, d)."""
         return self.mix.T @ self._reflect(x, "T")
 
     def combine(self, z: np.ndarray) -> np.ndarray:
-        """V z, shape (m, d)."""
-        x = self._reflect(self.mix @ z, "N")
-        return x if self.factor is None else self.factor @ (self.scale[:, None] * x)
+        """Q mix z for z of shape (k, d), shape (n, d)."""
+        return self._reflect(self.mix @ z, "N")
 
     def _reflect(self, x: np.ndarray, trans: str) -> np.ndarray:
         """Q x for ``trans`` "N", Q^T x for "T", with x of shape (n, d).
@@ -184,45 +204,55 @@ class GramEigen:
 
 
 def _tridiagonalize(a: np.ndarray):
-    """LAPACK dsytrd on the lower triangle of the symmetric ``a``.
+    """LAPACK dsytrd on the exactly symmetric ``a``, overwriting it if writeable.
 
-    Returns the packed result (reflectors below the subdiagonal), the
-    diagonal and off-diagonal of T = Q^T a Q, and the reflectors' tau,
-    using dsytrd's optimal blocked workspace. At n = 1 the off-diagonal
-    is one zero, since dstevd wants a length of at least one.
+    A C-ordered ``a`` is handed over as its transpose, the same matrix in
+    the Fortran order dsytrd works in, so the reduction runs in place and
+    no n-by-n copy is made: a writeable ``a`` is destroyed, a read-only
+    one is copied (the wrapper would ignore the flag). Returns the packed
+    result (reflectors below the subdiagonal), the diagonal and
+    off-diagonal of T = Q^T a Q, and the reflectors' tau, using dsytrd's
+    optimal blocked workspace. At n = 1 the off-diagonal is one zero,
+    since dstevd wants a length of at least one.
     """
     n = a.shape[0]
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    packed, diag, off, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork))
+    overwrite = int(a.flags.writeable)
+    packed, diag, off, tau, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=overwrite)
     if info != 0:
-        raise _eigensolver_error(a, info)
+        raise NumericalError(f"dsytrd rejected argument {-info}")
     return packed, diag, off if n > 1 else np.zeros(1), tau
 
 
 def _tridiagonal_eigh(a: np.ndarray):
     """Ascending eigenvalues w, Z, reflectors and tau with a = Q Z diag(w) Z^T Q^T.
 
-    `_tridiagonalize` reduces ``a`` to tridiagonal T = Q^T a Q, and dstevd
-    solves T = Z diag(w) Z^T by divide and conquer. Q is left as the
-    reflectors dsytrd stores below the subdiagonal, the (n - 1)-square
-    block a[1:, :-1], copied once to Fortran order so that dormqr reads it
-    in place. This skips the O(n^3) back-transformation Q Z that a full
-    eigensolver performs.
+    `_tridiagonalize` reduces ``a`` to tridiagonal T = Q^T a Q in place,
+    and dstevd solves T = Z diag(w) Z^T by divide and conquer. Q is left
+    as the reflectors dsytrd stores below the subdiagonal, the
+    (n - 1)-square block a[1:, :-1], copied once to Fortran order so that
+    dormqr reads it in place. This skips the O(n^3) back-transformation
+    Q Z that a full eigensolver performs. The packed matrix is released
+    before dstevd allocates Z, so when the caller passes a temporary the
+    two n-by-n arrays are not alive together.
     """
     packed, diag, off, tau = _tridiagonalize(a)
+    reflectors = np.asfortranarray(packed[1:, :-1])
+    del a, packed
     vals, z, info = lapack.dstevd(diag, off)
     if info != 0:
-        raise _eigensolver_error(a, info)
-    return vals, z, np.asfortranarray(packed[1:, :-1]), tau
+        raise _eigensolver_error(diag, off, info)
+    return vals, z, reflectors, tau
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """max |eigenvalue| of the symmetric ``a``, from the ends of its spectrum.
+    """max |eigenvalue| of the exactly symmetric ``a``, from the ends of its spectrum.
 
-    Reduces ``a`` to tridiagonal form and bisects (LAPACK dstebz) for its
-    smallest and its largest eigenvalue only, O(n) per bisection step
-    after the O(n^3) reduction, where a symmetric eigenvalue solver
-    would compute the whole spectrum.
+    Reduces ``a`` to tridiagonal form in place (a writeable ``a`` is
+    overwritten) and bisects (LAPACK dstebz) for its smallest and its
+    largest eigenvalue only, O(n) per bisection step after the O(n^3)
+    reduction, where a symmetric eigenvalue solver would compute the
+    whole spectrum.
     """
     _, diag, off, _ = _tridiagonalize(a)
     n = diag.shape[0]
@@ -230,15 +260,15 @@ def spectral_norm(a: np.ndarray) -> float:
     for index in (1, n):
         _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
         if info != 0:
-            raise _eigensolver_error(a, info)
+            raise _eigensolver_error(diag, off, info)
         ends.append(abs(vals[0]))
     return float(max(ends))
 
 
-def _eigensolver_error(a: np.ndarray, info: int) -> NumericalError:
-    scale = float(np.max(np.abs(a)))
+def _eigensolver_error(diag: np.ndarray, off: np.ndarray, info: int) -> NumericalError:
+    scale = float(max(np.max(np.abs(diag)), np.max(np.abs(off))))
     return NumericalError(
-        f"eigensolver failed on a {a.shape[0]}x{a.shape[0]} matrix "
+        f"eigensolver failed on a {diag.shape[0]}x{diag.shape[0]} tridiagonal matrix "
         f"(max abs entry {scale:g}): LAPACK info {info}"
     )
 
@@ -288,51 +318,48 @@ def eigendecompose(gram: np.ndarray) -> GramEigen:
     )
 
 
-def mercer_gram_eigen(model, xs, basis=None) -> GramEigen:
+def mercer_gram_eigen(model, xs, basis=None, moments=None) -> GramEigen:
     """Exact Gram eigensystem for a finite-rank feature kernel.
 
-    When m exceeds the feature count N, the scaled Gram is Phi Phi^T with
+    When m reaches the feature count N, the scaled Gram is Phi Phi^T with
     Phi = B diag(sqrt t) / sqrt(m), B the (m, N) basis matrix, and its
     nonzero spectrum equals that of the N-by-N matrix
-    Phi^T Phi = `MercerModel.empirical_operator` = W S W^T, which is built
-    from Fourier moments in O(m N + N^2). The eigensolve runs at size N
-    through `_tridiagonal_eigh`, so W = Q Z, and neither the m-by-m Gram,
-    W, its (m, k) eigenvectors nor Phi are formed: the result holds
-    V = Phi W S^-1/2 as ``factor = B``, ``scale = sqrt(t / m)``, Q's
-    reflectors and ``mix = Z S^-1/2``, over the k modes above RANK_DROP
-    times the top one; ``dropped`` counts the rest. ``clamped`` and its
-    warning follow `eigendecompose`, measured on the feature-domain
-    spectrum. For m <= N this falls back to the dense path. Either way the
-    result is an exact decomposition of the same matrix, not an
-    approximation. A precomputed ``basis`` at ``xs`` is reused and left
-    unchanged.
+    Phi^T Phi = `MercerModel.empirical_operator` = W S W^T, assembled from
+    the sample's Fourier moments: the carried ``moments`` when they
+    belong to this model, else moments accumulated from ``xs`` (or a
+    precomputed ``basis`` at ``xs``, left unchanged) in row chunks. The
+    eigensolve runs at size N through `_tridiagonal_eigh`, so W = Q Z; the
+    result keeps Q's reflectors and ``mix`` = Z over the k modes above
+    RANK_DROP times the top one, and ``dropped`` counts the rest.
+    ``clamped`` and its warning follow `eigendecompose`, measured on the
+    feature-domain spectrum. Neither the m-by-m Gram nor an m-by-N array
+    is formed. For m < N this falls back to the dense path. Either way
+    the result is an exact decomposition, not an approximation.
     """
     xs = np.asarray(xs, dtype=float)
     n_feat = int(model.eigenvalues.shape[0])
     m = xs.shape[0]
-    if m <= n_feat:
+    if m < n_feat:
         return eigendecompose(assemble_gram(model, xs, basis))
-    feats = model.basis_at(xs, basis)
-    vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(xs, feats))
+    vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(xs, basis, moments))
     vals, vecs, clamped = _descending(vals, vecs)
     top = float(vals[0]) if vals.size else 0.0
     keep = vals > RANK_DROP * top
     vals = vals[keep]
     return GramEigen(
         eigenvalues=vals,
-        mix=vecs[:, keep] / np.sqrt(vals)[None, :],
+        mix=vecs[:, keep],
         reflectors=reflectors,
         tau=tau,
         size=m,
         complete=False,
-        factor=feats,
-        scale=np.sqrt(model.eigenvalues / m),
         clamped=clamped,
         dropped=int(keep.size - vals.size),
     )
 
 
-def reconstruction_error(gram: np.ndarray, eig: GramEigen) -> float:
-    """Max-abs deviation between the matrix and its stored eigensystem."""
+def reconstruction_error(matrix: np.ndarray, eig: GramEigen) -> float:
+    """Max-abs deviation between the decomposed matrix and its stored eigensystem:
+    the Gram on the dense path, the empirical operator on the feature path."""
     approx = (eig.vectors * eig.eigenvalues[None, :]) @ eig.vectors.T
-    return float(np.max(np.abs(np.asarray(gram) - approx)))
+    return float(np.max(np.abs(np.asarray(matrix) - approx)))

@@ -420,7 +420,7 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
             errs_rkhs[rep] = norms.rkhs
             max_clamped = max(max_clamped, fitted.gram.clamped)
             max_dropped = max(max_dropped, fitted.gram.dropped)
-            # free this replicate's basis and fit before the next one is drawn
+            # free this replicate's data and fit before the next one is drawn
             del data, fitted
         high = 1.0 - config.eta
         rows.append(

@@ -107,7 +107,7 @@ class HolderIndex(IndexFunction):
     domain_max: float = 1.0
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:
             raise ParameterError(f"power exponent must be >= 0, got {self.r}")
         self._validate_shape()
 

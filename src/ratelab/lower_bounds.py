@@ -79,13 +79,20 @@ def build_packing(ell: int, seed: int = 0) -> SignPacking:
 
     Pairwise squared distance >= ell is equivalent to inner product
     <= ell / 2, which is what the accept test uses. Needs ell >= 24 and
-    ell divisible by 4; gives up after 10**6 rejected draws.
+    ell divisible by 4; gives up after 10**6 rejected draws. Each draw
+    places at most one code, so a length whose packing needs more than
+    10**6 codes (ell >= 332) is refused before anything is allocated.
     """
     if ell < MIN_CODE_LENGTH:
         raise ParameterError(f"code length must be >= {MIN_CODE_LENGTH}, got {ell}")
     if ell % 4 != 0:
         raise ParameterError(f"code length must be divisible by 4, got {ell}")
     target = packing_size(ell)
+    if target > REJECTION_CAP:
+        raise ParameterError(
+            f"code length {ell} needs {target} codes, more than the "
+            f"{REJECTION_CAP} draws a packing may take"
+        )
     rng = np.random.default_rng(seed)
     accepted = np.empty((target, ell), dtype=np.int64)
     count = 0
@@ -389,7 +396,7 @@ def empirical_fano_check(
         truth = family.members[truth_idx]
         measure = TwoPointMeasure(model=model, target=truth, amplitude=level)
         xs = rng.uniform(0.0, PERIOD, size=m)
-        basis = model.basis(xs)
+        basis = model.basis(xs) if m < model.n_trunc else None
         data = Dataset(xs=xs, ys=measure.sample(xs, rng, basis=basis), basis=basis)
         fitted = fit(data, model, tikhonov(), lam)
         gap = basis_coefficients(fitted, model) - truth.coefficients

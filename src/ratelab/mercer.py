@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SourceViolationError,
 )
-from .gram import Dataset
+from .gram import Dataset, SampleMoments
 from .index_functions import IndexFunction
 
 PERIOD = 2.0 * math.pi
@@ -41,6 +41,8 @@ PERIOD = 2.0 * math.pi
 SPECTRUM_RULES = ("lower", "midpoint", "upper")
 SOURCE_RADIUS_SLACK = 1e-12
 BOUND_SLACK = 1e-12
+# Basis cells per row chunk at m >= N (1 MiB of float64): 256 rows at N = 512.
+CHUNK_CELLS = 2**17
 
 
 def trigonometric_basis(xs, count: int) -> np.ndarray:
@@ -94,6 +96,58 @@ def trigonometric_basis(xs, count: int) -> np.ndarray:
     return waves[:count].T
 
 
+class MomentSums:
+    """Running sums over row chunks of the basis that give `SampleMoments`.
+
+    Each chunk B_c adds one product B_c^T [1, sqrt(2) cos hx, y], with h
+    the highest cosine frequency, so memory stays at one chunk. Its first
+    column sums the features themselves, the moments up to h; the
+    second gives those above h, from
+
+        C_(h+j) = 2 mean(cos hx cos jx) - C_(h-j)
+        S_(h+j) = 2 mean(cos hx sin jx) + S_(h-j),
+
+    and the rest sums B^T y. An even N has no sin hx column, and S_h comes
+    from one more dot, 2 sin((h-1)x) cos x = sin hx + sin (h-2)x. The cost
+    is O(m N (2 + d)) for m samples and d output channels.
+    """
+
+    def __init__(self, count: int, channels: int | None = None):
+        self.count = count
+        self.channels = channels
+        self.sums = np.zeros((count, 2 + (channels or 0)))
+        self.extra = 0.0
+
+    def add(self, feats: np.ndarray, ys: np.ndarray | None = None):
+        """Add the chunk ``feats`` (rows, N) and, with outputs, its ``ys`` (rows, d)."""
+        probe = np.empty((feats.shape[0], self.sums.shape[1]))
+        probe[:, 0] = 1.0
+        probe[:, 1] = feats[:, 2 * (self.count // 2) - 1]
+        if self.channels is not None:
+            probe[:, 2:] = ys
+        self.sums += feats.T @ probe
+        if self.count % 2 == 0 and self.count > 2:
+            self.extra += feats[:, self.count - 2] @ feats[:, 1]
+
+    def moments(self, m: int) -> SampleMoments:
+        """The moments of the m samples added so far."""
+        count = self.count
+        h, h_sin = count // 2, (count - 1) // 2
+        means = self.sums / m
+        c = np.empty(2 * h + 1)
+        c[0] = 1.0
+        c[1 : h + 1] = means[1::2, 0] / math.sqrt(2.0)
+        c[h + 1 :] = means[1::2, 1] - c[h - 1 :: -1]
+        s = np.empty(count)
+        s[0] = 0.0
+        s[1 : h_sin + 1] = means[2::2, 0] / math.sqrt(2.0)
+        if h_sin < h:
+            s[h] = self.extra / m - s[h - 2] if h_sin else 0.0  # N = 2 has no sine
+        s[h + 1 :] = means[2::2, 1] + s[h - h_sin : h][::-1]
+        response = None if self.channels is None else means[:, 2:]
+        return SampleMoments(cos=c, sin=s, response=response)
+
+
 @dataclass(frozen=True, eq=False)
 class MercerModel:
     """Truncated spectral model: eigenvalues, decay envelope, output width."""
@@ -113,24 +167,69 @@ class MercerModel:
     def basis(self, xs) -> np.ndarray:
         return trigonometric_basis(xs, self.n_trunc)
 
-    def basis_at(self, xs, basis=None) -> np.ndarray:
-        """The basis matrix at ``xs``, reusing a precomputed one if it fits.
+    def _fits(self, basis, m: int) -> bool:
+        """Whether ``basis`` can stand for the basis at m inputs: an earlier
+        evaluation there, such as the one `sample_dataset` carries below N
+        samples, has shape (m, N); any other shape belongs to another
+        truncation and is not used."""
+        return basis is not None and basis.shape == (m, self.n_trunc)
 
-        ``basis`` is an earlier evaluation at the same ``xs``, such as the
-        one `sample_dataset` carries on its Dataset. It is used when its
-        shape is (len(xs), N); any other shape belongs to another
-        truncation, and the basis is evaluated afresh.
+    def basis_chunks(self, xs, basis=None):
+        """Yield (rows, basis at xs[rows]) over row chunks that cover ``xs``.
+
+        Below N samples there is one chunk, the whole basis. From N on a
+        chunk has CHUNK_CELLS // N rows, so no more than one chunk of the
+        basis is alive at a time. A precomputed ``basis`` that fits (see
+        `_fits`) is sliced in the same chunks instead of evaluated, so
+        anything accumulated over the chunks has the same bits either way.
         """
-        if basis is not None and basis.shape == (len(xs), self.n_trunc):
-            return basis
-        return self.basis(xs)
+        m = len(xs)
+        step = m if m < self.n_trunc else max(1, CHUNK_CELLS // self.n_trunc)
+        whole = basis if self._fits(basis, m) else None
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            yield rows, self.basis(xs[rows]) if whole is None else whole[rows]
 
-    def empirical_operator(self, xs, basis=None) -> np.ndarray:
+    def expand(self, coefficients, xs, basis=None) -> np.ndarray:
+        """Values at ``xs`` of the expansion with ``coefficients`` (N, d)
+        against sqrt(t_n) e_n; a fitting ``basis`` at ``xs`` is reused,
+        otherwise the basis is evaluated in row chunks."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        scaled = np.sqrt(self.eigenvalues)[:, None] * coefficients
+        if self._fits(basis, len(xs)):
+            return basis @ scaled
+        out = np.empty((len(xs), scaled.shape[1]))
+        for rows, feats in self.basis_chunks(xs):
+            out[rows] = feats @ scaled
+        return out
+
+    def sample_moments(self, xs, ys=None, basis=None) -> SampleMoments:
+        """The `SampleMoments` of inputs ``xs`` and, if given, outputs ``ys``.
+
+        One pass over `basis_chunks` (reusing a fitting ``basis``), so the
+        memory is one chunk of the basis, not all of it.
+        """
+        sums = MomentSums(self.n_trunc, None if ys is None else ys.shape[1])
+        for rows, feats in self.basis_chunks(xs, basis):
+            sums.add(feats, None if ys is None else ys[rows])
+        return sums.moments(len(xs))
+
+    def moments_of(self, data: Dataset) -> SampleMoments:
+        """The moments ``data`` carries, if they are this model's and hold
+        the outputs' response, else moments computed from its samples."""
+        held = data.moments
+        if held is not None and held.n_feat == self.n_trunc and held.response is not None:
+            return held
+        return self.sample_moments(data.xs, data.ys, data.basis)
+
+    def empirical_operator(self, xs=None, basis=None, moments=None) -> np.ndarray:
         """The (N, N) empirical operator diag(sqrt t) (B^T B / m) diag(sqrt t).
 
-        B is the basis at ``xs`` (a precomputed ``basis`` is reused if it
-        fits). Every entry of B^T B / m is a sum or difference of two
-        empirical Fourier moments C_n = mean cos(n x), S_n = mean sin(n x):
+        B is the basis at ``xs``. The operator is assembled from the
+        sample's Fourier moments (see `MomentSums`): ``moments`` if they
+        belong to this model, else `sample_moments` of ``xs`` (reusing a
+        fitting ``basis``). Every entry of B^T B / m is a sum or
+        difference of two moments C_n = mean cos(n x), S_n = mean sin(n x):
 
             2 cos jx cos kx = cos (j-k)x + cos (j+k)x
             2 sin jx sin kx = cos (j-k)x - cos (j+k)x
@@ -138,43 +237,22 @@ class MercerModel:
 
         so the cos/cos and sin/sin blocks are Toeplitz plus or minus
         Hankel in C, and the cos/sin block Hankel minus Toeplitz in S.
-        With h the highest cosine frequency, one product
-        B^T [1, sqrt(2) cos hx] / m gives the moments up to h (column
-        means) and those above it, from
-
-            C_(h+j) = 2 mean(cos hx cos jx) - C_(h-j)
-            S_(h+j) = 2 mean(cos hx sin jx) + S_(h-j).
-
-        An even N has no sin hx column, and S_h comes from
-        2 sin((h-1)x) cos x = sin hx + sin (h-2)x. The cost is O(m N + N^2)
-        against O(m N^2) for the product, and the result is exactly
-        symmetric.
+        Assembly costs O(N^2) and the result is exactly symmetric.
         """
-        feats = self.basis_at(xs, basis)
-        m, count = feats.shape
-        h = count // 2
-        h_sin = (count - 1) // 2
-        probe = np.ones((m, 2))
-        if h:
-            probe[:, 1] = feats[:, 2 * h - 1]
-        moments = feats.T @ probe / m
+        if moments is None or moments.n_feat != self.n_trunc:
+            moments = self.sample_moments(np.atleast_1d(np.asarray(xs, dtype=float)), basis=basis)
+        count = self.n_trunc
+        h, h_sin = count // 2, (count - 1) // 2
+        c, s = moments.cos, moments.sin
         emp = np.empty((count, count))
-        emp[0] = emp[:, 0] = moments[:, 0]
+        emp[0, 0] = 1.0
+        emp[0, 1::2] = emp[1::2, 0] = math.sqrt(2.0) * c[1 : h + 1]
+        emp[0, 2::2] = emp[2::2, 0] = math.sqrt(2.0) * s[1 : h_sin + 1]
         if h:
-            c = np.empty(2 * h + 1)
-            c[0] = 1.0
-            c[1 : h + 1] = moments[1::2, 0] / math.sqrt(2.0)
-            c[h + 1 :] = moments[1::2, 1] - c[h - 1 :: -1]
             toep, hank = toeplitz(c[:h]), hankel(c[2 : h + 2], c[h + 1 :])
             emp[1::2, 1::2] = toep + hank
         if h_sin:
             emp[2::2, 2::2] = (toep - hank)[:h_sin, :h_sin]
-            s = np.empty(h + h_sin + 1)
-            s[0] = 0.0
-            s[1 : h_sin + 1] = moments[2::2, 0] / math.sqrt(2.0)
-            if h_sin < h:
-                s[h] = feats[:, 2 * h_sin] @ feats[:, 1] / m - s[h - 2]
-            s[h + 1 :] = moments[2::2, 1] + s[h - h_sin : h][::-1]
             cross = hankel(s[2 : h + 2], s[h + 1 :]) - toeplitz(s[:h], -s[:h_sin])
             emp[1::2, 2::2] = cross
             emp[2::2, 1::2] = cross.T
@@ -182,9 +260,41 @@ class MercerModel:
         emp *= np.outer(root_t, root_t)
         return emp
 
+    def moment_product(self, moments: SampleMoments, s) -> np.ndarray:
+        """(B^T B / m) s for s of shape (N, d), from the moments alone.
+
+        Writing f = B s as sum_k phi_k e^(ikx), k = -h..h, with
+        phi_k = (s_cos,k - i s_sin,k) / sqrt(2) and phi_-k its conjugate,
+        the empirical means psi_j = mean e^(ijx) f(x) = sum_k phi_k z_(j+k)
+        of the moments z_n = C_n + i S_n are one convolution per channel,
+        O(N^2) with no N-by-N matrix. Row 0 of the product is psi_0, the
+        cos j and sin j rows are sqrt(2) times the real and imaginary
+        parts of psi_j. An even N has no sin(h x) feature, so phi_h is
+        real and the unknown S_2h never reaches a row that exists.
+        """
+        count = self.n_trunc
+        h, h_sin = count // 2, (count - 1) // 2
+        s = np.asarray(s, dtype=float)
+        z = moments.cos.astype(complex)
+        z[1 : count] += 1j * moments.sin[1:]
+        window = np.concatenate((np.conj(z[h:0:-1]), z))  # z_n for n = -h .. 2h
+        root_half = math.sqrt(0.5)
+        out = np.empty_like(s)
+        for channel in range(s.shape[1]):
+            phi = np.zeros(h + 1, dtype=complex)
+            phi[0] = s[0, channel]
+            phi[1:] = root_half * s[1::2, channel]
+            phi[1 : h_sin + 1] -= 1j * root_half * s[2::2, channel]
+            both = np.concatenate((np.conj(phi[:0:-1]), phi))  # phi_k for k = -h .. h
+            psi = np.convolve(window, both[::-1], mode="valid")  # psi_j for j = 0 .. h
+            out[0, channel] = psi[0].real
+            out[1::2, channel] = math.sqrt(2.0) * psi[1:].real
+            out[2::2, channel] = math.sqrt(2.0) * psi[1 : h_sin + 1].imag
+        return out
+
     def scalar_kernel(self, xs, zs, basis=None) -> np.ndarray:
         """k(x_i, z_j); a precomputed ``basis`` at ``xs`` is reused if it fits."""
-        bx = self.basis_at(xs, basis)
+        bx = basis if self._fits(basis, len(xs)) else self.basis(xs)
         bz = bx if zs is xs else self.basis(zs)
         return (bx * self.eigenvalues[None, :]) @ bz.T
 
@@ -314,9 +424,7 @@ class TargetFunction:
 
     def evaluate(self, xs, basis=None) -> np.ndarray:
         """Target values at ``xs``; a precomputed ``basis`` at ``xs`` is reused if it fits."""
-        feats = self.model.basis_at(xs, basis)
-        scaled = np.sqrt(self.model.eigenvalues)[:, None] * self.coefficients
-        return feats @ scaled
+        return self.model.expand(self.coefficients, xs, basis)
 
     def norms(self) -> ExpansionNorms:
         return norms_of_expansion(self.model, self.coefficients)
@@ -636,8 +744,13 @@ def sample_two_point(f_vals: np.ndarray, level: float, d: int, rng: np.random.Ge
 
     Takes one uniform per row and inverts the cumulative atom weights.
     """
+    f_vals = np.atleast_2d(f_vals)
+    return _two_point_outputs(f_vals, level, d, rng.random((f_vals.shape[0], 1)))
+
+
+def _two_point_outputs(f_vals: np.ndarray, level: float, d: int, draws: np.ndarray):
+    """The two-point outputs at ``f_vals`` for uniforms ``draws`` (one per row)."""
     atoms, weights = two_point_weights(f_vals, level, d)
-    draws = rng.random((weights.shape[0], 1))
     idx = np.minimum((draws > np.cumsum(weights, axis=1)).sum(axis=1), atoms.shape[0] - 1)
     return atoms[idx]
 
@@ -651,21 +764,33 @@ def sample_dataset(
 ) -> Dataset:
     """Draw m i.i.d. pairs: uniform inputs, outputs from the noise model.
 
-    Deterministic for a fixed seed (int, SeedSequence, or Generator). The
-    basis at the drawn inputs is evaluated once and carried on the
-    Dataset, so fits, tail statistics and error norms reuse it.
+    Deterministic for a fixed seed (int, SeedSequence, or Generator): the
+    inputs, then the noise (normals, or the two-point uniforms) are drawn
+    whole. The samples are then walked in `MercerModel.basis_chunks`:
+    each chunk's basis gives its target values, its outputs and its share
+    of the `SampleMoments` the Dataset carries, and is dropped. Below N
+    samples the one chunk is the whole basis, which the Dataset carries
+    too for the dense Gram path; from N on nothing m-by-N is allocated.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     xs = rng.uniform(0.0, PERIOD, size=m)
-    basis = model.basis(xs)
-    f_vals = target.evaluate(xs, basis=basis)
-    if noise.kind == "gaussian":
-        if noise.sigma == 0:
-            ys = f_vals.copy()
+    d = model.output_dim
+    if noise.kind == "two_point":
+        draws = rng.random((m, 1))
+    elif noise.sigma != 0:
+        draws = noise.sigma * rng.standard_normal((m, d))
+    ys = np.empty((m, d))
+    sums = MomentSums(model.n_trunc, d)
+    for rows, feats in model.basis_chunks(xs):
+        f_vals = target.evaluate(xs[rows], basis=feats)
+        if noise.kind == "two_point":
+            ys[rows] = _two_point_outputs(f_vals, noise.amplitude, d, draws[rows])
+        elif noise.sigma == 0:
+            ys[rows] = f_vals
         else:
-            ys = f_vals + noise.sigma * rng.standard_normal(f_vals.shape)
-    else:
-        ys = sample_two_point(f_vals, noise.amplitude, model.output_dim, rng)
-    return Dataset(xs=xs, ys=ys, basis=basis)
+            np.add(f_vals, draws[rows], out=ys[rows])
+        sums.add(feats, ys[rows])
+    basis = feats if m < model.n_trunc else None
+    return Dataset(xs=xs, ys=ys, basis=basis, moments=sums.moments(m))

@@ -1,10 +1,11 @@
 """The basis drawn with a sample is evaluated once and reused downstream.
 
-`sample_dataset` carries the basis at its inputs on the Dataset; the fit,
-the basis coefficients, the tail statistics and the error norms read it
-instead of evaluating it again. The divergence grid's basis is evaluated
-once per model, and each two-point measure's grid weights once per
-measure. Reuse must not change a single bit.
+`sample_dataset` carries the sample's moments on the Dataset, and below
+N samples the basis at its inputs too; the fit, the basis coefficients,
+the tail statistics and the error norms read them instead of evaluating
+the basis again. The divergence grid's basis is evaluated once per
+model, and each two-point measure's grid weights once per measure.
+Reuse must not change a single bit.
 """
 
 import gc
@@ -54,7 +55,7 @@ def _outputs(model, target, data):
         fitted.coefficients,
         basis_coefficients(fitted, model),
         sample_error_stat(model, data, target, lam=0.05),
-        operator_deviation(model, data.xs, data.basis)["value"],
+        operator_deviation(model, data.xs, data.basis, data.moments)["value"],
     )
 
 
@@ -73,9 +74,10 @@ def basis_calls(monkeypatch):
 
 @pytest.mark.parametrize("m", [6, N_TRUNC, 24])
 def test_carried_basis_gives_identical_bits(m):
-    """Both fit paths (dense at m <= N, factored above) agree bit for bit."""
+    """Both fit paths (dense at m < N, factored from m = N) agree bit for bit."""
     model, target, data = _draw(m)
-    assert data.basis.shape == (m, N_TRUNC)
+    assert (data.basis is None) == (m >= N_TRUNC)
+    assert data.moments.n_feat == N_TRUNC
     bare = Dataset(xs=data.xs, ys=data.ys)
     for got, want in zip(_outputs(model, target, data), _outputs(model, target, bare)):
         assert np.array_equal(got, want)

@@ -119,6 +119,15 @@ class TestLowerBound:
         assert main(["lower-bound", "--b", "2", flag, value]) == 2
         assert f"error: {flag[2:]} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--ell", "400"], "code length 400"), (["--r", "nan"], "power exponent")],
+        ids=["ell400", "r-nan"],
+    )
+    def test_impossible_settings_exit_2(self, argv, message, capsys):
+        assert main(["lower-bound", "--b", "2", *argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_builds_packing_and_family_once(self, monkeypatch, capsys):
         from ratelab import cli, lower_bounds
 

@@ -34,9 +34,12 @@ def _setup(n_trunc=8, radius=1.0):
 
 class TestSampleErrorStat:
     def test_zero_for_noiseless_data(self):
+        """Zero up to rounding: B^T y / m and the moment product B^T f / m are
+        summed in different orders (4.5e-17 at this seed), where a noisy sample
+        gives about 0.1."""
         model, target = _setup()
         data = sample_dataset(model, target, NoiseSpec(kind="gaussian", sigma=0.0), m=32, seed=0)
-        assert sample_error_stat(model, data, target, lam=0.1) == 0.0
+        assert sample_error_stat(model, data, target, lam=0.1) <= 1e-15
 
     def test_scales_linearly_in_the_residual(self):
         model, target = _setup()

@@ -138,20 +138,27 @@ def _relative_gap(got, want):
 class TestFactoredFit:
     """The factored eigensystem fits like the dense Gram it decomposes."""
 
-    @pytest.mark.parametrize("m", [N_FACTORED + 1, 2 * N_FACTORED, 8 * N_FACTORED])
+    @pytest.mark.parametrize(
+        "m", [N_FACTORED, N_FACTORED + 1, 2 * N_FACTORED, 8 * N_FACTORED]
+    )
     @pytest.mark.parametrize("d", [1, 3])
     def test_matches_the_dense_oracle(self, m, d):
+        """The feature-domain expansion, and the coefficient rows derived from it on
+        request, against a fit on the dense m x m eigensystem, from m = N on."""
         model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
-        dense = eigendecompose(assemble_gram(model, data.xs))
+        dense = eigendecompose(assemble_gram(model, data.xs, model.basis(data.xs)))
         for name, filt in _four_filters(model).items():
             factored = fit(data, model, filt, lam=0.05)
-            assert factored.gram.factor is not None, name
+            assert not factored.gram.complete, name
+            assert factored.dual is None, name
             oracle = fit(data, model, filt, lam=0.05, gram=dense)
+            assert factored.expansion.shape == (N_FACTORED, d)
+            assert basis_coefficients(factored, model) is factored.expansion
+            assert _relative_gap(
+                factored.expansion, basis_coefficients(oracle, model)
+            ) <= 1e-10, name
             assert factored.coefficients.shape == (m, d)
             assert _relative_gap(factored.coefficients, oracle.coefficients) <= 1e-10, name
-            assert _relative_gap(
-                basis_coefficients(factored, model), basis_coefficients(oracle, model)
-            ) <= 1e-10, name
 
     def test_never_builds_the_eigenvector_matrix(self, monkeypatch):
         def refuse(_):
@@ -187,7 +194,7 @@ class TestEighOracle:
         model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
         for name, filt in _four_filters(model).items():
             result = fit(data, model, filt, lam=0.05)
-            assert (result.gram.factor is None) == (m <= N_FACTORED), name
+            assert result.gram.complete == (m < N_FACTORED), name
             oracle = _eigh_oracle(data, model, filt, 0.05)
             assert result.coefficients.shape == (m, d)
             assert _relative_gap(result.coefficients, oracle) <= 1e-10, name
@@ -196,7 +203,7 @@ class TestEighOracle:
         assert _relative_gap(tik.coefficients, direct.coefficients) <= 1e-10
 
     def test_fits_without_eigh(self, monkeypatch):
-        """Neither path calls np.linalg.eigh, dense (m <= N) or factored (m > N)."""
+        """Neither path calls np.linalg.eigh, dense (m < N) or factored (m >= N)."""
         def refuse(*_args, **_kwargs):
             raise AssertionError("np.linalg.eigh was called")
 
@@ -207,7 +214,7 @@ class TestEighOracle:
                 patch.setattr(np.linalg, "eigh", refuse)
                 result = fit(data, model, tikhonov(), lam=0.05)
                 assert np.isfinite(error_norms(result, model, target).l2)
-            assert (result.gram.factor is None) == (m <= N_FACTORED)
+            assert result.gram.complete == (m < N_FACTORED)
             assert _relative_gap(result.coefficients, oracle) <= 1e-10
 
 

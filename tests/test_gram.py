@@ -120,6 +120,17 @@ class TestEigendecompose:
         assert spectral_norm(matrix) == pytest.approx(3.0, rel=1e-14)
         assert spectral_norm(np.zeros((1, 1))) == 0.0
 
+    def test_spectral_norm_reduces_in_place_unless_read_only(self):
+        """The reduction reuses a writeable input's memory and copies a read-only one."""
+        raw = np.random.default_rng(9).standard_normal((16, 16))
+        matrix = raw + raw.T
+        kept = matrix.copy()
+        kept.flags.writeable = False
+        want = spectral_norm(matrix)
+        assert not np.array_equal(matrix, kept)
+        assert spectral_norm(kept) == want
+        assert np.array_equal(kept, raw + raw.T)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
     def test_spectral_norm_matches_the_full_spectrum(self, n):
         raw = np.random.default_rng(n).standard_normal((n, n))
@@ -165,7 +176,7 @@ class TestFactoredEigen:
         np.testing.assert_allclose(
             eig.eigenvalues, dense.eigenvalues[: eig.rank], rtol=1e-9, atol=1e-12
         )
-        assert reconstruction_error(gram, eig) < 1e-12
+        assert reconstruction_error(model.empirical_operator(xs), eig) < 1e-12
 
     def test_reuses_a_carried_basis_and_leaves_it_unchanged(self):
         model = build_model(b=2.0, n_trunc=8)
@@ -193,67 +204,70 @@ class TestFactoredEigen:
             eig.vectors.T @ eig.vectors, np.eye(eig.rank), atol=1e-10
         )
 
-    @pytest.mark.parametrize("m, deviation", [(513, 1.0e-6), (1024, 6.9e-12)])
-    def test_orthonormality_loss_near_the_switch(self, m, deviation):
-        """V = Phi W S^-1/2 amplifies rounding by up to sqrt(w_max / w_min). Just
-        above m = N the smallest kept eigenvalue is tiny and V^T V strays far from
-        I; the pinned deviations, within a factor 10, are those measured at N = 512."""
+    @pytest.mark.parametrize("m", [512, 513, 1024])
+    def test_feature_eigenvectors_orthonormal_near_the_switch(self, m):
+        """W = Q Z is orthonormal to rounding however small the kept eigenvalues
+        get just above m = N, since no inverse root of them is folded in."""
         model = build_model(b=2.0, n_trunc=512)
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
         eig = mercer_gram_eigen(model, xs)
         assert not eig.complete
         vectors = eig.vectors
-        measured = np.abs(vectors.T @ vectors - np.eye(eig.rank)).max()
-        assert deviation / 10 < measured < deviation * 10
+        assert vectors.shape == (512, eig.rank)
+        assert np.abs(vectors.T @ vectors - np.eye(eig.rank)).max() <= 1e-12
 
 
 class TestProductForm:
-    """V = [factor diag(scale)] Q mix is applied from right to left and built only on request."""
+    """The eigenvectors Q mix are applied from right to left and built only on request."""
 
     @pytest.mark.parametrize("m", [5, 8, 9, 40])
     def test_project_and_combine_agree_with_built_vectors(self, m):
-        """Agreement to 1e-12, or to the rounding that S^-1/2 amplifies when that is larger.
-
-        The factored mix carries S^-1/2, which scales rounding by up to
-        sqrt(w_max / w_min): at m = 9 the 8 x 8 operator's smallest
-        eigenvalue is about 2e-9 of its top one, an amplification of 2.3e4,
-        and the two association orders differ by about 3e-12. The bound is
-        8 eps times that amplification; at m = 5, 8 and 40 it stays 1e-12.
-        """
+        """Agreement to 1e-12 on both paths: the dense one acts in R^m (m < 8),
+        the feature one in R^N with N = 8."""
         model = build_model(b=2.0, n_trunc=8)
         rng = np.random.default_rng(m)
         eig = mercer_gram_eigen(model, rng.uniform(0, 2 * np.pi, size=m))
-        assert (eig.factor is None) == (m <= 8)
-        tol = 1e-12
-        if eig.factor is not None:
-            amplification = np.sqrt(eig.eigenvalues[0] / eig.eigenvalues[-1])
-            tol = max(tol, 8 * np.finfo(float).eps * amplification)
-        assert (tol > 1e-12) == (m == 9)
+        assert eig.complete == (m < 8)
+        n = m if eig.complete else 8
         vectors = eig.vectors
-        assert vectors.shape == (m, eig.rank)
-        ys = rng.standard_normal((m, 3))
+        assert vectors.shape == (n, eig.rank)
+        ys = rng.standard_normal((n, 3))
         z = rng.standard_normal((eig.rank, 3))
+        tol = 1e-12
         np.testing.assert_allclose(eig.project(ys), vectors.T @ ys, rtol=tol, atol=tol)
         np.testing.assert_allclose(eig.combine(z), vectors @ z, rtol=tol, atol=tol)
 
-    def test_factor_is_the_carried_basis(self):
-        """The factored path keeps the Dataset's basis itself, not a scaled copy."""
+    def test_feature_path_assembles_from_carried_moments(self, monkeypatch):
+        """Given a sample's moments, the feature path evaluates no basis at all."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.random.default_rng(3).uniform(0, 2 * np.pi, size=40)
-        data = Dataset(xs=xs, ys=np.zeros(40), basis=model.basis(xs))
-        eig = mercer_gram_eigen(model, data.xs, data.basis)
-        assert eig.factor is data.basis
-        assert not eig.factor.flags.writeable
+        moments = model.sample_moments(xs)
+        fresh = mercer_gram_eigen(model, xs)
+
+        def refuse(*_args):
+            raise AssertionError("the basis was evaluated")
+
+        monkeypatch.setattr("ratelab.mercer.trigonometric_basis", refuse)
+        eig = mercer_gram_eigen(model, xs, moments=moments)
+        assert np.array_equal(eig.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(eig.vectors, fresh.vectors)
 
     @pytest.mark.parametrize("m", [17, 32, 128])
     def test_factored_reconstruction(self, m):
+        """W diag(w) W^T rebuilds the empirical operator, and (Phi W) (Phi W)^T
+        with Phi = B diag(sqrt t) / sqrt(m) the m x m Gram Phi Phi^T."""
         model = build_model(b=2.0, n_trunc=16)
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
         eig = mercer_gram_eigen(model, xs)
-        assert eig.factor.shape == (m, 16)
+        assert eig.size == m
         assert eig.reflectors.shape == (15, 15)
         assert eig.mix.shape == (16, eig.rank)
-        assert reconstruction_error(assemble_gram(model, xs), eig) <= 1e-10
+        assert reconstruction_error(model.empirical_operator(xs), eig) <= 1e-12
+        phi = model.basis(xs) * np.sqrt(model.eigenvalues / m)[None, :]
+        vectors = eig.vectors
+        assert eig.rank == 16
+        rebuilt = (phi @ vectors) @ (phi @ vectors).T
+        assert np.abs(rebuilt - assemble_gram(model, xs)).max() <= 1e-10
 
 
 def _perturbed_solver(monkeypatch, relative):

@@ -283,8 +283,9 @@ class TestRateSweep:
         assert all(len(values) == MINI["replicates"] for values in clamps.values())
 
     def test_health_reports_most_modes_dropped_per_size(self, monkeypatch, tmp_path):
-        """Replicates at m = 64 and 128 draw 3 distinct inputs, so the factored
-        path keeps 3 of the 16 modes; the dense path at m = 4 and 16 drops none."""
+        """Replicates at m = 16, 64 and 128 draw 3 distinct inputs, so the factored
+        path, which serves m >= N = 16, keeps 3 of the 16 modes; the dense path
+        at m = 4 drops none."""
         real_sample = harness.sample_dataset
 
         def three_point_sample(model, target, noise, m, seed):
@@ -297,7 +298,7 @@ class TestRateSweep:
         files = write_outputs(rate_sweep(ExperimentConfig.from_dict(config)), tmp_path / "out")
         health = json.loads(files["report"].read_text())["health"]
         assert {m: h["max_dropped"] for m, h in health.items()} == {
-            "4": 0, "16": 0, "64": 13, "128": 13
+            "4": 0, "16": 13, "64": 13, "128": 13
         }
 
     def test_different_seed_changes_the_report(self, tmp_path):

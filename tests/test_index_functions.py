@@ -56,6 +56,10 @@ class TestHolderIndex:
         with pytest.raises(ParameterError):
             HolderIndex(r=-0.5)
 
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ParameterError, match="power exponent"):
+            HolderIndex(r=math.nan)
+
 
 class TestLogIndex:
     def test_power_with_log_correction(self):

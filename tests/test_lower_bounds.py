@@ -1,6 +1,7 @@
 """Tests for sign packings, adversarial families, and the information bounds."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from ratelab.errors import (
 from ratelab.index_functions import HolderIndex
 from ratelab.lower_bounds import (
     FANO_CONSTANT,
+    REJECTION_CAP,
     TwoPointMeasure,
     _pairwise_separation,
     adversarial_family,
@@ -67,6 +69,20 @@ class TestPacking:
             build_packing(23)
         with pytest.raises(ParameterError):
             build_packing(26)
+
+    def test_impossible_length_refused_before_allocating(self):
+        """A packing above REJECTION_CAP codes can never be placed, one code per
+        draw; ell = 400 would otherwise ask for a 51.6 GiB code array first.
+        The shortest such length is 332."""
+        assert packing_size(332) > REJECTION_CAP >= packing_size(328)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="code length 400"):
+                build_packing(400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSeparations:
