@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -17,7 +16,7 @@ from .concentration import tail_test
 from .errors import RateLabError
 from .estimator import error_norms, export_coefficients, fit
 from .filters import FILTER_KINDS, filter_from_dict
-from .harness import SEED_ENV_VAR, load_config, rate_sweep, write_outputs
+from .harness import load_config, rate_sweep, resolve_seed, write_outputs
 from .index_functions import HolderIndex
 from .lower_bounds import TwoPointMeasure, amplitude_for, empirical_fano_check, kl_divergence
 from .mercer import NoiseSpec, build_model, power_law_source, sample_dataset, target_from_source
@@ -34,10 +33,6 @@ from .rates import (
 # members only. From ell = 100 on the family has more (ceil(e**(ell/24))),
 # and the pair count grows with the square of the members compared.
 KL_MEMBERS = 64
-
-
-def _resolve_seed(seed: int) -> int:
-    return int(os.environ.get(SEED_ENV_VAR, seed))
 
 
 def _add_model_args(parser: argparse.ArgumentParser):
@@ -124,7 +119,7 @@ def _cmd_concentration(args) -> int:
         m=args.m,
         eta=args.eta,
         replicates=args.replicates,
-        seed=_resolve_seed(args.seed),
+        seed=resolve_seed(args.seed, "--seed"),
     )
     _print(
         {
@@ -142,7 +137,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     model, phi = _build_lab(args)
-    seed = _resolve_seed(args.seed)
+    seed = resolve_seed(args.seed, "--seed")
     check = empirical_fano_check(
         model,
         phi,
@@ -182,7 +177,7 @@ def _cmd_fit(args) -> int:
     source = power_law_source(model, s=args.source_s, radius=args.radius)
     target = target_from_source(model, phi, source, args.radius)
     noise = NoiseSpec("gaussian", sigma=args.sigma)
-    data = sample_dataset(model, target, noise, args.m, _resolve_seed(args.seed))
+    data = sample_dataset(model, target, noise, args.m, resolve_seed(args.seed, "--seed"))
     lam_choice = choose_lambda(args.rule, phi, args.b, args.m)
     filt = filter_from_dict(
         {"id": args.filter, "nu": args.nu, "tau": args.tau}, kappa_sq=model.kappa_sq
@@ -271,7 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
         f"family's first {KL_MEMBERS} members.",
     )
     _add_model_args(p)
-    p.add_argument("--ell", type=int, default=48)
+    p.add_argument(
+        "--ell",
+        type=int,
+        default=48,
+        help="code length of the sign packing; the packing search grows about x6.5 per +24 "
+        "(10 s at 216), so lengths above about 220 are impractical, and from 332 on refused",
+    )
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ParameterError
-from .gram import spectral_norm
+from .gram import SampleMoments, spectral_norm
 from .mercer import MercerModel, NoiseCertificate, NoiseSpec, TargetFunction, sample_dataset
 from .rates import effective_dimension
 
@@ -58,19 +58,18 @@ def sample_error_bound(
     ) * math.log(4.0 / eta)
 
 
-def operator_deviation(model: MercerModel, xs, basis=None, moments=None) -> dict:
+def operator_deviation(model: MercerModel, moments: SampleMoments) -> dict:
     """Spectral norm of (empirical feature second moment) - diag(t).
 
     The empirical operator in the orthonormal coefficient basis is
     `MercerModel.empirical_operator`, diag(sqrt t) (B^T B / m) diag(sqrt t)
-    with B = basis(xs), assembled from Fourier moments and exact for the
-    truncated kernel. The norm comes from the two ends of the spectrum
-    (`gram.spectral_norm`), not from every eigenvalue. Also reports the
-    eigenvalue mass the truncation dropped, which this statistic cannot
-    see. The sample's carried ``moments`` are used when they are this
-    model's; otherwise they come from ``xs``, reusing a fitting ``basis``.
+    with B the basis at the sample's inputs, assembled from the sample's
+    ``moments`` (this model's) and exact for the truncated kernel. The
+    norm comes from the two ends of the spectrum (`gram.spectral_norm`),
+    not from every eigenvalue. Also reports the eigenvalue mass the
+    truncation dropped, which this statistic cannot see.
     """
-    emp = model.empirical_operator(xs, basis, moments)
+    emp = model.empirical_operator(moments)
     emp[np.diag_indices_from(emp)] -= model.eigenvalues
     return {
         "value": spectral_norm(emp),
@@ -156,7 +155,7 @@ def tail_test(
         if kind == "sample_error":
             stat = sample_error_stat(model, data, target, lam)
         else:
-            stat = operator_deviation(model, data.xs, moments=data.moments)["value"]
+            stat = operator_deviation(model, data.moments)["value"]
         rows.append(TailRow(replicate=i, statistic=stat, bound=bound))
 
     return TailReport(kind=kind, m=m, lam=lam, eta=eta, bound=bound, rows=tuple(rows))

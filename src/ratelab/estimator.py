@@ -104,16 +104,15 @@ def fit(
     """
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
-    moments = None
+    is_mercer = isinstance(kernel, MercerModel)
+    feature = is_mercer and (dataset.m >= kernel.n_trunc if gram is None else not gram.complete)
+    moments = kernel.moments_of(dataset) if feature else None
     if gram is not None:
         eig = gram
-    elif not isinstance(kernel, MercerModel):
-        eig = eigendecompose(assemble_gram(kernel, dataset.xs))
-    elif dataset.m < kernel.n_trunc:
-        eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis))
+    elif feature:
+        eig = mercer_gram_eigen(kernel, moments)
     else:
-        moments = kernel.moments_of(dataset)
-        eig = mercer_gram_eigen(kernel, dataset.xs, moments=moments)
+        eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis if is_mercer else None))
     g_vals = np.atleast_1d(filt.values(eig.eigenvalues, lam))
     g_null = filt.values(0.0, lam)
     dual = expansion = None
@@ -122,7 +121,6 @@ def fit(
         dual = eig.combine((g_vals - g_null)[:, None] * eig.project(ys)) / m
         dual += (g_null / m) * ys
     else:
-        moments = kernel.moments_of(dataset) if moments is None else moments
         u = np.sqrt(kernel.eigenvalues)[:, None] * moments.response
         expansion = eig.combine((g_vals - g_null)[:, None] * eig.project(u)) + g_null * u
     return FittedEstimator(

@@ -5,14 +5,14 @@ estimate the integral-operator spectrum directly. Decompositions are exact:
 either a dense symmetric eigensolve of the m-by-m Gram, or, for
 finite-rank feature kernels with at least as many samples as features, a
 solve in the feature domain that decomposes the model's N-by-N empirical
-operator, built from Fourier moments. That operator has the Gram's
-nonzero spectrum, and a spectral fit needs nothing else from the sample
-than it and B^T y / m, so the feature path never touches an m-sized
-array. Both solves reduce their matrix to tridiagonal form and keep the
-reduction's orthogonal factor as Householder reflectors, so the
-eigenvectors are held as the reflectors times an eigenbasis of the
-tridiagonal matrix and applied from right to left, never formed. No
-sketching, no default jitter.
+operator. That operator has the Gram's nonzero spectrum, and a spectral
+fit needs nothing else from the sample than it and B^T y / m, so the
+feature path's only input is the sample's `SampleMoments`, which hold
+both, and it never touches an m-sized array. Both solves reduce their
+matrix to tridiagonal form and keep the reduction's orthogonal factor as
+Householder reflectors, so the eigenvectors are held as the reflectors
+times an eigenbasis of the tridiagonal matrix and applied from right to
+left, never formed. No sketching, no default jitter.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class GramEigen:
     False: its eigenvalues are the Gram's nonzero ones and its
     eigenvectors W live in the feature domain, where a fit needs them
     (`estimator.fit`); the Gram's remaining eigenvalues are exactly zero.
-    ``size`` is the sample count m either way. `project` and `combine`
+    ``size`` is n, the decomposed dimension. `project` and `combine`
     apply Q mix and its transpose one factor at a time, Q in O(n^2 d), so
     the eigenvectors are built only when the ``vectors`` property is
     read. ``clamped`` records the magnitude of the most negative raw
@@ -318,30 +318,23 @@ def eigendecompose(gram: np.ndarray) -> GramEigen:
     )
 
 
-def mercer_gram_eigen(model, xs, basis=None, moments=None) -> GramEigen:
-    """Exact Gram eigensystem for a finite-rank feature kernel.
+def mercer_gram_eigen(model, moments: SampleMoments) -> GramEigen:
+    """Exact Gram eigensystem of a finite-rank feature kernel, from the sample's moments.
 
-    When m reaches the feature count N, the scaled Gram is Phi Phi^T with
-    Phi = B diag(sqrt t) / sqrt(m), B the (m, N) basis matrix, and its
-    nonzero spectrum equals that of the N-by-N matrix
-    Phi^T Phi = `MercerModel.empirical_operator` = W S W^T, assembled from
-    the sample's Fourier moments: the carried ``moments`` when they
-    belong to this model, else moments accumulated from ``xs`` (or a
-    precomputed ``basis`` at ``xs``, left unchanged) in row chunks. The
-    eigensolve runs at size N through `_tridiagonal_eigh`, so W = Q Z; the
-    result keeps Q's reflectors and ``mix`` = Z over the k modes above
-    RANK_DROP times the top one, and ``dropped`` counts the rest.
-    ``clamped`` and its warning follow `eigendecompose`, measured on the
-    feature-domain spectrum. Neither the m-by-m Gram nor an m-by-N array
-    is formed. For m < N this falls back to the dense path. Either way
-    the result is an exact decomposition, not an approximation.
+    The scaled Gram is Phi Phi^T with Phi = B diag(sqrt t) / sqrt(m), B
+    the (m, N) basis matrix, and its nonzero spectrum equals that of the
+    N-by-N matrix Phi^T Phi = `MercerModel.empirical_operator` = W S W^T,
+    assembled from the sample's Fourier ``moments`` (which must be this
+    model's). The eigensolve runs at size N through `_tridiagonal_eigh`,
+    so W = Q Z; the result keeps Q's reflectors and ``mix`` = Z over the
+    k modes above RANK_DROP times the top one, ``dropped`` counts the
+    rest, and ``size`` is N. ``clamped`` and its warning follow
+    `eigendecompose`, measured on the feature-domain spectrum. Neither
+    the m-by-m Gram nor an m-by-N array is formed, and the result is an
+    exact decomposition, not an approximation. `estimator.fit` takes
+    this path from m = N on and the dense one below.
     """
-    xs = np.asarray(xs, dtype=float)
-    n_feat = int(model.eigenvalues.shape[0])
-    m = xs.shape[0]
-    if m < n_feat:
-        return eigendecompose(assemble_gram(model, xs, basis))
-    vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(xs, basis, moments))
+    vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(moments))
     vals, vecs, clamped = _descending(vals, vecs)
     top = float(vals[0]) if vals.size else 0.0
     keep = vals > RANK_DROP * top
@@ -351,7 +344,7 @@ def mercer_gram_eigen(model, xs, basis=None, moments=None) -> GramEigen:
         mix=vecs[:, keep],
         reflectors=reflectors,
         tau=tau,
-        size=m,
+        size=model.n_trunc,
         complete=False,
         clamped=clamped,
         dropped=int(keep.size - vals.size),

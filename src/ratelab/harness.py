@@ -144,10 +144,7 @@ class ExperimentConfig:
         eta = _number(raw, "eta", 0.1)
         if not 0 < eta < 1:
             raise ConfigError("eta", f"need a level in (0, 1), got {eta}")
-
-        seed = _number(raw, "seed", 0, kind=int)
-        if SEED_ENV_VAR in os.environ:
-            seed = _number(os.environ, SEED_ENV_VAR, None, kind=int)
+        seed = resolve_seed(raw.get("seed", 0))
 
         return cls(
             model_b=_number(model, "b", None, "model"),
@@ -198,6 +195,18 @@ def _section(raw: dict, name: str, default: dict) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError(name, f"need an object, got {spec!r}")
     return spec
+
+
+def resolve_seed(seed, key: str = "seed") -> int:
+    """The run's seed: ``seed``, named ``key`` where it came from, or
+    RATE_LAB_SEED when that is set. Both are checked, and each is refused
+    by name unless it is a nonnegative integer, the only seeds numpy takes."""
+    for value, name in ((seed, key), (os.environ.get(SEED_ENV_VAR), SEED_ENV_VAR)):
+        if value is not None:
+            resolved = _convert(value, name, int)
+            if resolved < 0:
+                raise ConfigError(name, f"need a nonnegative integer, got {resolved}")
+    return resolved
 
 
 def _number(spec, key: str, default, section: str = "", kind=float):

@@ -265,16 +265,6 @@ class TwoPointMeasure:
         weights.flags.writeable = False
         return weights
 
-    def conditional(self, x: float):
-        """Atoms (2d, d) and their weights at one input point."""
-        f_val = self.target.evaluate(np.atleast_1d(x))[0]
-        atoms, weights = two_point_weights(f_val, self.amplitude, self.model.output_dim)
-        weights = weights[0]
-        mean_gap = np.abs(weights @ atoms - f_val).max()
-        if mean_gap > 1e-12 * self.amplitude * self.model.output_dim:
-            raise ContractError(f"conditional mean off by {mean_gap!r}")
-        return atoms, weights
-
     def sample(self, xs, rng: np.random.Generator, basis=None) -> np.ndarray:
         """Draw one output per input point; a precomputed ``basis`` at ``xs`` is reused."""
         f_vals = self.target.evaluate(np.atleast_1d(np.asarray(xs, dtype=float)), basis=basis)

@@ -203,14 +203,14 @@ class MercerModel:
             out[rows] = feats @ scaled
         return out
 
-    def sample_moments(self, xs, ys=None, basis=None) -> SampleMoments:
+    def sample_moments(self, xs, ys=None) -> SampleMoments:
         """The `SampleMoments` of inputs ``xs`` and, if given, outputs ``ys``.
 
-        One pass over `basis_chunks` (reusing a fitting ``basis``), so the
-        memory is one chunk of the basis, not all of it.
+        One pass over `basis_chunks`, so the memory is one chunk of the
+        basis, not all of it.
         """
         sums = MomentSums(self.n_trunc, None if ys is None else ys.shape[1])
-        for rows, feats in self.basis_chunks(xs, basis):
+        for rows, feats in self.basis_chunks(xs):
             sums.add(feats, None if ys is None else ys[rows])
         return sums.moments(len(xs))
 
@@ -220,15 +220,14 @@ class MercerModel:
         held = data.moments
         if held is not None and held.n_feat == self.n_trunc and held.response is not None:
             return held
-        return self.sample_moments(data.xs, data.ys, data.basis)
+        return self.sample_moments(data.xs, data.ys)
 
-    def empirical_operator(self, xs=None, basis=None, moments=None) -> np.ndarray:
+    def empirical_operator(self, moments: SampleMoments) -> np.ndarray:
         """The (N, N) empirical operator diag(sqrt t) (B^T B / m) diag(sqrt t).
 
-        B is the basis at ``xs``. The operator is assembled from the
-        sample's Fourier moments (see `MomentSums`): ``moments`` if they
-        belong to this model, else `sample_moments` of ``xs`` (reusing a
-        fitting ``basis``). Every entry of B^T B / m is a sum or
+        B is the basis at the sample's inputs. The operator is assembled
+        from the sample's Fourier ``moments`` (see `MomentSums`), which
+        must be this model's. Every entry of B^T B / m is a sum or
         difference of two moments C_n = mean cos(n x), S_n = mean sin(n x):
 
             2 cos jx cos kx = cos (j-k)x + cos (j+k)x
@@ -239,8 +238,11 @@ class MercerModel:
         Hankel in C, and the cos/sin block Hankel minus Toeplitz in S.
         Assembly costs O(N^2) and the result is exactly symmetric.
         """
-        if moments is None or moments.n_feat != self.n_trunc:
-            moments = self.sample_moments(np.atleast_1d(np.asarray(xs, dtype=float)), basis=basis)
+        if moments.n_feat != self.n_trunc:
+            raise ParameterError(
+                f"moments of an N = {moments.n_feat} truncation do not fit "
+                f"this N = {self.n_trunc} model"
+            )
         count = self.n_trunc
         h, h_sin = count // 2, (count - 1) // 2
         c, s = moments.cos, moments.sin

@@ -55,7 +55,7 @@ def _outputs(model, target, data):
         fitted.coefficients,
         basis_coefficients(fitted, model),
         sample_error_stat(model, data, target, lam=0.05),
-        operator_deviation(model, data.xs, data.basis, data.moments)["value"],
+        operator_deviation(model, model.moments_of(data))["value"],
     )
 
 

@@ -164,6 +164,45 @@ class TestFit:
         assert len(dump["xs"]) == 32
 
 
+SMALL_RUNS = {
+    "lower-bound": ["--b", "2", "--n-trunc", "64", "--ell", "24", "--m", "16", "--trials", "4"],
+    "fit": ["--b", "2", "--n-trunc", "8", "--m", "32"],
+    "concentration": ["--b", "2", "--n-trunc", "8", "--m", "32", "--replicates", "100"],
+}
+
+
+class TestSeed:
+    """A seed numpy cannot take is a usage error (2) that names it, on every command."""
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_negative_seed_flag_exits_2(self, command, capsys):
+        assert main([command, *SMALL_RUNS[command], "--seed", "-1"]) == 2
+        assert "'--seed': need a nonnegative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_seed_environment_exits_2(self, command, value, monkeypatch, capsys):
+        monkeypatch.setenv("RATE_LAB_SEED", value)
+        assert main([command, *SMALL_RUNS[command]]) == 2
+        assert "config key 'RATE_LAB_SEED'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "x"])
+    def test_bad_config_seed_exits_2(self, seed, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(MINI_CONFIG, seed=seed)))
+        assert main(["sweep", "--config", str(config_path), "--outdir", str(tmp_path / "o")]) == 2
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_environment_overrides_the_flag(self, monkeypatch, capsys):
+        argv = ["fit", *SMALL_RUNS["fit"]]
+        main([*argv, "--seed", "7"])
+        want = capsys.readouterr().out
+        monkeypatch.setenv("RATE_LAB_SEED", "7")
+        main([*argv, "--seed", "0"])
+        assert capsys.readouterr().out == want
+
+
 class TestSweep:
     def test_writes_report_bundle(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -64,7 +64,7 @@ class TestOperatorDeviation:
         """64 equispaced points average the 8 trig features exactly."""
         model, _ = _setup(n_trunc=8)
         xs = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        out = operator_deviation(model, xs)
+        out = operator_deviation(model, model.sample_moments(xs))
         assert out["value"] < 1e-13
 
     @pytest.mark.parametrize("m", [1, 3, 1024])
@@ -73,14 +73,16 @@ class TestOperatorDeviation:
         """The two ends of the spectrum give max |eigenvalue| of the full eigvalsh."""
         model, _ = _setup(n_trunc=n_trunc)
         xs = np.random.default_rng(m).uniform(0.0, 2 * np.pi, size=m)
-        emp = model.empirical_operator(xs)
+        moments = model.sample_moments(xs)
+        emp = model.empirical_operator(moments)
         emp[np.diag_indices_from(emp)] -= model.eigenvalues
         oracle = float(np.max(np.abs(np.linalg.eigvalsh(emp))))
-        assert operator_deviation(model, xs)["value"] == pytest.approx(oracle, rel=1e-13)
+        assert operator_deviation(model, moments)["value"] == pytest.approx(oracle, rel=1e-13)
 
     def test_reports_truncation_tail(self):
         model, _ = _setup(n_trunc=8)
-        out = operator_deviation(model, np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+        xs = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        out = operator_deviation(model, model.sample_moments(xs))
         assert out["truncation_tail"] == pytest.approx(model.trace_tail_bound())
 
     def test_bound_shrinks_with_m(self):

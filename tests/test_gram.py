@@ -168,7 +168,8 @@ class TestFactoredEigen:
         model = build_model(b=2.0, n_trunc=8)
         rng = np.random.default_rng(7)
         xs = rng.uniform(0, 2 * np.pi, size=40)
-        eig = mercer_gram_eigen(model, xs)
+        moments = model.sample_moments(xs)
+        eig = mercer_gram_eigen(model, moments)
         assert not eig.complete
         assert eig.rank <= 8
         gram = assemble_gram(model, xs)
@@ -176,30 +177,12 @@ class TestFactoredEigen:
         np.testing.assert_allclose(
             eig.eigenvalues, dense.eigenvalues[: eig.rank], rtol=1e-9, atol=1e-12
         )
-        assert reconstruction_error(model.empirical_operator(xs), eig) < 1e-12
-
-    def test_reuses_a_carried_basis_and_leaves_it_unchanged(self):
-        model = build_model(b=2.0, n_trunc=8)
-        xs = np.random.default_rng(5).uniform(0, 2 * np.pi, size=40)
-        basis = model.basis(xs)
-        kept = basis.copy()
-        eig = mercer_gram_eigen(model, xs, basis)
-        assert np.array_equal(basis, kept)
-        fresh = mercer_gram_eigen(model, xs)
-        assert np.array_equal(eig.eigenvalues, fresh.eigenvalues)
-        assert np.array_equal(eig.vectors, fresh.vectors)
-
-    def test_small_sample_uses_dense_path(self):
-        model = build_model(b=2.0, n_trunc=16)
-        xs = np.linspace(0.0, 1.0, 5)
-        eig = mercer_gram_eigen(model, xs)
-        assert eig.complete
-        assert eig.size == 5
+        assert reconstruction_error(model.empirical_operator(moments), eig) < 1e-12
 
     def test_columns_orthonormal(self):
         model = build_model(b=1.5, n_trunc=8)
         xs = np.random.default_rng(11).uniform(0, 2 * np.pi, size=64)
-        eig = mercer_gram_eigen(model, xs)
+        eig = mercer_gram_eigen(model, model.sample_moments(xs))
         np.testing.assert_allclose(
             eig.vectors.T @ eig.vectors, np.eye(eig.rank), atol=1e-10
         )
@@ -210,7 +193,7 @@ class TestFactoredEigen:
         get just above m = N, since no inverse root of them is folded in."""
         model = build_model(b=2.0, n_trunc=512)
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
-        eig = mercer_gram_eigen(model, xs)
+        eig = mercer_gram_eigen(model, model.sample_moments(xs))
         assert not eig.complete
         vectors = eig.vectors
         assert vectors.shape == (512, eig.rank)
@@ -226,9 +209,12 @@ class TestProductForm:
         the feature one in R^N with N = 8."""
         model = build_model(b=2.0, n_trunc=8)
         rng = np.random.default_rng(m)
-        eig = mercer_gram_eigen(model, rng.uniform(0, 2 * np.pi, size=m))
-        assert eig.complete == (m < 8)
-        n = m if eig.complete else 8
+        xs = rng.uniform(0, 2 * np.pi, size=m)
+        if m < 8:
+            eig = eigendecompose(assemble_gram(model, xs))
+        else:
+            eig = mercer_gram_eigen(model, model.sample_moments(xs))
+        n = eig.size
         vectors = eig.vectors
         assert vectors.shape == (n, eig.rank)
         ys = rng.standard_normal((n, 3))
@@ -242,15 +228,24 @@ class TestProductForm:
         model = build_model(b=2.0, n_trunc=8)
         xs = np.random.default_rng(3).uniform(0, 2 * np.pi, size=40)
         moments = model.sample_moments(xs)
-        fresh = mercer_gram_eigen(model, xs)
+        fresh = mercer_gram_eigen(model, moments)
 
         def refuse(*_args):
             raise AssertionError("the basis was evaluated")
 
         monkeypatch.setattr("ratelab.mercer.trigonometric_basis", refuse)
-        eig = mercer_gram_eigen(model, xs, moments=moments)
+        eig = mercer_gram_eigen(model, moments)
         assert np.array_equal(eig.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(eig.vectors, fresh.vectors)
+
+    def test_moments_of_another_truncation_are_refused(self):
+        """Moments taken for N = 16 name both truncations instead of being recomputed."""
+        model = build_model(b=2.0, n_trunc=8)
+        xs = np.random.default_rng(3).uniform(0, 2 * np.pi, size=40)
+        other = build_model(b=2.0, n_trunc=16).sample_moments(xs)
+        for call in (model.empirical_operator, lambda moments: mercer_gram_eigen(model, moments)):
+            with pytest.raises(ParameterError, match="N = 16 truncation .* N = 8 model"):
+                call(other)
 
     @pytest.mark.parametrize("m", [17, 32, 128])
     def test_factored_reconstruction(self, m):
@@ -258,11 +253,12 @@ class TestProductForm:
         with Phi = B diag(sqrt t) / sqrt(m) the m x m Gram Phi Phi^T."""
         model = build_model(b=2.0, n_trunc=16)
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
-        eig = mercer_gram_eigen(model, xs)
-        assert eig.size == m
+        moments = model.sample_moments(xs)
+        eig = mercer_gram_eigen(model, moments)
+        assert eig.size == 16
         assert eig.reflectors.shape == (15, 15)
         assert eig.mix.shape == (16, eig.rank)
-        assert reconstruction_error(model.empirical_operator(xs), eig) <= 1e-12
+        assert reconstruction_error(model.empirical_operator(moments), eig) <= 1e-12
         phi = model.basis(xs) * np.sqrt(model.eigenvalues / m)[None, :]
         vectors = eig.vectors
         assert eig.rank == 16
@@ -285,23 +281,23 @@ class TestFactoredClamp:
     """The factored path records its most negative raw eigenvalue as the dense one does."""
 
     def _solve(self, xs):
-        return mercer_gram_eigen(build_model(b=2.0, n_trunc=8), xs)
+        model = build_model(b=2.0, n_trunc=8)
+        return mercer_gram_eigen(model, model.sample_moments(xs))
 
     def test_records_the_raw_feature_spectrum(self):
         """Three distinct inputs leave the 8 x 8 feature matrix at rank 3."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.tile([0.4, 2.0, 5.1], 14)
-        raw = _tridiagonal_eigh(model.empirical_operator(xs))[0]
+        raw = _tridiagonal_eigh(model.empirical_operator(model.sample_moments(xs)))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eig = mercer_gram_eigen(model, xs)
+            eig = self._solve(xs)
         assert eig.rank == 3
         assert eig.clamped == max(-float(raw.min()), 0.0)
 
     def test_counts_the_dropped_modes(self):
         """The same rank-3 input drops 5 of the 8 feature modes; full rank drops none."""
-        model = build_model(b=2.0, n_trunc=8)
-        assert mercer_gram_eigen(model, np.tile([0.4, 2.0, 5.1], 14)).dropped == 5
+        assert self._solve(np.tile([0.4, 2.0, 5.1], 14)).dropped == 5
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         assert self._solve(xs).dropped == 0
 

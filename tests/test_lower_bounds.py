@@ -16,6 +16,7 @@ from ratelab.errors import (
 from ratelab.index_functions import HolderIndex
 from ratelab.lower_bounds import (
     FANO_CONSTANT,
+    KL_GRID,
     REJECTION_CAP,
     TwoPointMeasure,
     _pairwise_separation,
@@ -30,11 +31,11 @@ from ratelab.lower_bounds import (
     packing_size,
     separation_for_code_length,
 )
-from ratelab.mercer import build_model
+from ratelab.mercer import build_model, two_point_weights
 
 
-def _lab(n_trunc=128):
-    model = build_model(b=2.0, n_trunc=n_trunc)
+def _lab(n_trunc=128, d=1):
+    model = build_model(b=2.0, d=d, n_trunc=n_trunc)
     phi = HolderIndex(0.5, domain_max=model.kappa_sq)
     return model, phi
 
@@ -194,29 +195,28 @@ class TestAdversarialFamily:
             adversarial_family(model, phi, 1.0, 10 * feasible, packing, rkhs_variant=True)
 
 
+def _grid_measures():
+    """A TwoPointMeasure on the first family member at ell = 24, for d = 1 and d = 3."""
+    for d in (1, 3):
+        model, phi = _lab(d=d)
+        eps = separation_for_code_length(model, phi, 1.0, 24)
+        family = adversarial_family(model, phi, 1.0, eps, build_packing(24))
+        yield TwoPointMeasure(model, family.members[0], amplitude_for(phi, 1.0, model))
+
+
 class TestTwoPointMeasure:
     def test_amplitude_keeps_weights_bounded_away_from_zero(self):
-        model, phi = _lab()
-        packing = build_packing(24)
-        eps = separation_for_code_length(model, phi, 1.0, 24)
-        family = adversarial_family(model, phi, 1.0, eps, packing)
-        level = amplitude_for(phi, 1.0, model)
-        measure = TwoPointMeasure(model, family.members[0], level)
-        xs = np.linspace(0.0, 2 * np.pi, 257)
-        for x in xs[::16]:
-            _, weights = measure.conditional(float(x))
-            assert weights.min() >= 3.0 / 8.0 - 1e-12
+        for measure in _grid_measures():
+            d = measure.model.output_dim
+            assert measure.grid_weights.min() >= 3.0 / (8.0 * d) - 1e-12
 
     def test_conditional_mean_matches_target(self):
-        model, phi = _lab()
-        packing = build_packing(24)
-        eps = separation_for_code_length(model, phi, 1.0, 24)
-        family = adversarial_family(model, phi, 1.0, eps, packing)
-        level = amplitude_for(phi, 1.0, model)
-        measure = TwoPointMeasure(model, family.members[0], level)
-        atoms, weights = measure.conditional(1.3)
-        target_value = family.members[0].evaluate(np.array([1.3]))[0]
-        np.testing.assert_allclose(weights @ atoms, target_value, atol=1e-12)
+        """At every grid point the weights average the atoms to the target there."""
+        for measure in _grid_measures():
+            d = measure.model.output_dim
+            atoms, _ = two_point_weights(np.zeros(d), measure.amplitude, d)
+            want = measure.target.evaluate(KL_GRID)
+            np.testing.assert_allclose(measure.grid_weights @ atoms, want, rtol=0, atol=1e-12)
 
     def test_samples_sit_on_atoms(self):
         model, phi = _lab()
@@ -236,7 +236,7 @@ class TestTwoPointMeasure:
         family = adversarial_family(model, phi, 1.0, eps, packing)
         measure = TwoPointMeasure(model, family.members[0], 1e-9)
         with pytest.raises(AmplitudeError):
-            measure.conditional(0.0)
+            measure.grid_weights
 
 
 class TestKLDivergence:
