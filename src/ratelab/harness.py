@@ -121,6 +121,10 @@ class ExperimentConfig:
             _number(filter_spec, key, None, "filter", _FILTER_NUMBERS[key])
 
         noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
+        # NoiseSpec refuses a NaN level as out of range; name it as not finite first
+        for key, value in noise_spec.items() if isinstance(noise_spec, dict) else ():
+            if isinstance(value, float):
+                _convert(value, f"noise.{key}")
         try:
             noise = noise_from_dict(noise_spec)
         except (KeyError, ValueError) as exc:

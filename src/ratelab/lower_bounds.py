@@ -12,14 +12,12 @@ stress-tested against an actual estimator.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    AmplitudeError,
     ConstructionError,
     ContractError,
     PackingFailureError,
@@ -43,15 +41,8 @@ MIN_CODE_LENGTH = 24
 REJECTION_CAP = 10**6
 FANO_CONSTANT = math.exp(-3.0 / math.e)
 SEPARATION_SLACK = 1e-9
-PAIR_BLOCK = 1024  # family members per block in the pairwise separation check
-KL_GRID_POINTS = 512  # input grid of the divergence average
+PAIR_BLOCK = 128  # family members per block in the pairwise separation check
 PERIOD = 2.0 * math.pi
-KL_GRID = np.linspace(0.0, PERIOD, KL_GRID_POINTS, endpoint=False)
-KL_GRID.flags.writeable = False
-
-# Basis on KL_GRID, read-only, one per live model: an entry dies with its
-# model, so each new model pays for one evaluation and no more.
-_GRID_BASES = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,19 +203,26 @@ def adversarial_family(
 def _pairwise_separation(model, members, rkhs_variant):
     """Smallest and largest distance over every pair of members.
 
-    Rows are compared in blocks of PAIR_BLOCK against every later member,
-    so memory stays at PAIR_BLOCK x len(members) however large the family.
+    Rows are compared in blocks of PAIR_BLOCK against every later member.
+    Each block's squared distances sq_i + sq_j - 2 <s_i, s_j> are formed in
+    one PAIR_BLOCK x len(members) buffer, in that order, and only the
+    block's own square needs a mask, so memory stays at a few such rows.
     """
     stack = np.stack([mem.coefficients[:, 0] for mem in members])
     if not rkhs_variant:
-        stack = stack * np.sqrt(model.eigenvalues)[None, :]
+        stack *= np.sqrt(model.eigenvalues)[None, :]
     sq = np.sum(stack * stack, axis=1)
     lo, hi = math.inf, 0.0
     for start in range(0, stack.shape[0] - 1, PAIR_BLOCK):
-        rows = slice(start, start + PAIR_BLOCK)
-        dist_sq = sq[rows, None] + sq[None, start:] - 2.0 * stack[rows] @ stack[start:].T
-        later = dist_sq[np.triu(np.ones(dist_sq.shape, dtype=bool), k=1)]
-        lo, hi = min(lo, float(later.min())), max(hi, float(later.max()))
+        block = stack[start : start + PAIR_BLOCK]
+        rows = len(block)
+        dist_sq = np.add.outer(sq[start : start + rows], sq[start:])
+        dist_sq -= (2.0 * block) @ stack[start:].T
+        own = dist_sq[:, :rows][np.triu_indices(rows, k=1)]
+        lo, hi = min(lo, float(own.min())), max(hi, float(own.max()))
+        if dist_sq.shape[1] > rows:
+            rest = dist_sq[:, rows:]
+            lo, hi = min(lo, float(rest.min())), max(hi, float(rest.max()))
     return math.sqrt(max(lo, 0.0)), math.sqrt(hi)
 
 
@@ -250,17 +248,17 @@ class TwoPointMeasure:
     amplitude: float
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise AmplitudeError(f"amplitude must be positive, got {self.amplitude!r}")
+        if not self.amplitude > 0:
+            raise ParameterError(f"amplitude must be positive, got {self.amplitude!r}")
 
     @cached_property
     def grid_weights(self) -> np.ndarray:
-        """Atom weights (KL_GRID_POINTS, 2d) at every point of KL_GRID.
+        """Atom weights (mercer.GRID_POINTS, 2d) at the inputs 2 pi j / GRID_POINTS.
 
-        Computed on first use from the model's shared grid basis and kept
-        on the instance, which is frozen, so the cache cannot go stale.
+        Computed on first use by `MercerModel.expand_on_grid` and kept on
+        the instance, which is frozen, so the cache cannot go stale.
         """
-        f_vals = self.target.evaluate(KL_GRID, basis=_grid_basis(self.model))
+        f_vals = self.model.expand_on_grid(self.target.coefficients)
         weights = two_point_weights(f_vals, self.amplitude, self.model.output_dim)[1]
         weights.flags.writeable = False
         return weights
@@ -269,16 +267,6 @@ class TwoPointMeasure:
         """Draw one output per input point; a precomputed ``basis`` at ``xs`` is reused."""
         f_vals = self.target.evaluate(np.atleast_1d(np.asarray(xs, dtype=float)), basis=basis)
         return sample_two_point(f_vals, self.amplitude, self.model.output_dim, rng)
-
-
-def _grid_basis(model: MercerModel) -> np.ndarray:
-    """The basis at KL_GRID, evaluated once per model and stored read-only."""
-    basis = _GRID_BASES.get(model)
-    if basis is None:
-        basis = model.basis(KL_GRID)
-        basis.flags.writeable = False
-        _GRID_BASES[model] = basis
-    return basis
 
 
 @dataclass(frozen=True)
@@ -295,7 +283,7 @@ def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparis
     """Average conditional divergence of two measures sharing an amplitude.
 
     Computed exactly per grid point from the atom weights and averaged
-    over the uniform input measure on KL_GRID_POINTS equispaced points;
+    over the uniform input measure on mercer.GRID_POINTS equispaced points;
     each measure's weights are computed once (`TwoPointMeasure.grid_weights`),
     so comparing K measures pairwise costs K grid evaluations. The
     closed-form ceiling 16 / (15 d L^2) times the squared L2 gap of

@@ -43,6 +43,9 @@ SOURCE_RADIUS_SLACK = 1e-12
 BOUND_SLACK = 1e-12
 # Basis cells per row chunk at m >= N (1 MiB of float64): 256 rows at N = 512.
 CHUNK_CELLS = 2**17
+# Equispaced inputs 2 pi j / GRID_POINTS on which the two-point measure is
+# checked: the divergence average and the noise certificate's target values.
+GRID_POINTS = 512
 
 
 def trigonometric_basis(xs, count: int) -> np.ndarray:
@@ -202,6 +205,37 @@ class MercerModel:
         for rows, feats in self.basis_chunks(xs):
             out[rows] = feats @ scaled
         return out
+
+    def expand_on_grid(self, coefficients, points: int = GRID_POINTS) -> np.ndarray:
+        """Values of the expansion with ``coefficients`` (N, d) against
+        sqrt(t_n) e_n at the G = ``points`` inputs x_j = 2 pi j / G, from one
+        inverse real FFT, with no G x N basis.
+
+        On this grid cos(k x_j) and sin(k x_j) depend on k mod G only, and a
+        frequency r above G/2 gives cos((G - r) x_j) and -sin((G - r) x_j).
+        So every frequency folds onto 0..G/2, its sine flipped where it
+        folds down, and the values are exact for any N, also N > G. The
+        sines at 0 and G/2 vanish on the grid. The cost is O(N d + d G log G).
+        """
+        scaled = np.sqrt(self.eigenvalues)[:, None] * coefficients
+        count = self.n_trunc
+        freq = np.arange(1, count // 2 + 1) % points
+        down = 2 * freq > points
+        freq[down] = points - freq[down]
+        edge = (freq == 0) | (2 * freq == points)
+        # irfft with norm="forward" gives X_0 + 2 sum Re(X_r e^(i r x)) over
+        # 0 < r < G/2, plus X_(G/2) (-1)^j: so a column sqrt(2) c cos(r x)
+        # adds c / sqrt(2) to X_r, or sqrt(2) c at an edge, and a column
+        # sqrt(2) c sin(r x) adds -i c / sqrt(2), or +i c / sqrt(2) if folded down
+        cos_gain = np.where(edge, math.sqrt(2.0), math.sqrt(0.5))
+        sin_gain = np.where(down, 1j, -1j) * math.sqrt(0.5)
+        sin_gain[edge] = 0.0
+        n_sin = (count - 1) // 2
+        spectrum = np.zeros((points // 2 + 1, scaled.shape[1]), dtype=complex)
+        spectrum[0] = scaled[0]
+        np.add.at(spectrum, freq, cos_gain[:, None] * scaled[1::2])
+        np.add.at(spectrum, freq[:n_sin], sin_gain[:n_sin, None] * scaled[2::2])
+        return np.fft.irfft(spectrum, n=points, axis=0, norm="forward")
 
     def sample_moments(self, xs, ys=None) -> SampleMoments:
         """The `SampleMoments` of inputs ``xs`` and, if given, outputs ``ys``.
@@ -589,9 +623,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "two_point"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma < 0:
+        if self.kind == "gaussian" and not self.sigma >= 0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if self.kind == "two_point" and self.amplitude <= 0:
+        if self.kind == "two_point" and not self.amplitude > 0:
             raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
 
     def moment_constants(self, output_dim: int) -> tuple[float, float]:
@@ -633,8 +667,7 @@ class NoiseSpec:
         candidates = np.vstack([np.zeros(d), probe, -probe, even])
         limit = sd**2 / (2.0 * scale**2)
         if target is not None:
-            grid = np.linspace(0.0, PERIOD, 512, endpoint=False)
-            f_vals = target.evaluate(grid)
+            f_vals = model.expand_on_grid(target.coefficients)
             if np.abs(f_vals).max() > level:
                 # the atoms cannot carry this mean; the weights would go
                 # negative, so no certificate exists at this level

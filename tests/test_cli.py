@@ -203,6 +203,14 @@ class TestSeed:
         assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("command", ["concentration", "fit"])
+def test_nan_sigma_exits_2_naming_it(command, capsys):
+    """NaN passed a `sigma < 0` check and failed later, as a non-finite
+    dataset or a moment condition 'nan > nan' that did not name sigma."""
+    assert main([command, *SMALL_RUNS[command], "--sigma", "nan"]) == 2
+    assert "error: sigma must be >= 0, got nan" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_writes_report_bundle(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
 from ratelab.errors import (
@@ -16,7 +17,6 @@ from ratelab.errors import (
 from ratelab.index_functions import HolderIndex
 from ratelab.lower_bounds import (
     FANO_CONSTANT,
-    KL_GRID,
     REJECTION_CAP,
     TwoPointMeasure,
     _pairwise_separation,
@@ -31,7 +31,7 @@ from ratelab.lower_bounds import (
     packing_size,
     separation_for_code_length,
 )
-from ratelab.mercer import build_model, two_point_weights
+from ratelab.mercer import GRID_POINTS, build_model, two_point_weights
 
 
 def _lab(n_trunc=128, d=1):
@@ -178,6 +178,28 @@ class TestAdversarialFamily:
         assert min_sep == 0.0
         assert max_sep <= 2.0 * math.sqrt(64)
 
+    def test_separation_check_memory_stays_near_the_family(self):
+        """ell = 168 at N = 512: 1,097 members that keep 8.6 MiB (coefficients
+        and sources). The check builds each block's squared distances in one
+        buffer and masks only the block's own square, so the whole build
+        peaks under 24 MiB (35.8 MiB with 1024-row blocks and full-width
+        masks); the separations equal the distances taken pair by pair."""
+        model, phi = _lab(n_trunc=512)
+        packing = build_packing(168)
+        eps = separation_for_code_length(model, phi, 1.0, 168)
+        tracemalloc.start()
+        try:
+            family = adversarial_family(model, phi, 1.0, eps, packing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(family.members) == 1097
+        assert peak <= 24 * 2**20
+        scaled = np.stack([mem.coefficients[:, 0] for mem in family.members])
+        distances = pdist(scaled * np.sqrt(model.eigenvalues))
+        assert family.min_separation == pytest.approx(distances.min(), rel=1e-12)
+        assert family.max_separation == pytest.approx(distances.max(), rel=1e-12)
+
     def test_needs_enough_features(self):
         model_small, phi_small = _lab(n_trunc=16)
         packing = build_packing(48)
@@ -215,7 +237,7 @@ class TestTwoPointMeasure:
         for measure in _grid_measures():
             d = measure.model.output_dim
             atoms, _ = two_point_weights(np.zeros(d), measure.amplitude, d)
-            want = measure.target.evaluate(KL_GRID)
+            want = measure.target.evaluate(np.linspace(0.0, 2 * np.pi, GRID_POINTS, endpoint=False))
             np.testing.assert_allclose(measure.grid_weights @ atoms, want, rtol=0, atol=1e-12)
 
     def test_samples_sit_on_atoms(self):
@@ -228,6 +250,17 @@ class TestTwoPointMeasure:
         rng = np.random.default_rng(0)
         ys = measure.sample(np.linspace(0.0, 2 * np.pi, 32), rng)
         np.testing.assert_allclose(np.abs(ys), level)
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_amplitude_refused_by_name(self, level):
+        """NaN used to pass the check and fail later as a mismatch in
+        `kl_divergence` or as non-finite outputs."""
+        model, phi = _lab()
+        family = adversarial_family(
+            model, phi, 1.0, separation_for_code_length(model, phi, 1.0, 24), build_packing(24)
+        )
+        with pytest.raises(ParameterError, match="amplitude must be positive"):
+            TwoPointMeasure(model, family.members[0], level)
 
     def test_undersized_level_rejected(self):
         model, phi = _lab()

@@ -15,6 +15,7 @@ from ratelab.errors import (
 )
 from ratelab.index_functions import HolderIndex, LogIndex
 from ratelab.mercer import (
+    GRID_POINTS,
     MercerModel,
     NoiseSpec,
     approx_error_norms,
@@ -78,6 +79,45 @@ class TestBasis:
         batch = trigonometric_basis(xs, count)
         for i in range(m):
             assert np.array_equal(batch[i], trigonometric_basis(xs[i : i + 1], count)[0])
+
+
+class TestGridExpansion:
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than float64 here, so it is no oracle",
+    )
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("count", [8, 9, 511, 512, 513, 1024, 1025])
+    def test_equals_the_basis_product_in_long_double(self, count, d):
+        """`expand_on_grid` against the basis product at x_j = 2 pi j / 512 in
+        np.longdouble, each angle reduced exactly as 2 pi (k j mod 512) / 512,
+        within 1e-13 of max |f|. From N = 514 on, frequencies above 256 fold
+        onto 512 - k with the sine flipped, and 512 onto the constant."""
+        model = build_model(b=1.0, d=d, n_trunc=count)
+        coefficients = np.random.default_rng(count).standard_normal((count, d))
+        freqs = (np.arange(count) + 1) // 2
+        turns = (np.arange(GRID_POINTS)[:, None] * freqs) % GRID_POINTS
+        angles = 8 * np.arctan(np.longdouble(1)) * turns.astype(np.longdouble) / GRID_POINTS
+        basis = np.where(np.arange(count) % 2 == 1, np.cos(angles), np.sin(angles))
+        basis *= np.sqrt(np.longdouble(2))
+        basis[:, 0] = 1
+        want = basis @ (np.sqrt(model.eigenvalues.astype(np.longdouble))[:, None] * coefficients)
+        got = model.expand_on_grid(coefficients)
+        assert got.shape == (GRID_POINTS, d)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("points", [7, 8, 16, 33])
+    def test_any_grid_size_matches_expand(self, points):
+        """Odd and even G, with N = 40 folding several times over the small grids."""
+        model = build_model(b=1.0, d=2, n_trunc=40)
+        coefficients = np.random.default_rng(points).standard_normal((40, 2))
+        grid = 2 * np.pi * np.arange(points) / points
+        np.testing.assert_allclose(
+            model.expand_on_grid(coefficients, points),
+            model.expand(coefficients, grid),
+            rtol=0,
+            atol=1e-13 * np.abs(model.expand(coefficients, grid)).max(),
+        )
 
 
 def _unit_spectrum_model(count):
@@ -329,6 +369,12 @@ class TestGaussianNoise:
         assert cert.satisfied
         assert cert.moment_value == 0.0
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    def test_negative_or_nan_sigma_refused_by_name(self, sigma):
+        """NaN used to pass and fail later as 'value nan > limit nan'."""
+        with pytest.raises(ParameterError, match="sigma must be >= 0"):
+            NoiseSpec(kind="gaussian", sigma=sigma)
+
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 2.0])
     def test_moment_equals_closed_form_at_every_sigma(self, sigma):
         """At d = 1, M = 3 sigma and E[exp(|X|/M) - |X|/M - 1] is free of sigma:
@@ -496,6 +542,11 @@ class TestTwoPointNoise:
         expected = max(direct(f) for f in candidates)
         cert = spec.certify(model, target=target)
         assert cert.moment_value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_amplitude_refused_by_name(self, level):
+        with pytest.raises(ParameterError, match="amplitude must be positive"):
+            NoiseSpec(kind="two_point", amplitude=level)
 
     def test_decertified_when_target_exceeds_amplitude(self):
         model = build_model(b=2.0, n_trunc=8)
