@@ -121,7 +121,8 @@ class ExperimentConfig:
             _number(filter_spec, key, None, "filter", _FILTER_NUMBERS[key])
 
         noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
-        # NoiseSpec refuses a NaN level as out of range; name it as not finite first
+        # a NaN or infinite level is named as not finite before NoiseSpec's
+        # range check; a value that is no number is left to noise_from_dict
         for key, value in noise_spec.items() if isinstance(noise_spec, dict) else ():
             if isinstance(value, float):
                 _convert(value, f"noise.{key}")
@@ -130,8 +131,6 @@ class ExperimentConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError("noise", str(exc)) from None
         _check_keys(noise_spec, _NOISE_KEYS[noise.kind], "noise")
-        for key in noise_spec.keys() - {"kind"}:
-            _number(noise_spec, key, None, "noise")
 
         rule = raw.get("rule", "psi")
         if rule not in LAMBDA_RULES:

@@ -206,36 +206,25 @@ class MercerModel:
             out[rows] = feats @ scaled
         return out
 
-    def expand_on_grid(self, coefficients, points: int = GRID_POINTS) -> np.ndarray:
+    def expand_on_grid(self, coefficients) -> np.ndarray:
         """Values of the expansion with ``coefficients`` (N, d) against
-        sqrt(t_n) e_n at the G = ``points`` inputs x_j = 2 pi j / G, from one
-        inverse real FFT, with no G x N basis.
+        sqrt(t_n) e_n at the G = GRID_POINTS inputs x_j = 2 pi j / G, from
+        one inverse FFT, with no G x N basis.
 
-        On this grid cos(k x_j) and sin(k x_j) depend on k mod G only, and a
-        frequency r above G/2 gives cos((G - r) x_j) and -sin((G - r) x_j).
-        So every frequency folds onto 0..G/2, its sine flipped where it
-        folds down, and the values are exact for any N, also N > G. The
-        sines at 0 and G/2 vanish on the grid. The cost is O(N d + d G log G).
+        A pair of columns sqrt(2) c cos(k x) + sqrt(2) s sin(k x) is the real
+        part of sqrt(2) (c - i s) e^(i k x), and on this grid e^(i k x_j)
+        depends on k mod G only, so each pair adds to bin k mod G and the
+        values are exact for any N, also N > G. The cost is
+        O(N d + d G log G).
         """
         scaled = np.sqrt(self.eigenvalues)[:, None] * coefficients
-        count = self.n_trunc
-        freq = np.arange(1, count // 2 + 1) % points
-        down = 2 * freq > points
-        freq[down] = points - freq[down]
-        edge = (freq == 0) | (2 * freq == points)
-        # irfft with norm="forward" gives X_0 + 2 sum Re(X_r e^(i r x)) over
-        # 0 < r < G/2, plus X_(G/2) (-1)^j: so a column sqrt(2) c cos(r x)
-        # adds c / sqrt(2) to X_r, or sqrt(2) c at an edge, and a column
-        # sqrt(2) c sin(r x) adds -i c / sqrt(2), or +i c / sqrt(2) if folded down
-        cos_gain = np.where(edge, math.sqrt(2.0), math.sqrt(0.5))
-        sin_gain = np.where(down, 1j, -1j) * math.sqrt(0.5)
-        sin_gain[edge] = 0.0
-        n_sin = (count - 1) // 2
-        spectrum = np.zeros((points // 2 + 1, scaled.shape[1]), dtype=complex)
+        sines = np.zeros_like(scaled[1::2])
+        sines[: len(scaled[2::2])] = scaled[2::2]
+        freq = np.arange(1, len(sines) + 1) % GRID_POINTS
+        spectrum = np.zeros((GRID_POINTS, scaled.shape[1]), dtype=complex)
         spectrum[0] = scaled[0]
-        np.add.at(spectrum, freq, cos_gain[:, None] * scaled[1::2])
-        np.add.at(spectrum, freq[:n_sin], sin_gain[:n_sin, None] * scaled[2::2])
-        return np.fft.irfft(spectrum, n=points, axis=0, norm="forward")
+        np.add.at(spectrum, freq, math.sqrt(2.0) * (scaled[1::2] - 1j * sines))
+        return np.fft.ifft(spectrum, axis=0, norm="forward").real
 
     def sample_moments(self, xs, ys=None) -> SampleMoments:
         """The `SampleMoments` of inputs ``xs`` and, if given, outputs ``ys``.
@@ -623,10 +612,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "two_point"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma >= 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if self.kind == "two_point" and not self.amplitude > 0:
-            raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
+        if self.kind == "gaussian" and not 0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be >= 0 and finite, got {self.sigma}")
+        if self.kind == "two_point" and not 0 < self.amplitude < math.inf:
+            raise ParameterError(f"amplitude must be positive and finite, got {self.amplitude}")
 
     def moment_constants(self, output_dim: int) -> tuple[float, float]:
         if self.kind == "gaussian":

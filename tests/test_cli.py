@@ -203,12 +203,14 @@ class TestSeed:
         assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["concentration", "fit"])
-def test_nan_sigma_exits_2_naming_it(command, capsys):
+def test_non_finite_sigma_exits_2_naming_it(command, level, capsys):
     """NaN passed a `sigma < 0` check and failed later, as a non-finite
-    dataset or a moment condition 'nan > nan' that did not name sigma."""
-    assert main([command, *SMALL_RUNS[command], "--sigma", "nan"]) == 2
-    assert "error: sigma must be >= 0, got nan" in capsys.readouterr().err
+    dataset or a moment condition 'nan > nan' that did not name sigma;
+    infinity overflowed the sample and failed as a non-finite dataset."""
+    assert main([command, *SMALL_RUNS[command], "--sigma", level]) == 2
+    assert f"error: sigma must be >= 0 and finite, got {level}" in capsys.readouterr().err
 
 
 class TestSweep:

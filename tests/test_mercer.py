@@ -106,17 +106,16 @@ class TestGridExpansion:
         assert got.shape == (GRID_POINTS, d)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("points", [7, 8, 16, 33])
-    def test_any_grid_size_matches_expand(self, points):
-        """Odd and even G, with N = 40 folding several times over the small grids."""
-        model = build_model(b=1.0, d=2, n_trunc=40)
-        coefficients = np.random.default_rng(points).standard_normal((40, 2))
-        grid = 2 * np.pi * np.arange(points) / points
+    @pytest.mark.parametrize("count", [513, 1024, 1025])
+    def test_folded_frequencies_match_expand(self, count):
+        """N = 513 reaches frequency 256, whose sine vanishes on the grid, and
+        from N = 514 on frequencies fold onto k mod 512; in float64 the grid
+        values still match the basis evaluated at the grid."""
+        model = build_model(b=1.0, d=2, n_trunc=count)
+        coefficients = np.random.default_rng(count).standard_normal((count, 2))
+        want = model.expand(coefficients, 2 * np.pi * np.arange(GRID_POINTS) / GRID_POINTS)
         np.testing.assert_allclose(
-            model.expand_on_grid(coefficients, points),
-            model.expand(coefficients, grid),
-            rtol=0,
-            atol=1e-13 * np.abs(model.expand(coefficients, grid)).max(),
+            model.expand_on_grid(coefficients), want, rtol=0, atol=1e-13 * np.abs(want).max()
         )
 
 
@@ -369,8 +368,8 @@ class TestGaussianNoise:
         assert cert.satisfied
         assert cert.moment_value == 0.0
 
-    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
-    def test_negative_or_nan_sigma_refused_by_name(self, sigma):
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_sigma_refused_by_name(self, sigma):
         """NaN used to pass and fail later as 'value nan > limit nan'."""
         with pytest.raises(ParameterError, match="sigma must be >= 0"):
             NoiseSpec(kind="gaussian", sigma=sigma)
@@ -543,8 +542,8 @@ class TestTwoPointNoise:
         cert = spec.certify(model, target=target)
         assert cert.moment_value == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
-    def test_nonpositive_or_nan_amplitude_refused_by_name(self, level):
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_non_finite_amplitude_refused_by_name(self, level):
         with pytest.raises(ParameterError, match="amplitude must be positive"):
             NoiseSpec(kind="two_point", amplitude=level)
 
