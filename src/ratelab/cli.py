@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .concentration import tail_test
-from .errors import RateLabError
+from .errors import ParameterError, RateLabError
 from .estimator import error_norms, export_coefficients, fit
 from .filters import FILTER_KINDS, filter_from_dict
 from .harness import load_config, rate_sweep, resolve_seed, write_outputs
@@ -53,6 +54,13 @@ def _build_lab(args):
     return model, phi
 
 
+def _positive(flag: str, value: float) -> float:
+    """``value`` if it is positive and finite, else a ParameterError naming ``flag``."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{flag} must be positive and finite, got {value!r}")
+    return value
+
+
 def _print(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -71,13 +79,14 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_filters(args) -> int:
+    kappa_sq = _positive("--kappa-sq", args.kappa_sq)
     kinds = [args.filter] if args.filter else list(FILTER_KINDS)
     all_passed = True
     for kind in kinds:
         filt = filter_from_dict(
-            {"id": kind, "nu": args.nu, "tau": args.tau}, kappa_sq=args.kappa_sq
+            {"id": kind, "nu": args.nu, "tau": args.tau}, kappa_sq=kappa_sq
         )
-        report = filt.verify(kappa_sq=args.kappa_sq)
+        report = filt.verify(kappa_sq=kappa_sq)
         all_passed &= report.passed
         print(f"{kind}: {'ok' if report.passed else 'FAILED'}")
         for row in report.rows:
@@ -89,8 +98,11 @@ def _cmd_filters(args) -> int:
 
 
 def _cmd_effdim(args) -> int:
+    if args.points < 1:
+        raise ParameterError(f"--points must be >= 1, got {args.points}")
+    lam_min, lam_max = _positive("--lam-min", args.lam_min), _positive("--lam-max", args.lam_max)
+    lams = np.geomspace(lam_min, lam_max, args.points)
     model, _ = _build_lab(args)
-    lams = np.geomspace(args.lam_min, args.lam_max, args.points)
     report = effdim_bound_check(model, lams)
     for row in report.rows:
         print(
@@ -109,7 +121,10 @@ def _cmd_concentration(args) -> int:
         noise = NoiseSpec("gaussian", sigma=args.sigma)
     else:
         noise = NoiseSpec("two_point", amplitude=amplitude_for(phi, args.radius, model))
-    lam = args.lam if args.lam else float(choose_lambda("psi", phi, args.b, args.m))
+    if args.lam is None:
+        lam = float(choose_lambda("psi", phi, args.b, args.m))
+    else:
+        lam = _positive("--lam", args.lam)
     report = tail_test(
         kind=args.kind,
         model=model,

@@ -35,7 +35,7 @@ def sample_error_stat(
     (`MercerModel.moments_of`): M s by `MercerModel.moment_product`, with
     no basis evaluation and no N-by-N matrix.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
     moments = model.moments_of(dataset)
     t = model.eigenvalues

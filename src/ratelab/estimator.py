@@ -102,7 +102,7 @@ def fit(
     Dataset carries (or moments computed from its samples). A
     precomputed ``gram`` eigendecomposition is reused as is.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
     is_mercer = isinstance(kernel, MercerModel)
     feature = is_mercer and (dataset.m >= kernel.n_trunc if gram is None else not gram.complete)
@@ -139,7 +139,7 @@ def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator
 
     Solves ((1/m) K + lam I) c = y / m. Exists to cross-check `fit`.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
     gram = assemble_gram(kernel, dataset.xs)
     lhs = gram + lam * np.eye(dataset.m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .index_functions import FLAG_RATIO_TOL, IndexFunction, geometric_grid
+from .index_functions import IndexFunction, geometric_grid, nondecreasing
 
 FILTER_KINDS = ("tikhonov", "iterated_tikhonov", "landweber", "cutoff")
 
@@ -88,7 +88,7 @@ class SpectralFilter:
 
         l = log r_lam(sigma) defines the family; g_lam(0) = -dl/dsigma at 0.
         """
-        if lam <= 0:
+        if not lam > 0:
             raise ParameterError(f"lam must be positive, got {lam!r}")
         arr = np.atleast_1d(np.asarray(sigma, dtype=float))
         if arr.size and arr.min() < 0:
@@ -208,7 +208,7 @@ class SpectralFilter:
         ratio = grid**p / phi.value(grid)
         if extra_sqrt:
             ratio = ratio / np.sqrt(grid)
-        return not np.any(ratio[1:] < ratio[:-1] * (1 - FLAG_RATIO_TOL))
+        return nondecreasing(ratio)
 
     def describe(self) -> dict:
         out = {"id": self.kind}

@@ -56,10 +56,11 @@ class Dataset:
 
     ``moments`` optionally holds the sample's `SampleMoments` for a
     trigonometric model, and ``basis`` the feature basis evaluated at
-    ``xs``, one row per sample (stored read-only). `sample_dataset`
-    carries the moments at every m and the basis only below the feature
-    count, where the dense Gram path needs it; a fit at m >= N reads the
-    moments and no m-by-N array.
+    ``xs``, one row per sample (stored read-only). `mercer.draw_dataset`,
+    the draw behind `sample_dataset` and `TwoPointMeasure.sample`, carries
+    the moments at every m and the basis only below the feature count,
+    where the dense Gram path needs it; a fit at m >= N reads the moments
+    and no m-by-N array.
     """
 
     xs: np.ndarray

@@ -49,6 +49,13 @@ def geometric_grid(domain_max: float) -> np.ndarray:
     return np.geomspace(domain_max * FLAG_GRID_SPAN, domain_max, FLAG_GRID_POINTS)
 
 
+def nondecreasing(values) -> bool:
+    """Whether ``values``, a map on `geometric_grid`, never drops by more than
+    FLAG_RATIO_TOL relative from one point to the next, so flat stretches
+    (power r = 0, frozen log factor) count."""
+    return not np.any(values[1:] < values[:-1] * (1 - FLAG_RATIO_TOL))
+
+
 class IndexFunction:
     """Base class for smoothness-encoding maps on [0, domain_max]."""
 
@@ -82,16 +89,15 @@ class IndexFunction:
 
     @property
     def flags(self) -> "MonotoneFlags":
-        return _flags_for(self)
+        return check_monotone_flags(self)
 
     def describe(self) -> dict:
         raise NotImplementedError
 
     def _validate_shape(self):
         """Reject parameterizations that are not nondecreasing with value 0 at 0."""
-        grid = geometric_grid(self.domain_max)
-        vals = self.value(grid)
-        if vals[0] < 0 or np.any(np.diff(vals) < -FLAG_RATIO_TOL * np.abs(vals[:-1])):
+        vals = self.value(geometric_grid(self.domain_max))
+        if vals[0] < 0 or not nondecreasing(vals):
             raise ConstructionError(
                 f"{self.describe()} is not nondecreasing on (0, {self.domain_max!r}]"
             )
@@ -199,61 +205,18 @@ class MonotoneFlags:
     phi_times_sqrt_t_nondecreasing: bool
 
 
-@dataclass(frozen=True)
-class MonotoneCheck:
-    name: str
-    nondecreasing: bool
-    first_violation: tuple | None  # (t_i, t_next, value_i, value_next)
-
-
-@dataclass(frozen=True)
-class FlagReport:
-    checks: tuple
-
-    def flag(self, name: str) -> MonotoneCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def as_flags(self) -> MonotoneFlags:
-        return MonotoneFlags(
-            phi_nondecreasing=self.flag("phi").nondecreasing,
-            t_over_phi_nondecreasing=self.flag("t_over_phi").nondecreasing,
-            sqrt_t_over_phi_nondecreasing=self.flag("sqrt_t_over_phi").nondecreasing,
-            phi_times_sqrt_t_nondecreasing=self.flag("phi_times_sqrt_t").nondecreasing,
-        )
-
-
-def check_monotone_flags(phi: IndexFunction) -> FlagReport:
-    """Screen the four derived maps for monotonicity on a geometric grid.
-
-    Comparisons use a relative tolerance of 1e-12, so flat stretches (power
-    r = 0, frozen log factor) count as nondecreasing.
-    """
+@lru_cache(maxsize=256)
+def check_monotone_flags(phi: IndexFunction) -> MonotoneFlags:
+    """Screen the four derived maps for monotonicity on the geometric grid
+    (`nondecreasing`)."""
     grid = geometric_grid(phi.domain_max)
     vals = phi.value(grid)
-    maps = (
-        ("phi", vals),
-        ("t_over_phi", grid / vals),
-        ("sqrt_t_over_phi", np.sqrt(grid) / vals),
-        ("phi_times_sqrt_t", vals * np.sqrt(grid)),
+    return MonotoneFlags(
+        phi_nondecreasing=nondecreasing(vals),
+        t_over_phi_nondecreasing=nondecreasing(grid / vals),
+        sqrt_t_over_phi_nondecreasing=nondecreasing(np.sqrt(grid) / vals),
+        phi_times_sqrt_t_nondecreasing=nondecreasing(vals * np.sqrt(grid)),
     )
-    checks = []
-    for name, v in maps:
-        drop = v[1:] < v[:-1] * (1 - FLAG_RATIO_TOL)
-        if np.any(drop):
-            i = int(np.argmax(drop))
-            violation = (float(grid[i]), float(grid[i + 1]), float(v[i]), float(v[i + 1]))
-            checks.append(MonotoneCheck(name, False, violation))
-        else:
-            checks.append(MonotoneCheck(name, True, None))
-    return FlagReport(tuple(checks))
-
-
-@lru_cache(maxsize=256)
-def _flags_for(phi: IndexFunction) -> MonotoneFlags:
-    return check_monotone_flags(phi).as_flags()
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from .gram import Dataset
 from .index_functions import IndexFunction
 from .mercer import (
     MercerModel,
+    NoiseSpec,
     TargetFunction,
+    draw_dataset,
     norms_of_expansion,
-    sample_two_point,
     target_from_source,
     two_point_weights,
 )
@@ -42,7 +43,6 @@ REJECTION_CAP = 10**6
 FANO_CONSTANT = math.exp(-3.0 / math.e)
 SEPARATION_SLACK = 1e-9
 PAIR_BLOCK = 128  # family members per block in the pairwise separation check
-PERIOD = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,10 +263,11 @@ class TwoPointMeasure:
         weights.flags.writeable = False
         return weights
 
-    def sample(self, xs, rng: np.random.Generator, basis=None) -> np.ndarray:
-        """Draw one output per input point; a precomputed ``basis`` at ``xs`` is reused."""
-        f_vals = self.target.evaluate(np.atleast_1d(np.asarray(xs, dtype=float)), basis=basis)
-        return sample_two_point(f_vals, self.amplitude, self.model.output_dim, rng)
+    def sample(self, m: int, rng: np.random.Generator) -> Dataset:
+        """Draw m uniform inputs and their outputs from ``rng``, by
+        `mercer.draw_dataset`, so the Dataset carries the sample's moments."""
+        noise = NoiseSpec("two_point", amplitude=self.amplitude)
+        return draw_dataset(self.model, self.target, noise, m, rng)
 
 
 @dataclass(frozen=True)
@@ -351,7 +352,8 @@ def empirical_fano_check(
     """Race an actual estimator against the error floor.
 
     Each trial hides a uniformly chosen family member behind the bounded
-    two-point noise, fits Tikhonov with lambda from the psi rule at this
+    two-point noise (`TwoPointMeasure.sample`, the draw `sample_dataset`
+    makes), fits Tikhonov with lambda from the psi rule at this
     m, and records whether the fit landed epsilon/2 or farther from the
     truth in L2. The observed frequency must not undercut the floor by
     more than three binomial standard errors; ``consistent`` reports that
@@ -370,12 +372,8 @@ def empirical_fano_check(
     misses = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        truth_idx = int(rng.integers(len(family.members)))
-        truth = family.members[truth_idx]
-        measure = TwoPointMeasure(model=model, target=truth, amplitude=level)
-        xs = rng.uniform(0.0, PERIOD, size=m)
-        basis = model.basis(xs) if m < model.n_trunc else None
-        data = Dataset(xs=xs, ys=measure.sample(xs, rng, basis=basis), basis=basis)
+        truth = family.members[int(rng.integers(len(family.members)))]
+        data = TwoPointMeasure(model=model, target=truth, amplitude=level).sample(m, rng)
         fitted = fit(data, model, tikhonov(), lam)
         gap = basis_coefficients(fitted, model) - truth.coefficients
         if norms_of_expansion(model, gap).l2 >= epsilon / 2.0:

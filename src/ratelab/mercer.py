@@ -492,7 +492,7 @@ def population_regularized(model: MercerModel, target: TargetFunction, lam: floa
     Shrinking the source by t_n / (t_n + lam) keeps it inside the same
     smoothness class, so the result is again a valid TargetFunction.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
     shrink = (model.eigenvalues / (model.eigenvalues + lam))[:, None]
     return TargetFunction(
@@ -539,7 +539,7 @@ def approx_error_norms(
     ContractError since these are analytic inequalities. When no limit is
     licensed the report simply says so.
     """
-    if lam <= 0 or lam > model.kappa_sq * (1 + 1e-12):
+    if not 0 < lam <= model.kappa_sq * (1 + 1e-12):
         raise DomainError(f"lam must lie in (0, {model.kappa_sq!r}], got {lam!r}")
     t = model.eigenvalues
     if worst_case:
@@ -763,22 +763,6 @@ def two_point_weights(f_vals: np.ndarray, level: float, d: int):
     return atoms, weights
 
 
-def sample_two_point(f_vals: np.ndarray, level: float, d: int, rng: np.random.Generator):
-    """Draw one output per row of ``f_vals`` from the two-point measure.
-
-    Takes one uniform per row and inverts the cumulative atom weights.
-    """
-    f_vals = np.atleast_2d(f_vals)
-    return _two_point_outputs(f_vals, level, d, rng.random((f_vals.shape[0], 1)))
-
-
-def _two_point_outputs(f_vals: np.ndarray, level: float, d: int, draws: np.ndarray):
-    """The two-point outputs at ``f_vals`` for uniforms ``draws`` (one per row)."""
-    atoms, weights = two_point_weights(f_vals, level, d)
-    idx = np.minimum((draws > np.cumsum(weights, axis=1)).sum(axis=1), atoms.shape[0] - 1)
-    return atoms[idx]
-
-
 def sample_dataset(
     model: MercerModel,
     target: TargetFunction,
@@ -786,19 +770,32 @@ def sample_dataset(
     m: int,
     seed,
 ) -> Dataset:
-    """Draw m i.i.d. pairs: uniform inputs, outputs from the noise model.
+    """Draw m i.i.d. pairs by `draw_dataset`, deterministic for a fixed
+    seed (int, SeedSequence, or Generator)."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return draw_dataset(model, target, noise, m, rng)
 
-    Deterministic for a fixed seed (int, SeedSequence, or Generator): the
-    inputs, then the noise (normals, or the two-point uniforms) are drawn
-    whole. The samples are then walked in `MercerModel.basis_chunks`:
-    each chunk's basis gives its target values, its outputs and its share
-    of the `SampleMoments` the Dataset carries, and is dropped. Below N
-    samples the one chunk is the whole basis, which the Dataset carries
-    too for the dense Gram path; from N on nothing m-by-N is allocated.
+
+def draw_dataset(
+    model: MercerModel,
+    target: TargetFunction,
+    noise: NoiseSpec,
+    m: int,
+    rng: np.random.Generator,
+) -> Dataset:
+    """Draw m i.i.d. pairs from ``rng``: uniform inputs, outputs from the noise model.
+
+    The inputs, then the noise (normals, or one uniform per sample for
+    the two-point measure, inverted through the cumulative atom weights)
+    are drawn whole. The samples are then walked in
+    `MercerModel.basis_chunks`: each chunk's basis gives its target
+    values, its outputs and its share of the `SampleMoments` the Dataset
+    carries, and is dropped. Below N samples the one chunk is the whole
+    basis, which the Dataset carries too for the dense Gram path; from N
+    on nothing m-by-N is allocated.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     xs = rng.uniform(0.0, PERIOD, size=m)
     d = model.output_dim
     if noise.kind == "two_point":
@@ -810,7 +807,9 @@ def sample_dataset(
     for rows, feats in model.basis_chunks(xs):
         f_vals = target.evaluate(xs[rows], basis=feats)
         if noise.kind == "two_point":
-            ys[rows] = _two_point_outputs(f_vals, noise.amplitude, d, draws[rows])
+            atoms, weights = two_point_weights(f_vals, noise.amplitude, d)
+            pick = (draws[rows] > np.cumsum(weights, axis=1)).sum(axis=1)
+            ys[rows] = atoms[np.minimum(pick, 2 * d - 1)]
         elif noise.sigma == 0:
             ys[rows] = f_vals
         else:

@@ -13,7 +13,7 @@ from .index_functions import HolderIndex, IndexFunction, make_rate_maps
 
 def effective_dimension(eigenvalues: np.ndarray, lam: float, output_dim: int = 1) -> float:
     """Trace of the shrinkage profile: output_dim * sum_n t_n / (t_n + lam)."""
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
     t = np.asarray(eigenvalues, dtype=float)
     return output_dim * float(np.sum(t / (t + lam)))
@@ -121,7 +121,7 @@ def check_theorem_condition(m: int, lam: float, kappa: float, eta: float) -> dic
     """
     if not 0 < eta < 1:
         raise ParameterError(f"eta must lie in (0, 1), got {eta!r}")
-    if m < 1 or lam <= 0 or kappa <= 0:
+    if m < 1 or not lam > 0 or not kappa > 0:
         raise ParameterError(f"need m >= 1, lam > 0, kappa > 0, got {(m, lam, kappa)}")
     lhs = math.sqrt(m) * lam
     rhs = 8.0 * kappa**2 * math.log(4.0 / eta)

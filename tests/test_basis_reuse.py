@@ -19,7 +19,6 @@ from ratelab.filters import tikhonov
 from ratelab.gram import Dataset
 from ratelab.index_functions import HolderIndex
 from ratelab.lower_bounds import (
-    PERIOD,
     TwoPointMeasure,
     adversarial_family,
     amplitude_for,
@@ -29,6 +28,7 @@ from ratelab.lower_bounds import (
 )
 from ratelab.mercer import (
     GRID_POINTS,
+    PERIOD,
     NoiseSpec,
     build_model,
     power_law_source,
@@ -110,6 +110,16 @@ def test_tail_test_evaluates_the_basis_once_per_replicate(basis_calls, kind):
     tail_test(kind, model, target, NoiseSpec(kind="gaussian", sigma=0.5), 0.05, 32, 0.1,
               replicates=100)
     assert len(basis_calls) == 100
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_lower_bound_race_evaluates_the_basis_once_per_trial(basis_calls, m, capsys):
+    """The draw's chunks give the fit its moments at m >= N, so a trial
+    evaluates no second basis for them: 4 calls over 4 trials, not 8."""
+    argv = ["lower-bound", "--b", "2", "--n-trunc", "64", "--m", str(m), "--trials", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert basis_calls == [m] * 4
 
 
 def _direct_divergence(first, second):

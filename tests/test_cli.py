@@ -37,6 +37,14 @@ class TestFilters:
         assert "ok" in out
         assert "VIOLATED" not in out
 
+    @pytest.mark.parametrize("filt", [[], ["--filter", "landweber"]], ids=["all", "landweber"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_kappa_sq_exits_2_naming_it(self, filt, value, capsys):
+        """0 ended in a numpy traceback with exit 1, and NaN printed ok."""
+        assert main(["filters", *filt, "--kappa-sq", value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --kappa-sq must be positive and finite, got {float(value)!r}" in err
+
 
 class TestEffdim:
     def test_bounds_hold_on_a_small_grid(self, capsys):
@@ -44,6 +52,20 @@ class TestEffdim:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("[ok]") == 8
+
+    @pytest.mark.parametrize("flag", ["--lam-min", "--lam-max"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_lam_end_exits_2_naming_it(self, flag, value, capsys):
+        """0 ended in a numpy traceback with exit 1, and NaN exited 1 as VIOLATED."""
+        assert main(["effdim", "--b", "2", "--n-trunc", "64", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be positive and finite, got {float(value)!r}" in err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_no_points_exits_2_naming_it(self, points, capsys):
+        """0 printed ok over zero rows, and -1 ended in a numpy traceback."""
+        assert main(["effdim", "--b", "2", "--n-trunc", "64", "--points", points]) == 2
+        assert f"error: --points must be >= 1, got {points}" in capsys.readouterr().err
 
 
 class TestConcentration:
@@ -76,6 +98,22 @@ class TestConcentration:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("kind", ["sample_error", "operator"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_lam_exits_2_naming_it(self, kind, value, capsys):
+        """0 was replaced by the psi-rule lambda, NaN passed with bound NaN,
+        and infinity passed with bound 0."""
+        argv = ["concentration", "--b", "2", "--n-trunc", "8", "--m", "32", "--replicates", "100"]
+        assert main([*argv, "--kind", kind, "--lam", value]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: --lam must be positive and finite, got {float(value)!r}" in err
+        assert not out
+
+    def test_given_lam_is_used(self, capsys):
+        argv = ["concentration", "--b", "2", "--n-trunc", "8", "--m", "32", "--replicates", "100"]
+        assert main([*argv, "--lam", "0.125"]) == 0
+        assert json.loads(capsys.readouterr().out)["lam"] == 0.125
 
 
 class TestLowerBound:

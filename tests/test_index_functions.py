@@ -14,14 +14,18 @@ from ratelab.errors import (
     ParameterError,
 )
 from ratelab.index_functions import (
+    FLAG_GRID_POINTS,
+    FLAG_RATIO_TOL,
     HolderIndex,
     LogIndex,
+    MonotoneFlags,
     ProductIndex,
     check_monotone_flags,
     geometric_grid,
     index_from_dict,
     invert_monotone,
     make_rate_maps,
+    nondecreasing,
 )
 
 
@@ -147,12 +151,21 @@ class TestMonotoneFlags:
         assert flags.phi_nondecreasing
         assert not flags.sqrt_t_over_phi_nondecreasing
 
-    def test_report_names_first_violation(self):
-        report = check_monotone_flags(HolderIndex(r=2.0))
-        check = report.flag("t_over_phi")
-        assert not check.nondecreasing
-        t_lo, t_hi, v_lo, v_hi = check.first_violation
-        assert t_lo < t_hi and v_hi < v_lo
+    def test_check_returns_the_cached_flags(self):
+        phi = HolderIndex(r=2.0)
+        flags = check_monotone_flags(phi)
+        assert isinstance(flags, MonotoneFlags)
+        assert not flags.t_over_phi_nondecreasing
+        assert phi.flags is flags
+
+    def test_one_tolerance_for_every_nondecreasing_check(self):
+        """A drop within FLAG_RATIO_TOL relative passes, a larger one fails."""
+        flat = np.ones(FLAG_GRID_POINTS)
+        assert nondecreasing(flat)
+        flat[7] = 1.0 - 0.5 * FLAG_RATIO_TOL
+        assert nondecreasing(flat)
+        flat[7] = 1.0 - 2.0 * FLAG_RATIO_TOL
+        assert not nondecreasing(flat)
 
 
 class TestGeometricGrid:

@@ -247,9 +247,9 @@ class TestTwoPointMeasure:
         family = adversarial_family(model, phi, 1.0, eps, packing)
         level = amplitude_for(phi, 1.0, model)
         measure = TwoPointMeasure(model, family.members[0], level)
-        rng = np.random.default_rng(0)
-        ys = measure.sample(np.linspace(0.0, 2 * np.pi, 32), rng)
-        np.testing.assert_allclose(np.abs(ys), level)
+        data = measure.sample(32, np.random.default_rng(0))
+        assert data.xs.shape == (32,)
+        np.testing.assert_allclose(np.abs(data.ys), level)
 
     @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
     def test_nonpositive_or_nan_amplitude_refused_by_name(self, level):

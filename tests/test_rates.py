@@ -1,13 +1,25 @@
 """Tests for effective dimension, regularization rules, and rate exponents."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ratelab.errors import ParameterError
+from ratelab.concentration import sample_error_stat
+from ratelab.errors import ParameterError, RateLabError
+from ratelab.estimator import fit, fit_tikhonov_direct
+from ratelab.filters import tikhonov
 from ratelab.index_functions import HolderIndex, LogIndex
-from ratelab.mercer import build_model
+from ratelab.mercer import (
+    NoiseSpec,
+    approx_error_norms,
+    build_model,
+    population_regularized,
+    power_law_source,
+    sample_dataset,
+    target_from_source,
+)
 from ratelab.rates import (
     LAMBDA_RULES,
     check_theorem_condition,
@@ -45,6 +57,38 @@ class TestEffectiveDimension:
         for row in report.rows:
             assert row.value <= row.poly_bound * (1 + 1e-12)
             assert row.value <= row.crude_bound * (1 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def lab():
+    model = build_model(b=2.0, n_trunc=8)
+    phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+    target = target_from_source(model, phi, power_law_source(model), radius=1.0)
+    data = sample_dataset(model, target, NoiseSpec("gaussian", sigma=0.5), m=16, seed=0)
+    return SimpleNamespace(model=model, phi=phi, target=target, data=data)
+
+
+# Every function that takes a regularization level, called at ``lam``.
+LAM_TAKERS = {
+    "effective_dimension": lambda lab, lam: effective_dimension(lab.model.eigenvalues, lam),
+    "filter_values": lambda lab, lam: tikhonov().values(0.5, lam),
+    "fit": lambda lab, lam: fit(lab.data, lab.model, tikhonov(), lam),
+    "fit_tikhonov_direct": lambda lab, lam: fit_tikhonov_direct(lab.data, lab.model, lam),
+    "sample_error_stat": lambda lab, lam: sample_error_stat(lab.model, lab.data, lab.target, lam),
+    "population_regularized": lambda lab, lam: population_regularized(lab.model, lab.target, lam),
+    "approx_error_norms": lambda lab, lam: approx_error_norms(
+        lab.model, lab.phi, 1.0, lam, lab.target
+    ),
+    "check_theorem_condition": lambda lab, lam: check_theorem_condition(64, lam, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAM_TAKERS))
+def test_nan_lam_is_refused_by_name(name, lab):
+    """Checks written `lam <= 0` let NaN through to NaN results."""
+    LAM_TAKERS[name](lab, 0.05)
+    with pytest.raises(RateLabError, match="lam"):
+        LAM_TAKERS[name](lab, math.nan)
 
 
 class TestChooseLambda:

@@ -17,6 +17,7 @@ from ratelab.estimator import error_norms, fit
 from ratelab.filters import tikhonov
 from ratelab.gram import Dataset
 from ratelab.index_functions import HolderIndex
+from ratelab.lower_bounds import TwoPointMeasure
 from ratelab.mercer import (
     CHUNK_CELLS,
     PERIOD,
@@ -24,8 +25,8 @@ from ratelab.mercer import (
     build_model,
     power_law_source,
     sample_dataset,
-    sample_two_point,
     target_from_source,
+    two_point_weights,
 )
 
 NOISES = {
@@ -94,10 +95,26 @@ def test_the_draw_is_the_whole_sample_draw(noise):
             data.ys - f_vals, 0.5 * rng.standard_normal((m, 3)), rtol=0, atol=1e-15
         )
     else:
-        atoms = 3 * 4.0
-        assert np.all(np.sort(np.abs(data.ys), axis=1) == [0.0, 0.0, atoms])
-        # the same outputs as one whole-sample two-point draw after the inputs
-        assert np.array_equal(data.ys, sample_two_point(f_vals, 4.0, 3, rng))
+        assert np.all(np.sort(np.abs(data.ys), axis=1) == [0.0, 0.0, 3 * 4.0])
+        # one uniform per sample after the inputs, inverted through the
+        # cumulative weights of the atoms (+-3L e_1, ..., +-3L e_3)
+        atoms, weights = two_point_weights(f_vals, 4.0, 3)
+        pick = (rng.random((m, 1)) > np.cumsum(weights, axis=1)).sum(axis=1)
+        assert np.array_equal(data.ys, atoms[pick])
+
+
+@pytest.mark.parametrize("m", [64, 128, 3 * (CHUNK_CELLS // 128) + 5])
+def test_two_point_measure_draws_the_sample_dataset_draw(m):
+    """`TwoPointMeasure.sample` and `sample_dataset` share one draw, below
+    and from N on: the same stream gives the same Dataset, moments included."""
+    model, target = _lab(128, d=3)
+    data = TwoPointMeasure(model, target, 4.0).sample(m, np.random.default_rng(5))
+    want = sample_dataset(model, target, NOISES["two_point"], m=m, seed=5)
+    assert (data.basis is None) == (m >= 128)
+    for field in ("xs", "ys", "basis"):
+        assert np.array_equal(getattr(data, field), getattr(want, field))
+    for field in ("cos", "sin", "response"):
+        assert np.array_equal(getattr(data.moments, field), getattr(want.moments, field))
 
 
 @pytest.mark.parametrize("n_trunc", [8, 9, 128, 129])
