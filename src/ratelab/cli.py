@@ -16,7 +16,7 @@ import numpy as np
 from .concentration import tail_test
 from .errors import ParameterError, RateLabError
 from .estimator import error_norms, export_coefficients, fit
-from .filters import FILTER_KINDS, filter_from_dict
+from .filters import FILTER_KINDS, FILTER_PARAMS, filter_from_dict
 from .harness import load_config, rate_sweep, resolve_seed, write_outputs
 from .index_functions import HolderIndex
 from .lower_bounds import TwoPointMeasure, amplitude_for, empirical_fano_check, kl_divergence
@@ -61,6 +61,12 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _filter(kind: str, args, kappa_sq: float):
+    """The filter ``kind`` with the --nu or --tau it takes, if given, else `filter_from_dict`'s."""
+    given = {k: getattr(args, k) for k in FILTER_PARAMS[kind] if getattr(args, k) is not None}
+    return filter_from_dict({"id": kind, **given}, kappa_sq=kappa_sq)
+
+
 def _print(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -83,10 +89,7 @@ def _cmd_filters(args) -> int:
     kinds = [args.filter] if args.filter else list(FILTER_KINDS)
     all_passed = True
     for kind in kinds:
-        filt = filter_from_dict(
-            {"id": kind, "nu": args.nu, "tau": args.tau}, kappa_sq=kappa_sq
-        )
-        report = filt.verify(kappa_sq=kappa_sq)
+        report = _filter(kind, args, kappa_sq).verify(kappa_sq=kappa_sq)
         all_passed &= report.passed
         print(f"{kind}: {'ok' if report.passed else 'FAILED'}")
         for row in report.rows:
@@ -194,10 +197,7 @@ def _cmd_fit(args) -> int:
     noise = NoiseSpec("gaussian", sigma=args.sigma)
     data = sample_dataset(model, target, noise, args.m, resolve_seed(args.seed, "--seed"))
     lam_choice = choose_lambda(args.rule, phi, args.b, args.m)
-    filt = filter_from_dict(
-        {"id": args.filter, "nu": args.nu, "tau": args.tau}, kappa_sq=model.kappa_sq
-    )
-    fitted = fit(data, model, filt, lam_choice.value)
+    fitted = fit(data, model, _filter(args.filter, args, model.kappa_sq), lam_choice.value)
     norms = error_norms(fitted, model, target)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filters", help="verify filter constants on a grid")
     p.add_argument("--filter", choices=FILTER_KINDS, default=None)
-    p.add_argument("--nu", type=int, default=3)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--nu", type=int, default=None, help="iterated_tikhonov only; default 2")
+    p.add_argument("--tau", type=float, default=None, help="landweber only; default 1/kappa_sq")
     p.add_argument("--kappa-sq", type=float, default=1.0)
     p.set_defaults(func=_cmd_filters)
 
@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--filter", choices=FILTER_KINDS, default="tikhonov")
-    p.add_argument("--nu", type=int, default=3)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--nu", type=int, default=None, help="iterated_tikhonov only; default 2")
+    p.add_argument("--tau", type=float, default=None, help="landweber only; default 1/kappa_sq")
     p.add_argument("--rule", default="psi")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--source-s", type=float, default=1.0)

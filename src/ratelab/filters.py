@@ -21,7 +21,14 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .index_functions import IndexFunction, geometric_grid, nondecreasing
 
-FILTER_KINDS = ("tikhonov", "iterated_tikhonov", "landweber", "cutoff")
+# The parameters each kind takes, by their JSON names, with their types.
+FILTER_PARAMS = {
+    "tikhonov": {},
+    "iterated_tikhonov": {"nu": int},
+    "landweber": {"tau": float},
+    "cutoff": {},
+}
+FILTER_KINDS = tuple(FILTER_PARAMS)
 
 VERIFY_POINTS = 256
 VERIFY_SLACK = 1e-9  # relative slack for attained-vs-declared comparisons
@@ -274,20 +281,22 @@ def spectral_cutoff() -> SpectralFilter:
 def filter_from_dict(spec: dict, kappa_sq: float | None = None) -> SpectralFilter:
     """Build a filter from its JSON form, e.g. {"id": "landweber", "tau": 0.5}.
 
-    For Landweber the default step is 1/kappa_sq when a kernel bound is
-    supplied, which keeps step * sigma <= 1 on the whole spectrum.
+    A kind takes only the keys FILTER_PARAMS lists for it. The defaults
+    are nu = 2 iterations and, for Landweber, the step 1/kappa_sq when a
+    kernel bound is supplied (else 1), which keeps step * sigma <= 1 on
+    the whole spectrum.
     """
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ParameterError(f"filter spec needs an 'id': {spec!r}")
+    if not isinstance(spec, dict) or spec.get("id") not in FILTER_KINDS:
+        raise ParameterError(f"filter spec needs an 'id' in {FILTER_KINDS}, got {spec!r}")
     kind = spec["id"]
-    if kind == "tikhonov":
-        return tikhonov()
+    extra = sorted(spec.keys() - {"id"} - FILTER_PARAMS[kind].keys())
+    if extra:
+        raise ParameterError(f"filter {kind!r} takes no {extra[0]!r}")
     if kind == "iterated_tikhonov":
-        return iterated_tikhonov(int(spec.get("nu", 2)))
+        nu = spec.get("nu", 2)
+        if isinstance(nu, float) and not nu.is_integer():
+            raise ParameterError(f"nu must be an integer, got {nu!r}")
+        return iterated_tikhonov(int(nu))
     if kind == "landweber":
-        default = 1.0 / kappa_sq if kappa_sq else 1.0
-        return landweber(float(spec.get("tau", default)))
-    if kind == "cutoff":
-        return spectral_cutoff()
-    raise ParameterError(f"unknown filter id {kind!r}")
-
+        return landweber(float(spec.get("tau", 1.0 / kappa_sq if kappa_sq else 1.0)))
+    return SpectralFilter(kind)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, TruncationError
 from .estimator import error_norms, fit
-from .filters import FILTER_KINDS, filter_from_dict
+from .filters import FILTER_KINDS, FILTER_PARAMS, filter_from_dict
 from .index_functions import HolderIndex, IndexFunction, index_from_dict
 from .mercer import (
     MercerModel,
@@ -46,7 +46,6 @@ GATE_EXTENSION = 64
 
 _MODEL_KEYS = {"b", "alpha", "beta", "N_trunc", "d", "spectrum_rule"}
 _SOURCE_KEYS = {"kind", "s", "R"}
-_FILTER_NUMBERS = {"nu": int, "tau": float}
 _NOISE_KEYS = {"gaussian": {"kind", "sigma"}, "two_point": {"kind", "L"}}
 _PHI_KEYS = {"holder": {"kind", "r"}, "log": {"kind", "p", "nu"}, "product": {"kind", "factors"}}
 _TOP_KEYS = {
@@ -112,13 +111,14 @@ class ExperimentConfig:
             raise ConfigError("source.kind", f"unknown source kind {source['kind']!r}")
 
         filter_spec = _section(raw, "filter", {"id": "tikhonov"})
-        _check_keys(filter_spec, {"id", *_FILTER_NUMBERS}, "filter")
         if filter_spec.get("id") not in FILTER_KINDS:
             raise ConfigError(
                 "filter.id", f"need one of {FILTER_KINDS}, got {filter_spec.get('id')!r}"
             )
-        for key in filter_spec.keys() & _FILTER_NUMBERS.keys():
-            _number(filter_spec, key, None, "filter", _FILTER_NUMBERS[key])
+        params = FILTER_PARAMS[filter_spec["id"]]
+        _check_keys(filter_spec, {"id", *params}, "filter")
+        for key in filter_spec.keys() & params.keys():
+            _number(filter_spec, key, None, "filter", params[key])
 
         noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
         # a NaN or infinite level is named as not finite before NoiseSpec's

@@ -52,8 +52,8 @@ def geometric_grid(domain_max: float) -> np.ndarray:
 def nondecreasing(values) -> bool:
     """Whether ``values``, a map on `geometric_grid`, never drops by more than
     FLAG_RATIO_TOL relative from one point to the next, so flat stretches
-    (power r = 0, frozen log factor) count."""
-    return not np.any(values[1:] < values[:-1] * (1 - FLAG_RATIO_TOL))
+    (power r = 0, frozen log factor) count. A map with a NaN does not."""
+    return bool(np.all(values[1:] >= values[:-1] * (1 - FLAG_RATIO_TOL)))
 
 
 class IndexFunction:
@@ -139,8 +139,10 @@ class LogIndex(IndexFunction):
     domain_max: float = 1.0
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ParameterError(f"power exponent must be >= 0, got {self.p}")
+        if not 0 <= self.p < math.inf:
+            raise ParameterError(f"power exponent must be >= 0 and finite, got {self.p}")
+        if not math.isfinite(self.nu):
+            raise ParameterError(f"log exponent nu must be finite, got {self.nu}")
         if self.p == 0 and self.nu <= 0:
             raise ParameterError("p = 0 needs nu > 0 to vanish at the origin")
         self._validate_shape()

@@ -248,8 +248,7 @@ class TwoPointMeasure:
     amplitude: float
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise ParameterError(f"amplitude must be positive, got {self.amplitude!r}")
+        NoiseSpec("two_point", amplitude=self.amplitude)  # refuses a bad amplitude by name
 
     @cached_property
     def grid_weights(self) -> np.ndarray:

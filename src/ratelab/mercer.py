@@ -462,7 +462,7 @@ def target_from_source(
 
     The source norm may not exceed ``radius`` (up to roundoff).
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ParameterError(f"radius must be positive, got {radius}")
     g = _as_coefficients(model, source)
     norm_sq = float(np.sum(g * g))
@@ -481,6 +481,8 @@ def target_from_source(
 
 def power_law_source(model: MercerModel, s: float = 1.0, radius: float = 1.0) -> np.ndarray:
     """Source with profile n**-s, equal across channels, normalized to ``radius``."""
+    if not math.isfinite(s):
+        raise ParameterError(f"source exponent s must be finite, got {s}")
     profile = np.arange(1, model.n_trunc + 1, dtype=float) ** -s
     g = np.tile(profile[:, None], (1, model.output_dim))
     return radius * g / np.sqrt(np.sum(g * g))
@@ -585,10 +587,7 @@ class NoiseCertificate:
     ``bernstein_scale`` and ``bernstein_sd`` are the constants (M, Sigma)
     such that the centered exponential moment of the output noise is at
     most Sigma^2 / (2 M^2); ``moment_value`` is that moment evaluated
-    numerically and ``moment_limit`` the right-hand side. For Gaussian
-    noise ``variance_cap`` also reports the conservative closed-form
-    variance ceiling; it is informational and stricter than the direct
-    check, so ``satisfied`` does not depend on it.
+    numerically and ``moment_limit`` the right-hand side.
     """
 
     kind: str
@@ -596,9 +595,10 @@ class NoiseCertificate:
     bernstein_sd: float
     moment_value: float
     moment_limit: float
-    variance_cap: float
-    cap_satisfied: bool
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.moment_value <= self.moment_limit * (1 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -627,64 +627,18 @@ class NoiseSpec:
     def certify(self, model: MercerModel, target: TargetFunction | None = None) -> NoiseCertificate:
         """Verify the exponential moment condition for this noise model.
 
-        Gaussian noise is checked by a series of chi moments; the two-point
-        measure by exact finite sums over its atoms, maximized over
-        representative (or supplied) target values.
+        Gaussian noise is checked by a series of chi moments, and noise of
+        sigma 0 (so M = 0) has moment 0 against limit 0. The two-point
+        measure is checked by exact sums over its atoms (`_two_point_moment`).
         """
         d = model.output_dim
         scale, sd = self.moment_constants(d)
+        limit = sd**2 / (2.0 * scale**2) if scale else 0.0
         if self.kind == "gaussian":
-            if self.sigma == 0:
-                return NoiseCertificate("gaussian", 0.0, 0.0, 0.0, 0.0, 0.0, True, True)
-            value = _gaussian_moment(self.sigma, scale, d)
-            limit = sd**2 / (2.0 * scale**2)
-            cap = _gaussian_variance_cap(scale, sd, d)
-            return NoiseCertificate(
-                kind="gaussian",
-                bernstein_scale=scale,
-                bernstein_sd=sd,
-                moment_value=value,
-                moment_limit=limit,
-                variance_cap=cap,
-                cap_satisfied=self.sigma**2 <= cap * (1 + 1e-9),
-                satisfied=value <= limit * (1 + 1e-9) and self.sigma**2 <= scale**2 / 2.0,
-            )
-        level = self.amplitude
-        probe = np.zeros(d)
-        probe[0] = level / 4.0
-        even = np.full(d, level / (4.0 * math.sqrt(d)))
-        candidates = np.vstack([np.zeros(d), probe, -probe, even])
-        limit = sd**2 / (2.0 * scale**2)
-        if target is not None:
-            f_vals = model.expand_on_grid(target.coefficients)
-            if np.abs(f_vals).max() > level:
-                # the atoms cannot carry this mean; the weights would go
-                # negative, so no certificate exists at this level
-                return NoiseCertificate(
-                    kind="two_point",
-                    bernstein_scale=scale,
-                    bernstein_sd=sd,
-                    moment_value=math.inf,
-                    moment_limit=limit,
-                    variance_cap=math.nan,
-                    cap_satisfied=True,
-                    satisfied=False,
-                )
-            candidates = np.vstack([candidates, f_vals])
-        # exact moment sum over the 2d atoms at each candidate mean
-        atoms, weights = two_point_weights(candidates, level, d)
-        u = np.linalg.norm(atoms[None, :, :] - candidates[:, None, :], axis=2) / scale
-        value = float(np.max(np.sum(weights * (np.exp(u) - u - 1.0), axis=1)))
-        return NoiseCertificate(
-            kind="two_point",
-            bernstein_scale=scale,
-            bernstein_sd=sd,
-            moment_value=value,
-            moment_limit=limit,
-            variance_cap=math.nan,
-            cap_satisfied=True,
-            satisfied=value <= limit * (1 + 1e-9),
-        )
+            value = _gaussian_moment(self.sigma, scale, d) if scale else 0.0
+        else:
+            value = _two_point_moment(model, target, self.amplitude, scale)
+        return NoiseCertificate(self.kind, scale, sd, value, limit)
 
     def describe(self) -> dict:
         if self.kind == "gaussian":
@@ -709,36 +663,41 @@ def _gaussian_moment(sigma: float, scale: float, d: int) -> float:
     2^(k/2) Gamma((d + k)/2) / Gamma(d/2), so expanding e^u - u - 1 gives
     E[e^(|e|/M) - |e|/M - 1] = sum_{k>=2} (sigma sqrt(2) / M)^k
     Gamma((d + k)/2) / (Gamma(d/2) k!). Terms are taken in log space, so
-    none overflows however small sigma or large d is.
+    none overflows however small sigma or large d is. They rise, then fall
+    with a shrinking ratio, and the fsum stops at a falling term below
+    2^-60 of the sum.
     """
     log_ratio, base = math.log(sigma * math.sqrt(2.0) / scale), math.lgamma(d / 2.0)
-    return _positive_series(
-        lambda k: k * log_ratio + math.lgamma((d + k) / 2.0) - base - math.lgamma(k + 1.0), 2
-    )
 
+    def term(k: int) -> float:
+        return math.exp(k * log_ratio + math.lgamma((d + k) / 2.0) - base - math.lgamma(k + 1.0))
 
-def _gaussian_variance_cap(scale: float, sd: float, d: int) -> float:
-    """Conservative closed-form ceiling on the noise variance for (M, Sigma).
-
-    The ceiling is Gamma(d/2) Sigma^2 / (8 I) with
-    I = int_0^inf exp(-t^2 + t) t^(d+1) dt = sum_{k>=0} Gamma((d + k + 2)/2) / (2 k!)
-    (expand e^t), taken in log space with the terms scaled by Gamma((d + 2)/2).
-    """
-    half = d / 2.0 + 1.0
-    top = math.lgamma(half)
-    scaled = _positive_series(lambda k: math.lgamma(half + k / 2.0) - top - math.lgamma(k + 1), 0)
-    log_ceiling = math.lgamma(d / 2.0) + 2.0 * math.log(sd / 2.0) - top - math.log(scaled)
-    return min(scale**2 / 2.0, math.exp(log_ceiling))
-
-
-def _positive_series(log_term, start: int) -> float:
-    """fsum of exp(log_term(k)) over k >= start, for terms that rise, then fall
-    with a shrinking ratio: it stops at a falling term below 2^-60 of the sum."""
-    terms, k = [math.exp(log_term(start))], start
+    terms, k = [term(2)], 2
     while terms[-1] > 2.0**-60 * sum(terms) or (len(terms) > 1 and terms[-1] > terms[-2]):
         k += 1
-        terms.append(math.exp(log_term(k)))
+        terms.append(term(k))
     return math.fsum(terms)
+
+
+def _two_point_moment(model: MercerModel, target, level: float, scale: float) -> float:
+    """The centered exponential moment of the two-point measure at ``level``:
+    exact sums over the 2d atoms, maximized over representative means and,
+    with a ``target``, its values on the GRID_POINTS grid. A mean above the
+    level gives inf, as the weights would go negative: the atoms cannot
+    carry it, so no certificate exists at this level.
+    """
+    d = model.output_dim
+    probe = np.zeros(d)
+    probe[0] = level / 4.0
+    candidates = [np.zeros(d), probe, -probe, np.full(d, level / (4.0 * math.sqrt(d)))]
+    if target is not None:
+        candidates.append(model.expand_on_grid(target.coefficients))
+    candidates = np.vstack(candidates)
+    if np.abs(candidates).max() > level:
+        return math.inf
+    atoms, weights = two_point_weights(candidates, level, d)
+    u = np.linalg.norm(atoms[None, :, :] - candidates[:, None, :], axis=2) / scale
+    return float(np.max(np.sum(weights * (np.exp(u) - u - 1.0), axis=1)))
 
 
 def two_point_weights(f_vals: np.ndarray, level: float, d: int):

@@ -162,10 +162,10 @@ class RateExponents:
 
 def rate_exponents(b: float, r: float) -> RateExponents:
     """Exponents of the optimal m**(-exponent) rates for Hoelder smoothness."""
-    if b < 1:
-        raise ParameterError(f"decay exponent must be >= 1, got {b}")
-    if r < 0:
-        raise ParameterError(f"smoothness exponent must be >= 0, got {r}")
+    if not 1 <= b < math.inf:
+        raise ParameterError(f"decay exponent must be >= 1 and finite, got {b}")
+    if not 0 <= r < math.inf:
+        raise ParameterError(f"smoothness exponent must be >= 0 and finite, got {r}")
     denom = 2.0 * b * r + b + 1.0
     return RateExponents(
         b=b,
@@ -199,9 +199,9 @@ def individual_lower_exponent_rkhs(b: float, r1: float, r2: float, eps: float) -
 
 
 def _check_individual_args(b, r1, r2, eps):
-    if b < 1:
-        raise ParameterError(f"decay exponent must be >= 1, got {b}")
-    if not 0 <= r1 <= r2:
-        raise ParameterError(f"need 0 <= r1 <= r2, got r1={r1}, r2={r2}")
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 1 <= b < math.inf:
+        raise ParameterError(f"decay exponent must be >= 1 and finite, got {b}")
+    if not 0 <= r1 <= r2 < math.inf:
+        raise ParameterError(f"need 0 <= r1 <= r2 < inf, got r1={r1}, r2={r2}")
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")

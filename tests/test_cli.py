@@ -1,6 +1,7 @@
 """Tests for the command-line entry points."""
 
 import json
+import re
 
 import pytest
 
@@ -44,6 +45,27 @@ class TestFilters:
         assert main(["filters", *filt, "--kappa-sq", value]) == 2
         err = capsys.readouterr().err
         assert f"error: --kappa-sq must be positive and finite, got {float(value)!r}" in err
+
+
+    def test_landweber_step_defaults_to_the_kernel_bound(self, capsys):
+        """A --tau default of 1.0 used to stop every kappa_sq above 1 at landweber."""
+        assert main(["filters", "--kappa-sq", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "landweber: ok" in out
+        assert "VIOLATED" not in out
+
+    def test_nu_defaults_to_the_config_default(self, capsys):
+        """The CLI ran iterated Tikhonov with nu = 3, a sweep config with nu = 2."""
+        assert main(["filters", "--filter", "iterated_tikhonov"]) == 0
+        assert "residual_decay_order_2:" in capsys.readouterr().out
+
+    def test_a_flag_reaches_only_the_kind_that_takes_it(self, capsys):
+        assert main(["filters", "--nu", "4", "--tau", "0.5"]) == 0
+        parts = re.split(r"^(\w+): ok$", capsys.readouterr().out, flags=re.M)
+        blocks = dict(zip(parts[1::2], parts[2::2]))
+        assert "residual_decay_order_1:" in blocks["tikhonov"]
+        assert "residual_decay_order_4:" in blocks["iterated_tikhonov"]
+        assert "scale_bound: attained 0.947" in blocks["landweber"]  # tau 0.5, not 1/kappa_sq
 
 
 class TestEffdim:
@@ -249,6 +271,31 @@ def test_non_finite_sigma_exits_2_naming_it(command, level, capsys):
     infinity overflowed the sample and failed as a non-finite dataset."""
     assert main([command, *SMALL_RUNS[command], "--sigma", level]) == 2
     assert f"error: sigma must be >= 0 and finite, got {level}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["32", "1024"])
+def test_fit_with_landweber_runs_at_its_default_step(m, capsys):
+    """A --tau default of 1.0 exceeded 1/sigma whenever kappa_sq > 1, so this exited 2."""
+    assert main(["fit", "--b", "2", "--n-trunc", "8", "--m", m, "--filter", "landweber"]) == 0
+    assert json.loads(capsys.readouterr().out)["filter"] == "landweber"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", *SMALL_RUNS["fit"], "--radius", "nan"], "radius must be positive, got nan"),
+        (["concentration", *SMALL_RUNS["concentration"], "--radius", "nan"],
+         "radius must be positive, got nan"),
+        (["fit", *SMALL_RUNS["fit"], "--source-s", "nan"], "source exponent s must be finite"),
+        (["exponents", "--b", "2", "--r", "nan"], "smoothness exponent must be >= 0 and finite"),
+        (["exponents", "--b", "nan", "--r", "0.5"], "decay exponent must be >= 1 and finite"),
+    ],
+)
+def test_nan_input_exits_2_naming_it(argv, message, capsys):
+    """These ended as a non-finite dataset, NaN coefficients or an AssertionError
+    traceback with exit 1."""
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -158,6 +158,30 @@ class TestConstruction:
         assert filter_from_dict({"id": "landweber", "tau": 0.5}).step == 0.5
         assert filter_from_dict({"id": "cutoff"}).kind == "cutoff"
 
+    def test_defaults(self):
+        assert filter_from_dict({"id": "iterated_tikhonov"}).iterations == 2
+        assert filter_from_dict({"id": "landweber"}).step == 1.0
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ({"id": "tikhonov", "nu": 5, "tau": 3.0}, "'nu'"),
+            ({"id": "iterated_tikhonov", "tau": 0.5}, "'tau'"),
+            ({"id": "landweber", "nu": 2}, "'nu'"),
+            ({"id": "cutoff", "tau": 0.5}, "'tau'"),
+        ],
+    )
+    def test_keys_of_another_kind_refused_by_name(self, spec, name):
+        """They used to be ignored, so plain Tikhonov ran under nu 5 and tau 3."""
+        with pytest.raises(ParameterError, match=f"takes no {name}"):
+            filter_from_dict(spec)
+
+    def test_non_integral_nu_refused(self):
+        """nu = 2.5 used to run nu = 2."""
+        with pytest.raises(ParameterError, match="nu must be an integer, got 2.5"):
+            filter_from_dict({"id": "iterated_tikhonov", "nu": 2.5})
+        assert filter_from_dict({"id": "iterated_tikhonov", "nu": 3.0}).iterations == 3
+
     def test_landweber_default_step_from_kernel_bound(self):
         filt = filter_from_dict({"id": "landweber"}, kappa_sq=4.0)
         assert filt.step == 0.25

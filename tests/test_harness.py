@@ -160,6 +160,22 @@ class TestConfig:
             ExperimentConfig.from_dict(payload)
         assert err.value.key == key
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"id": "tikhonov", "nu": 5, "tau": 3.0}, "filter.nu"),
+            ({"id": "iterated_tikhonov", "nu": 2, "tau": 0.5}, "filter.tau"),
+            ({"id": "landweber", "nu": 2}, "filter.nu"),
+            ({"id": "cutoff", "tau": 0.5}, "filter.tau"),
+        ],
+    )
+    def test_rejects_filter_keys_the_kind_does_not_take(self, spec, key):
+        """They were accepted, ignored by the fit and echoed in report.json."""
+        payload = {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "filter": spec}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(payload)
+        assert err.value.key == key
+
     def test_integral_floats_stay_valid(self):
         cfg = ExperimentConfig.from_dict({
             "model": {"b": 2.0, "N_trunc": 64.0, "d": 2.0},

@@ -84,6 +84,17 @@ class TestLogIndex:
         with pytest.raises(ParameterError):
             LogIndex(p=0.0, nu=-1.0)
 
+    @pytest.mark.parametrize(
+        "p, nu, name",
+        [(math.nan, 1.0, "power exponent"), (math.inf, 1.0, "power exponent"),
+         (0.5, math.nan, "log exponent nu"), (0.5, math.inf, "log exponent nu")],
+    )
+    def test_non_finite_exponents_refused_by_name(self, p, nu, name):
+        """NaN used to build a map that is NaN everywhere with every flag set,
+        so it licensed every closed-form bound."""
+        with pytest.raises(ParameterError, match=name):
+            LogIndex(p=p, nu=nu)
+
     def test_vanishes_at_origin(self):
         phi = LogIndex(p=0.0, nu=2.0)
         assert phi.value(0.0) == 0.0
@@ -166,6 +177,12 @@ class TestMonotoneFlags:
         assert nondecreasing(flat)
         flat[7] = 1.0 - 2.0 * FLAG_RATIO_TOL
         assert not nondecreasing(flat)
+
+    def test_a_map_with_nan_is_not_nondecreasing(self):
+        values = np.ones(FLAG_GRID_POINTS)
+        values[7] = math.nan
+        assert not nondecreasing(values)
+        assert not nondecreasing(np.full(FLAG_GRID_POINTS, math.nan))
 
 
 class TestGeometricGrid:

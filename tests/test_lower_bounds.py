@@ -262,6 +262,16 @@ class TestTwoPointMeasure:
         with pytest.raises(ParameterError, match="amplitude must be positive"):
             TwoPointMeasure(model, family.members[0], level)
 
+    def test_infinite_amplitude_refused_by_name(self):
+        """Infinity used to build a measure whose grid weights were all NaN, and
+        `kl_divergence` then blamed the mean gap algebra."""
+        model, phi = _lab()
+        family = adversarial_family(
+            model, phi, 1.0, separation_for_code_length(model, phi, 1.0, 24), build_packing(24)
+        )
+        with pytest.raises(ParameterError, match="amplitude must be positive and finite, got inf"):
+            TwoPointMeasure(model, family.members[0], math.inf)
+
     def test_undersized_level_rejected(self):
         model, phi = _lab()
         packing = build_packing(24)

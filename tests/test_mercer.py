@@ -1,5 +1,6 @@
 """Tests for the trigonometric feature model, targets, and noise models."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,15 @@ class TestTargets:
         with pytest.raises(SourceViolationError):
             target_from_source(model, phi, src, radius=1.0)
 
+    def test_nan_radius_and_source_exponent_refused_by_name(self):
+        """Both used to reach the sampler and fail as non-finite data."""
+        model = build_model(b=2.0, n_trunc=8)
+        phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+        with pytest.raises(ParameterError, match="radius must be positive, got nan"):
+            target_from_source(model, phi, power_law_source(model), radius=math.nan)
+        with pytest.raises(ParameterError, match="source exponent s must be finite, got nan"):
+            power_law_source(model, s=math.nan)
+
     def test_expansion_norms(self):
         model = build_model(b=2.0, n_trunc=8)
         coeffs = np.zeros((8, 1))
@@ -355,13 +365,6 @@ class TestGaussianNoise:
         assert cert.moment_value <= cert.moment_limit
         assert cert.moment_value == pytest.approx(0.06408806124676189, rel=1e-9)
 
-    def test_variance_cap_is_informational(self):
-        """The closed-form cap fails for these constants but does not veto."""
-        model = build_model(b=2.0, n_trunc=8)
-        cert = NoiseSpec(kind="gaussian", sigma=1.0).certify(model)
-        assert cert.satisfied
-        assert not cert.cap_satisfied
-
     def test_noiseless_is_trivially_certified(self):
         model = build_model(b=2.0, n_trunc=8)
         cert = NoiseSpec(kind="gaussian", sigma=0.0).certify(model)
@@ -404,19 +407,6 @@ class TestGaussianNoise:
         oracle = stats.chi(d, scale=sigma).expect(lambda r: math.expm1(r / scale) - r / scale)
         assert cert.moment_value == pytest.approx(oracle, rel=1e-8)
         assert cert.satisfied
-        assert 0.0 < cert.variance_cap < math.inf
-
-    @pytest.mark.parametrize("d", [1, 3, 50])
-    def test_variance_cap_equals_direct_formula(self, d):
-        """Where the direct powers and Gamma function stay finite, the log-space
-        cap equals pi^(d/2) Sigma^2 / (4 S_d I) computed term by term."""
-        cert = NoiseSpec(kind="gaussian", sigma=0.7).certify(build_model(b=2.0, d=d, n_trunc=8))
-        surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        tail, _ = quad(lambda t: math.exp(-t * t + t) * t ** (d + 1), 0.0, np.inf, limit=200)
-        direct = math.pi ** (d / 2.0) * cert.bernstein_sd**2 / (4.0 * surface * tail)
-        assert cert.variance_cap == pytest.approx(
-            min(cert.bernstein_scale**2 / 2.0, direct), rel=1e-12
-        )
 
 
 SERIES_DIMS = [1, 2, 3, 5, 50, 200, 400]
@@ -444,22 +434,8 @@ def _moment_by_quadrature(sigma, scale, d):
     return _split_quad(integrand, sigma * math.sqrt(d - 1))
 
 
-def _variance_cap_by_quadrature(scale, sd, d):
-    """min(M^2 / 2, Gamma(d/2) Sigma^2 / (8 I)) with
-    I = int_0^inf exp(-t^2 + t) t^(d+1) dt, scaled by its peak."""
-    peak = (1.0 + math.sqrt(8.0 * d + 9.0)) / 4.0
-
-    def log_integrand(t):
-        return -t * t + t + (d + 1) * math.log(t)
-
-    top = log_integrand(peak)
-    scaled = _split_quad(lambda t: math.exp(log_integrand(t) - top) if t > 0 else 0.0, peak)
-    log_cap = math.lgamma(d / 2.0) + 2.0 * math.log(sd) - math.log(8.0) - top - math.log(scaled)
-    return min(scale**2 / 2.0, math.exp(log_cap))
-
-
 class TestGaussianSeries:
-    """The certificate's chi-moment series against quadrature of the same integrals."""
+    """The certificate's chi-moment series against quadrature of the same integral."""
 
     @pytest.mark.parametrize("sigma", SERIES_SIGMAS)
     @pytest.mark.parametrize("d", SERIES_DIMS)
@@ -472,14 +448,6 @@ class TestGaussianSeries:
         assert cert.moment_value == pytest.approx(chi, rel=1e-12, abs=0)
         radial = _moment_by_quadrature(sigma, cert.bernstein_scale, d)
         assert cert.moment_value == pytest.approx(radial, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("sigma", SERIES_SIGMAS)
-    @pytest.mark.parametrize("d", SERIES_DIMS)
-    def test_variance_cap_matches_quadrature(self, d, sigma):
-        cert = NoiseSpec(kind="gaussian", sigma=sigma).certify(build_model(b=2.0, d=d, n_trunc=8))
-        oracle = _variance_cap_by_quadrature(cert.bernstein_scale, cert.bernstein_sd, d)
-        assert oracle < cert.bernstein_scale**2 / 2.0  # the series, not the clip, is tested
-        assert cert.variance_cap == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 class TestTwoPointNoise:
@@ -556,6 +524,43 @@ class TestTwoPointNoise:
         cert = NoiseSpec(kind="two_point", amplitude=1e-4).certify(model, target=target)
         assert not cert.satisfied
         assert cert.moment_value == math.inf
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "kind, level, with_target, holds",
+        [
+            ("gaussian", 0.0, False, True),
+            ("gaussian", 0.05, False, True),
+            ("gaussian", 0.5, False, True),
+            ("gaussian", 2.0, False, True),
+            ("two_point", 1.5, False, True),
+            ("two_point", 1.5, True, True),
+            ("two_point", 1e-4, True, False),  # the atoms cannot carry the target
+        ],
+    )
+    def test_satisfied_agrees_with_value_and_limit(self, kind, level, with_target, holds):
+        """A certificate holds five numbers, and ``satisfied`` is derived from
+        the moment value and limit alone, so moving the value moves it."""
+        model = build_model(b=2.0, d=3, n_trunc=16)
+        target = None
+        if with_target:
+            phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+            target = target_from_source(model, phi, power_law_source(model, radius=0.3), 0.3)
+        noise = NoiseSpec(kind, **{"sigma" if kind == "gaussian" else "amplitude": level})
+        cert = noise.certify(model, target=target)
+        assert [field.name for field in dataclasses.fields(cert)] == [
+            "kind", "bernstein_scale", "bernstein_sd", "moment_value", "moment_limit"
+        ]
+        assert cert.satisfied is holds
+        assert cert.satisfied is (cert.moment_value <= cert.moment_limit * (1 + 1e-9))
+        assert dataclasses.replace(cert, moment_value=cert.moment_limit).satisfied
+        above = dataclasses.replace(cert, moment_value=2.0 * cert.moment_limit + 1e-300)
+        assert not above.satisfied
+        if level == 0.0:
+            assert cert.moment_value == cert.moment_limit == 0.0
+        if not holds:
+            assert cert.moment_value == math.inf
 
 
 class TestSampling:

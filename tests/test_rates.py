@@ -169,6 +169,16 @@ class TestRateExponents:
         assert ex.rkhs_lower == ex.rkhs_upper
         assert ex.l2_lower == ex.l2_upper_psi
 
+    @pytest.mark.parametrize(
+        "b, r, name",
+        [(2.0, math.nan, "smoothness"), (2.0, math.inf, "smoothness"),
+         (math.nan, 0.5, "decay"), (math.inf, 0.5, "decay")],
+    )
+    def test_non_finite_exponents_refused_by_name(self, b, r, name):
+        """NaN used to end in an AssertionError from RateExponents."""
+        with pytest.raises(ParameterError, match=f"{name} exponent must be"):
+            rate_exponents(b, r)
+
     def test_dict_round_trip(self):
         ex = rate_exponents(2.0, 0.5)
         d = ex.as_dict()
@@ -188,3 +198,11 @@ class TestIndividualExponents:
             individual_lower_exponent_l2(2.0, 0.6, 0.5, 0.1)
         with pytest.raises(ParameterError):
             individual_lower_exponent_rkhs(2.0, 0.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 0.0, 0.5, 0.1), (2.0, 0.0, math.inf, 0.1), (2.0, 0.0, 0.5, math.nan)]
+    )
+    def test_non_finite_arguments_refused(self, args):
+        """A NaN eps or decay used to return a NaN exponent."""
+        with pytest.raises(ParameterError):
+            individual_lower_exponent_l2(*args)
