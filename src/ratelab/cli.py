@@ -61,6 +61,13 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _check_filter_flags(kinds, args):
+    """Refuse a --nu or --tau that none of ``kinds`` takes (`FILTER_PARAMS`)."""
+    for key in ("nu", "tau"):
+        if getattr(args, key) is not None and not any(key in FILTER_PARAMS[k] for k in kinds):
+            raise ParameterError(f"--{key} applies to none of the filters run: {', '.join(kinds)}")
+
+
 def _filter(kind: str, args, kappa_sq: float):
     """The filter ``kind`` with the --nu or --tau it takes, if given, else `filter_from_dict`'s."""
     given = {k: getattr(args, k) for k in FILTER_PARAMS[kind] if getattr(args, k) is not None}
@@ -87,6 +94,7 @@ def _cmd_exponents(args) -> int:
 def _cmd_filters(args) -> int:
     kappa_sq = _positive("--kappa-sq", args.kappa_sq)
     kinds = [args.filter] if args.filter else list(FILTER_KINDS)
+    _check_filter_flags(kinds, args)
     all_passed = True
     for kind in kinds:
         report = _filter(kind, args, kappa_sq).verify(kappa_sq=kappa_sq)
@@ -191,6 +199,7 @@ def _cmd_lower_bound(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_filter_flags([args.filter], args)
     model, phi = _build_lab(args)
     source = power_law_source(model, s=args.source_s, radius=args.radius)
     target = target_from_source(model, phi, source, args.radius)

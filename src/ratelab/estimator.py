@@ -29,7 +29,8 @@ m-sized array. The coefficient rows themselves,
 
     c = (1/m) B diag(sqrt t) W ((g_lam(w) - g_lam(0)) / w) W^T u + (g_lam(0)/m) y,
 
-are derived only when read, in one chunked pass over the basis.
+are derived only when read, as the values at the samples of an expansion
+(`MercerModel.expand`), one chunked pass over the basis table.
 """
 
 from __future__ import annotations
@@ -73,13 +74,9 @@ class FittedEstimator:
         model, eig, data = self.kernel, self.gram, self.dataset
         g_null = self.filter.values(0.0, self.lam)
         gain = np.atleast_1d(self.filter.values(eig.eigenvalues, self.lam)) - g_null
-        root_t = np.sqrt(model.eigenvalues)[:, None]
-        u = root_t * model.moments_of(data).response
-        weights = root_t * eig.combine((gain / eig.eigenvalues)[:, None] * eig.project(u)) / data.m
-        coeff = (g_null / data.m) * data.ys
-        for rows, feats in model.basis_chunks(data.xs, data.basis):
-            coeff[rows] += feats @ weights
-        return coeff
+        u = np.sqrt(model.eigenvalues)[:, None] * model.moments_of(data).response
+        weights = eig.combine((gain / eig.eigenvalues)[:, None] * eig.project(u)) / data.m
+        return (g_null / data.m) * data.ys + model.expand(weights, data.xs, data.basis)
 
     def predict(self, xs) -> np.ndarray:
         if self.expansion is not None:
@@ -158,16 +155,15 @@ def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.nd
 
     f = sum_i k(., x_i) c_i = sum_n sqrt(t_n) (B^T c)_n * (sqrt(t_n) e_n),
     so the (N, d) coefficient array is diag(sqrt(t)) B^T c with B the basis
-    matrix on the training inputs, summed over row chunks of B. A fit in
-    the feature domain under ``model`` holds that array already. Exact
-    because the kernel is truncated.
+    matrix on the training inputs, from table products over row chunks
+    (`MercerModel.basis_sums`). A fit in the feature domain under
+    ``model`` holds that array already. Exact because the kernel is
+    truncated.
     """
     if fit_result.expansion is not None and fit_result.kernel is model:
         return fit_result.expansion
-    data, coeff = fit_result.dataset, fit_result.coefficients
-    raw = np.zeros((model.n_trunc, coeff.shape[1]))
-    for rows, feats in model.basis_chunks(data.xs, data.basis):
-        raw += feats.T @ coeff[rows]
+    data = fit_result.dataset
+    raw = model.basis_sums(data.xs, fit_result.coefficients, data.basis)
     return np.sqrt(model.eigenvalues)[:, None] * raw
 
 

@@ -77,8 +77,8 @@ class SpectralFilter:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ParameterError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "iterated_tikhonov" and (
-            self.iterations < 1 or self.iterations != int(self.iterations)
+        if self.kind == "iterated_tikhonov" and not (
+            1 <= self.iterations < math.inf and self.iterations == int(self.iterations)
         ):
             raise ParameterError(f"iterations must be a positive integer, got {self.iterations}")
         if self.kind != "iterated_tikhonov" and self.iterations != 1:

@@ -55,12 +55,12 @@ class Dataset:
     """Paired samples: inputs ``xs`` of shape (m,), outputs ``ys`` of (m, d).
 
     ``moments`` optionally holds the sample's `SampleMoments` for a
-    trigonometric model, and ``basis`` the feature basis evaluated at
-    ``xs``, one row per sample (stored read-only). `mercer.draw_dataset`,
-    the draw behind `sample_dataset` and `TwoPointMeasure.sample`, carries
-    the moments at every m and the basis only below the feature count,
-    where the dense Gram path needs it; a fit at m >= N reads the moments
-    and no m-by-N array.
+    trigonometric model, and ``basis`` the table of e^(i k x) at ``xs``
+    (`mercer.trigonometric_basis`), one row per sample (stored
+    read-only). `mercer.draw_dataset`, the draw behind `sample_dataset`
+    and `TwoPointMeasure.sample`, carries the moments at every m and the
+    table only below the feature count, where the dense Gram path needs
+    it; a fit at m >= N reads the moments and no m-sized table.
     """
 
     xs: np.ndarray
@@ -82,7 +82,7 @@ class Dataset:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if self.basis is not None:
-            basis = np.asarray(self.basis, dtype=float).view()
+            basis = np.asarray(self.basis).view()
             if basis.ndim != 2 or basis.shape[0] != xs.shape[0]:
                 raise DataError(f"basis{basis.shape} needs one row per sample, m={xs.shape[0]}")
             basis.flags.writeable = False
@@ -119,16 +119,16 @@ class GaussianRBF:
         return {"kind": "gaussian_rbf", "lengthscale": self.lengthscale}
 
 
-def assemble_gram(kernel, xs, basis=None) -> np.ndarray:
+def assemble_gram(kernel, xs, table=None) -> np.ndarray:
     """The scaled Gram matrix (1/m) k(x_i, x_j), as symmetric as the kernel
     returns it (`eigendecompose` symmetrizes). A MercerModel kernel reuses
-    a ``basis`` at ``xs`` (see `MercerModel.scalar_kernel`)."""
+    a basis ``table`` at ``xs`` (see `MercerModel.scalar_kernel`)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 1:
         raise DataError(f"xs must be a nonempty 1-d array, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise DataError("xs contains non-finite entries")
-    k = kernel.scalar_kernel(xs, xs) if basis is None else kernel.scalar_kernel(xs, xs, basis)
+    k = kernel.scalar_kernel(xs, xs) if table is None else kernel.scalar_kernel(xs, xs, table)
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise DataError("kernel evaluations contain non-finite entries")

@@ -113,8 +113,8 @@ class HolderIndex(IndexFunction):
     domain_max: float = 1.0
 
     def __post_init__(self):
-        if not self.r >= 0:
-            raise ParameterError(f"power exponent must be >= 0, got {self.r}")
+        if not 0 <= self.r < math.inf:
+            raise ParameterError(f"power exponent must be >= 0 and finite, got {self.r}")
         self._validate_shape()
 
     def _raw(self, t):

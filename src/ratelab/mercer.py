@@ -41,7 +41,8 @@ PERIOD = 2.0 * math.pi
 SPECTRUM_RULES = ("lower", "midpoint", "upper")
 SOURCE_RADIUS_SLACK = 1e-12
 BOUND_SLACK = 1e-12
-# Basis cells per row chunk at m >= N (1 MiB of float64): 256 rows at N = 512.
+# Basis cells per row chunk at m >= N: 256 rows at N = 512, whose table of
+# 257 complex columns is 1 MiB.
 CHUNK_CELLS = 2**17
 # Equispaced inputs 2 pi j / GRID_POINTS on which the two-point measure is
 # checked: the divergence average and the noise certificate's target values.
@@ -49,106 +50,121 @@ GRID_POINTS = 512
 
 
 def trigonometric_basis(xs, count: int) -> np.ndarray:
-    """Evaluate the first ``count`` orthonormal trigonometric functions.
+    """The table of e^(i k x) at ``xs`` for the frequencies k = 0..h, h = count // 2.
 
-    Ordering: constant, then cos/sin pairs of increasing frequency. The
-    result has shape (len(xs), count).
+    The result has shape (len(xs), h + 1), one row per sample, and holds
+    every frequency of the first ``count`` orthonormal trigonometric
+    functions: 1, then sqrt(2) cos(k x) and sqrt(2) sin(k x) are the
+    real and imaginary parts of column k times sqrt(2) (`real_features`).
+    Sums over samples are products with the table (`MercerModel.expand`,
+    `MercerModel.basis_sums`, `MomentSums`).
 
     Only cos(x) and sin(x) are computed by transcendental calls. The
     higher frequencies follow by angle doubling: with frequencies 1..w
-    known, frequencies w+1..w+n (n <= w) come from
+    known, frequencies w+1..w+n (n <= w) are e^(i r x) e^(i w x),
+    r = 1..n, one complex multiply per step, so h frequencies take
+    log2(h) steps. A frequency-k entry stays within 4 k eps of the exact
+    value (1.25 k eps is the worst seen); e^(i k x) taken directly
+    reaches 4.4 k eps, since it rounds the angle k x first. The entry at
+    x = 0 is exact. Each step multiplies along contiguous runs of
+    samples, so row i is a function of xs[i] alone; a lone sample is
+    evaluated beside a spare copy, since numpy rounds a complex multiply
+    of length 1 differently, and gives the bits it gets in any batch.
 
-        cos((w+r)x) = cos(rx) cos(wx) - sin(rx) sin(wx)
-        sin((w+r)x) = sin(rx) cos(wx) + cos(rx) sin(wx),
-
-    so N/2 frequencies take log2(N/2) vectorised steps, and sqrt(2) is
-    applied once at the end. A frequency-k column stays within 4 k eps
-    of the exact value (1.3 k eps is the worst seen); cos(k x) taken
-    directly reaches 4.4 k eps, since it rounds the angle k x first. Row
-    x = 0 is exact. The steps use elementwise real multiplies and adds
-    only, so row i is a function of xs[i] alone: evaluating a sample on
-    its own or inside any batch gives the same bits.
-
-    The matrix is built frequency-major and returned as its transpose
-    (Fortran-ordered), so every step runs along contiguous runs of
-    samples and no transposing copy is made.
+    The table is built frequency-major and returned as its transpose
+    (Fortran-ordered), so no transposing copy is made.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    lone = xs.shape[0] == 1
+    if lone:
+        xs = np.repeat(xs, 2)
     n_freq = count // 2
-    # one spare row past the end holds sin(n_freq x) when count is even
-    waves = np.empty((count + 1, xs.shape[0]))
-    waves[0] = 1.0
-    cos, sin = waves[1::2][:n_freq], waves[2::2][:n_freq]
+    table = np.empty((n_freq + 1, xs.shape[0]), dtype=complex)
+    table[0] = 1.0
     if n_freq:
-        cos[0], sin[0] = np.cos(xs), np.sin(xs)
-    tmp = np.empty((n_freq // 2, xs.shape[0]))
+        np.cos(xs, out=table[1].real)
+        np.sin(xs, out=table[1].imag)
     w = 1
     while w < n_freq:
         n = min(w, n_freq - w)
-        cos_w, sin_w, t = cos[w - 1], sin[w - 1], tmp[:n]
-        np.multiply(cos[:n], cos_w, out=cos[w : w + n])
-        np.multiply(sin[:n], sin_w, out=t)
-        np.subtract(cos[w : w + n], t, out=cos[w : w + n])
-        np.multiply(sin[:n], cos_w, out=sin[w : w + n])
-        np.multiply(cos[:n], sin_w, out=t)
-        np.add(sin[w : w + n], t, out=sin[w : w + n])
+        np.multiply(table[1 : n + 1], table[w], out=table[w + 1 : w + n + 1])
         w += n
-    waves[1:count] *= math.sqrt(2.0)
-    return waves[:count].T
+    return (table[:, :1].copy() if lone else table).T
+
+
+def real_features(table: np.ndarray, count: int) -> np.ndarray:
+    """The real (m, count) basis matrix B from a `trigonometric_basis` table:
+    columns 1, then sqrt(2) cos(k x) and sqrt(2) sin(k x) for k = 1, 2, ...
+
+    One copy, scaled and sample-major, whose float view interleaves the
+    real and imaginary parts; column 0's zero imaginary part becomes the
+    constant. Only the dense Gram below N samples needs it
+    (`MercerModel.scalar_kernel`); every sum over samples is a product
+    with the table instead.
+    """
+    feats = np.multiply(table, math.sqrt(2.0), order="C").view(float)[:, 1 : count + 1]
+    feats[:, 0] = 1.0
+    return feats
+
+
+def spectrum(scaled: np.ndarray) -> np.ndarray:
+    """The (h + 1, d) complex spectrum phi of an expansion ``scaled`` (N, d)
+    against the orthonormal e_n, with h = N // 2: phi_0 = a_0 and
+    phi_k = sqrt(2) (a_cos,k - i a_sin,k), so the expansion's value at x is
+    Re sum_k phi_k e^(i k x). An even N has no sin(h x) term."""
+    sines = np.zeros_like(scaled[1::2])
+    sines[: len(scaled[2::2])] = scaled[2::2]
+    phi = np.empty((len(sines) + 1, scaled.shape[1]), dtype=complex)
+    phi[0] = scaled[0]
+    phi[1:] = math.sqrt(2.0) * (scaled[1::2] - 1j * sines)
+    return phi
+
+
+def fold(sums: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` real rows of B^T v from the table product
+    sums_k = sum_i e^(i k x_i) v_i, k = 0..h: row 0 is Re sums_0, and the
+    cos k and sin k rows are sqrt(2) times Re and Im of sums_k."""
+    out = np.empty((count,) + sums.shape[1:])
+    out[0] = sums[0].real
+    out[1::2] = math.sqrt(2.0) * sums[1 : count // 2 + 1].real
+    out[2::2] = math.sqrt(2.0) * sums[1 : (count + 1) // 2].imag
+    return out
 
 
 class MomentSums:
-    """Running sums over row chunks of the basis that give `SampleMoments`.
+    """Running sums over row chunks of the table that give `SampleMoments`.
 
-    Each chunk B_c adds one product B_c^T [1, sqrt(2) cos hx, y], with h
-    the highest cosine frequency, so memory stays at one chunk. Its first
-    column sums the features themselves, the moments up to h; the
-    second gives those above h, from
-
-        C_(h+j) = 2 mean(cos hx cos jx) - C_(h-j)
-        S_(h+j) = 2 mean(cos hx sin jx) + S_(h-j),
-
-    and the rest sums B^T y. An even N has no sin hx column, and S_h comes
-    from one more dot, 2 sin((h-1)x) cos x = sin hx + sin (h-2)x. The cost
-    is O(m N (2 + d)) for m samples and d output channels.
+    Each chunk V_c (rows, h + 1) adds the products V_c^T 1, V_c^T e^(i h x)
+    and V_c^T y: the first sums e^(i n x) for n = 0..h, the second for
+    n = h..2h, and the rest sum e^(i k x) y, which `fold` turns into B^T y.
+    So memory stays at one chunk, and every moment C_n + i S_n up to 2h
+    is a sum of table entries or of products of two. Each column is its
+    own matrix-vector product, which BLAS runs faster than one product
+    with a few columns. The cost is O(m h (2 + d)) complex multiply-adds
+    for m samples and d output channels.
     """
 
     def __init__(self, count: int, channels: int | None = None):
         self.count = count
         self.channels = channels
-        self.sums = np.zeros((count, 2 + (channels or 0)))
-        self.extra = 0.0
+        self.sums = np.zeros((2 + (channels or 0), count // 2 + 1), dtype=complex)
 
-    def add(self, feats: np.ndarray, ys: np.ndarray | None = None):
-        """Add the chunk ``feats`` (rows, N) and, with outputs, its ``ys`` (rows, d)."""
-        probe = np.empty((feats.shape[0], self.sums.shape[1]))
-        probe[:, 0] = 1.0
-        probe[:, 1] = feats[:, 2 * (self.count // 2) - 1]
+    def add(self, table: np.ndarray, ys: np.ndarray | None = None):
+        """Add the chunk ``table`` (rows, h + 1) and, with outputs, its ``ys`` (rows, d)."""
+        columns = [np.ones(table.shape[0]), table[:, -1]]
         if self.channels is not None:
-            probe[:, 2:] = ys
-        self.sums += feats.T @ probe
-        if self.count % 2 == 0 and self.count > 2:
-            self.extra += feats[:, self.count - 2] @ feats[:, 1]
+            columns.extend(ys.T)
+        for total, column in zip(self.sums, columns):
+            total += table.T @ column
 
     def moments(self, m: int) -> SampleMoments:
         """The moments of the m samples added so far."""
-        count = self.count
-        h, h_sin = count // 2, (count - 1) // 2
         means = self.sums / m
-        c = np.empty(2 * h + 1)
-        c[0] = 1.0
-        c[1 : h + 1] = means[1::2, 0] / math.sqrt(2.0)
-        c[h + 1 :] = means[1::2, 1] - c[h - 1 :: -1]
-        s = np.empty(count)
-        s[0] = 0.0
-        s[1 : h_sin + 1] = means[2::2, 0] / math.sqrt(2.0)
-        if h_sin < h:
-            s[h] = self.extra / m - s[h - 2] if h_sin else 0.0  # N = 2 has no sine
-        s[h + 1 :] = means[2::2, 1] + s[h - h_sin : h][::-1]
-        response = None if self.channels is None else means[:, 2:]
-        return SampleMoments(cos=c, sin=s, response=response)
+        z = np.concatenate((means[0], means[1, 1:]))
+        response = None if self.channels is None else fold(means[2:].T, self.count)
+        return SampleMoments(cos=z.real.copy(), sin=z.imag[: self.count].copy(), response=response)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,73 +184,84 @@ class MercerModel:
         return int(self.eigenvalues.shape[0])
 
     def basis(self, xs) -> np.ndarray:
-        return trigonometric_basis(xs, self.n_trunc)
+        """The real (len(xs), N) basis matrix B at ``xs`` (`real_features`)."""
+        return real_features(trigonometric_basis(xs, self.n_trunc), self.n_trunc)
 
-    def _fits(self, basis, m: int) -> bool:
-        """Whether ``basis`` can stand for the basis at m inputs: an earlier
-        evaluation there, such as the one `sample_dataset` carries below N
-        samples, has shape (m, N); any other shape belongs to another
-        truncation and is not used."""
-        return basis is not None and basis.shape == (m, self.n_trunc)
+    def _fits(self, table, m: int) -> bool:
+        """Whether ``table`` can stand for this model's `trigonometric_basis`
+        table at m inputs: an earlier evaluation there, such as the one
+        `sample_dataset` carries below N samples, is complex of shape
+        (m, N // 2 + 1); anything else is not used."""
+        return (
+            table is not None
+            and np.iscomplexobj(table)
+            and table.shape == (m, self.n_trunc // 2 + 1)
+        )
 
-    def basis_chunks(self, xs, basis=None):
-        """Yield (rows, basis at xs[rows]) over row chunks that cover ``xs``.
+    def basis_chunks(self, xs, table=None):
+        """Yield (rows, table at xs[rows]) over row chunks that cover ``xs``.
 
-        Below N samples there is one chunk, the whole basis. From N on a
+        Below N samples there is one chunk, the whole table. From N on a
         chunk has CHUNK_CELLS // N rows, so no more than one chunk of the
-        basis is alive at a time. A precomputed ``basis`` that fits (see
+        table is alive at a time. A precomputed ``table`` that fits (see
         `_fits`) is sliced in the same chunks instead of evaluated, so
         anything accumulated over the chunks has the same bits either way.
         """
         m = len(xs)
         step = m if m < self.n_trunc else max(1, CHUNK_CELLS // self.n_trunc)
-        whole = basis if self._fits(basis, m) else None
+        whole = table if self._fits(table, m) else None
         for start in range(0, m, step):
             rows = slice(start, start + step)
-            yield rows, self.basis(xs[rows]) if whole is None else whole[rows]
+            chunk = trigonometric_basis(xs[rows], self.n_trunc) if whole is None else whole[rows]
+            yield rows, chunk
 
-    def expand(self, coefficients, xs, basis=None) -> np.ndarray:
+    def expand(self, coefficients, xs, table=None) -> np.ndarray:
         """Values at ``xs`` of the expansion with ``coefficients`` (N, d)
-        against sqrt(t_n) e_n; a fitting ``basis`` at ``xs`` is reused,
-        otherwise the basis is evaluated in row chunks."""
+        against sqrt(t_n) e_n: Re(V phi) for the table V at ``xs`` and the
+        expansion's `spectrum` phi, over `basis_chunks`; a fitting
+        ``table`` at ``xs`` is reused."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        scaled = np.sqrt(self.eigenvalues)[:, None] * coefficients
-        if self._fits(basis, len(xs)):
-            return basis @ scaled
-        out = np.empty((len(xs), scaled.shape[1]))
-        for rows, feats in self.basis_chunks(xs):
-            out[rows] = feats @ scaled
+        phi = spectrum(np.sqrt(self.eigenvalues)[:, None] * coefficients)
+        out = np.empty((len(xs), phi.shape[1]))
+        for rows, chunk in self.basis_chunks(xs, table):
+            out[rows] = (chunk @ phi).real
         return out
+
+    def basis_sums(self, xs, values, table=None) -> np.ndarray:
+        """B^T ``values`` (N, d) for the basis B at ``xs`` and ``values`` (m, d):
+        the table product V^T values over `basis_chunks`, then `fold`; a
+        fitting ``table`` at ``xs`` is reused."""
+        sums = 0.0
+        for rows, chunk in self.basis_chunks(xs, table):
+            sums = sums + chunk.T @ values[rows]
+        return fold(sums, self.n_trunc)
 
     def expand_on_grid(self, coefficients) -> np.ndarray:
         """Values of the expansion with ``coefficients`` (N, d) against
         sqrt(t_n) e_n at the G = GRID_POINTS inputs x_j = 2 pi j / G, from
         one inverse FFT, with no G x N basis.
 
-        A pair of columns sqrt(2) c cos(k x) + sqrt(2) s sin(k x) is the real
-        part of sqrt(2) (c - i s) e^(i k x), and on this grid e^(i k x_j)
-        depends on k mod G only, so each pair adds to bin k mod G and the
-        values are exact for any N, also N > G. The cost is
-        O(N d + d G log G).
+        The value at x is Re sum_k phi_k e^(i k x) for the expansion's
+        `spectrum` phi, and on this grid e^(i k x_j) depends on k mod G
+        only, so phi_k adds to bin k mod G and the values are exact for any
+        N, also N > G. The cost is O(N d + d G log G).
         """
-        scaled = np.sqrt(self.eigenvalues)[:, None] * coefficients
-        sines = np.zeros_like(scaled[1::2])
-        sines[: len(scaled[2::2])] = scaled[2::2]
-        freq = np.arange(1, len(sines) + 1) % GRID_POINTS
-        spectrum = np.zeros((GRID_POINTS, scaled.shape[1]), dtype=complex)
-        spectrum[0] = scaled[0]
-        np.add.at(spectrum, freq, math.sqrt(2.0) * (scaled[1::2] - 1j * sines))
-        return np.fft.ifft(spectrum, axis=0, norm="forward").real
+        phi = spectrum(np.sqrt(self.eigenvalues)[:, None] * coefficients)
+        freq = np.arange(1, len(phi)) % GRID_POINTS
+        grid = np.zeros((GRID_POINTS, phi.shape[1]), dtype=complex)
+        grid[0] = phi[0]
+        np.add.at(grid, freq, phi[1:])
+        return np.fft.ifft(grid, axis=0, norm="forward").real
 
     def sample_moments(self, xs, ys=None) -> SampleMoments:
         """The `SampleMoments` of inputs ``xs`` and, if given, outputs ``ys``.
 
         One pass over `basis_chunks`, so the memory is one chunk of the
-        basis, not all of it.
+        table, not all of it.
         """
         sums = MomentSums(self.n_trunc, None if ys is None else ys.shape[1])
-        for rows, feats in self.basis_chunks(xs):
-            sums.add(feats, None if ys is None else ys[rows])
+        for rows, chunk in self.basis_chunks(xs):
+            sums.add(chunk, None if ys is None else ys[rows])
         return sums.moments(len(xs))
 
     def moments_of(self, data: Dataset) -> SampleMoments:
@@ -317,11 +344,20 @@ class MercerModel:
             out[2::2, channel] = math.sqrt(2.0) * psi[1 : h_sin + 1].imag
         return out
 
-    def scalar_kernel(self, xs, zs, basis=None) -> np.ndarray:
-        """k(x_i, z_j); a precomputed ``basis`` at ``xs`` is reused if it fits."""
-        bx = basis if self._fits(basis, len(xs)) else self.basis(xs)
-        bz = bx if zs is xs else self.basis(zs)
-        return (bx * self.eigenvalues[None, :]) @ bz.T
+    def scalar_kernel(self, xs, zs, table=None) -> np.ndarray:
+        """k(x_i, z_j) = (Phi_x Phi_z^T)_ij with Phi = B diag(sqrt t), scaled in
+        place in the one copy `real_features` makes; a precomputed ``table``
+        at ``xs`` is reused if it fits."""
+        root_t = np.sqrt(self.eigenvalues)
+        if not self._fits(table, len(xs)):
+            table = trigonometric_basis(xs, self.n_trunc)
+        phi_x = real_features(table, self.n_trunc)
+        phi_x *= root_t
+        if zs is xs:
+            return phi_x @ phi_x.T
+        phi_z = self.basis(zs)
+        phi_z *= root_t
+        return phi_x @ phi_z.T
 
     def trace_tail_bound(self) -> float:
         """Upper bound on the eigenvalue mass dropped by truncation.
@@ -447,9 +483,9 @@ class TargetFunction:
     def source_norm(self) -> float:
         return float(np.sqrt(np.sum(self.source**2)))
 
-    def evaluate(self, xs, basis=None) -> np.ndarray:
-        """Target values at ``xs``; a precomputed ``basis`` at ``xs`` is reused if it fits."""
-        return self.model.expand(self.coefficients, xs, basis)
+    def evaluate(self, xs, table=None) -> np.ndarray:
+        """Target values at ``xs``; a precomputed ``table`` at ``xs`` is reused if it fits."""
+        return self.model.expand(self.coefficients, xs, table)
 
     def norms(self) -> ExpansionNorms:
         return norms_of_expansion(self.model, self.coefficients)
@@ -747,11 +783,11 @@ def draw_dataset(
     The inputs, then the noise (normals, or one uniform per sample for
     the two-point measure, inverted through the cumulative atom weights)
     are drawn whole. The samples are then walked in
-    `MercerModel.basis_chunks`: each chunk's basis gives its target
+    `MercerModel.basis_chunks`: each chunk's table gives its target
     values, its outputs and its share of the `SampleMoments` the Dataset
     carries, and is dropped. Below N samples the one chunk is the whole
-    basis, which the Dataset carries too for the dense Gram path; from N
-    on nothing m-by-N is allocated.
+    table, which the Dataset carries too for the dense Gram path; from N
+    on nothing m-sized but the samples is allocated.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
@@ -763,8 +799,8 @@ def draw_dataset(
         draws = noise.sigma * rng.standard_normal((m, d))
     ys = np.empty((m, d))
     sums = MomentSums(model.n_trunc, d)
-    for rows, feats in model.basis_chunks(xs):
-        f_vals = target.evaluate(xs[rows], basis=feats)
+    for rows, chunk in model.basis_chunks(xs):
+        f_vals = target.evaluate(xs[rows], table=chunk)
         if noise.kind == "two_point":
             atoms, weights = two_point_weights(f_vals, noise.amplitude, d)
             pick = (draws[rows] > np.cumsum(weights, axis=1)).sum(axis=1)
@@ -773,6 +809,6 @@ def draw_dataset(
             ys[rows] = f_vals
         else:
             np.add(f_vals, draws[rows], out=ys[rows])
-        sums.add(feats, ys[rows])
-    basis = feats if m < model.n_trunc else None
-    return Dataset(xs=xs, ys=ys, basis=basis, moments=sums.moments(m))
+        sums.add(chunk, ys[rows])
+    table = chunk if m < model.n_trunc else None
+    return Dataset(xs=xs, ys=ys, basis=table, moments=sums.moments(m))

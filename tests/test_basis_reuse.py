@@ -126,9 +126,9 @@ def _direct_divergence(first, second):
     """The divergence from the basis at the grid, multiplied out in float64."""
     model, level, d = first.model, first.amplitude, first.model.output_dim
     grid = np.linspace(0.0, PERIOD, GRID_POINTS, endpoint=False)
-    basis = model.basis(grid)
-    _, w1 = mercer.two_point_weights(first.target.evaluate(grid, basis=basis), level, d)
-    _, w2 = mercer.two_point_weights(second.target.evaluate(grid, basis=basis), level, d)
+    scaled_basis = model.basis(grid) * np.sqrt(model.eigenvalues)[None, :]
+    _, w1 = mercer.two_point_weights(scaled_basis @ first.target.coefficients, level, d)
+    _, w2 = mercer.two_point_weights(scaled_basis @ second.target.coefficients, level, d)
     return float(np.mean(np.sum(w1 * np.log(w1 / w2), axis=1)))
 
 
@@ -174,3 +174,28 @@ def test_default_lower_bound_evaluates_the_grid_once_per_member(monkeypatch, cap
     assert capsys.readouterr().out
     assert len(expanded) == 8
     assert len(set(map(id, expanded))) == 8
+
+
+def test_no_real_features_from_m_equal_n_on(monkeypatch):
+    """From m = N on, the draw, both tail statistics and a feature-domain fit,
+    with its norms and its coefficient rows, read the complex table only:
+    no real per-sample feature array is formed. Below N the dense Gram
+    forms one, so the refusal is live."""
+
+    def refuse(*_args):
+        raise AssertionError("real features were formed")
+
+    monkeypatch.setattr(mercer, "real_features", refuse)
+    model, _, target = _lab()
+    noise = NoiseSpec(kind="gaussian", sigma=0.3)
+    for kind in TAIL_KINDS:
+        tail_test(kind, model, target, noise, 0.05, N_TRUNC, 0.1, replicates=100)
+    for m in (N_TRUNC, 24):
+        data = sample_dataset(model, target, noise, m=m, seed=m)
+        fitted = fit(data, model, tikhonov(), lam=0.05)
+        assert not fitted.gram.complete
+        assert np.isfinite(error_norms(fitted, model, target).l2)
+        assert fitted.coefficients.shape == (m, 1)
+    small = sample_dataset(model, target, noise, m=N_TRUNC - 1, seed=0)
+    with pytest.raises(AssertionError, match="real features were formed"):
+        fit(small, model, tikhonov(), lam=0.05)

@@ -59,6 +59,16 @@ class TestFilters:
         assert main(["filters", "--filter", "iterated_tikhonov"]) == 0
         assert "residual_decay_order_2:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--filter", "landweber", "--nu", "3"], "--nu"),
+         (["--filter", "cutoff", "--tau", "0.5"], "--tau")],
+    )
+    def test_a_flag_the_kind_does_not_take_exits_2_naming_it(self, argv, flag, capsys):
+        """Such a flag used to be dropped without a word, and the run exited 0."""
+        assert main(["filters", *argv]) == 2
+        assert f"error: {flag} applies to none of the filters run" in capsys.readouterr().err
+
     def test_a_flag_reaches_only_the_kind_that_takes_it(self, capsys):
         assert main(["filters", "--nu", "4", "--tau", "0.5"]) == 0
         parts = re.split(r"^(\w+): ok$", capsys.readouterr().out, flags=re.M)
@@ -212,6 +222,20 @@ class TestLowerBound:
 
 
 class TestFit:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--filter", "tikhonov", "--nu", "5"], "--nu"),
+         (["--filter", "iterated_tikhonov", "--tau", "0.5"], "--tau"),
+         (["--filter", "landweber", "--nu", "2"], "--nu")],
+    )
+    def test_a_flag_the_kind_does_not_take_exits_2_naming_it(self, argv, flag, capsys):
+        """`fit --filter tikhonov --nu 5` ran plain Tikhonov and exited 0, while
+        a sweep config with the same key is refused as filter.nu."""
+        assert main(["fit", *SMALL_RUNS["fit"], *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} applies to none of the filters run" in captured.err
+        assert not captured.out
+
     def test_reports_errors_and_writes_dump(self, tmp_path, capsys):
         out_path = tmp_path / "fit.json"
         code = main(["fit", "--b", "2", "--n-trunc", "8", "--m", "32", "--out", str(out_path)])
@@ -289,6 +313,7 @@ def test_fit_with_landweber_runs_at_its_default_step(m, capsys):
         (["fit", *SMALL_RUNS["fit"], "--source-s", "nan"], "source exponent s must be finite"),
         (["exponents", "--b", "2", "--r", "nan"], "smoothness exponent must be >= 0 and finite"),
         (["exponents", "--b", "nan", "--r", "0.5"], "decay exponent must be >= 1 and finite"),
+        (["fit", *SMALL_RUNS["fit"], "--r", "inf"], "power exponent must be >= 0 and finite, got inf"),
     ],
 )
 def test_nan_input_exits_2_naming_it(argv, message, capsys):

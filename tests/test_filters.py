@@ -55,6 +55,12 @@ class TestIteratedTikhonov:
         assert sup <= 4.0 * (1 + 1e-9)
         assert sup > 3.99
 
+    @pytest.mark.parametrize("iterations", [math.nan, math.inf])
+    def test_non_finite_iterations_refused_by_name(self, iterations):
+        """NaN raised a bare ValueError from int(), and infinity an OverflowError."""
+        with pytest.raises(ParameterError, match="iterations must be a positive integer"):
+            SpectralFilter("iterated_tikhonov", iterations=iterations)
+
     def test_iterations_validated(self):
         with pytest.raises(ParameterError):
             iterated_tikhonov(0)

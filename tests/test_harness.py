@@ -9,6 +9,7 @@ import pytest
 from ratelab import harness
 from ratelab.errors import ConfigError, TruncationError
 from ratelab.gram import Dataset
+from ratelab.mercer import trigonometric_basis
 from ratelab.harness import (
     DEFAULT_M_GRID,
     ExperimentConfig,
@@ -307,7 +308,7 @@ class TestRateSweep:
         def three_point_sample(model, target, noise, m, seed):
             data = real_sample(model, target, noise, m, seed)
             xs = np.resize([0.4, 2.0, 5.1], m)
-            return Dataset(xs=xs, ys=data.ys, basis=model.basis(xs))
+            return Dataset(xs=xs, ys=data.ys, basis=trigonometric_basis(xs, model.n_trunc))
 
         monkeypatch.setattr("ratelab.harness.sample_dataset", three_point_sample)
         config = dict(MINI, model={"b": 2.0, "N_trunc": 16}, m_grid=[4, 16, 64, 128])

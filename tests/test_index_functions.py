@@ -64,6 +64,12 @@ class TestHolderIndex:
         with pytest.raises(ParameterError, match="power exponent"):
             HolderIndex(r=math.nan)
 
+    def test_infinite_exponent_rejected_by_name(self):
+        """r = inf used to build, and a fit with it failed in a bisection that
+        named neither the flag nor the exponent."""
+        with pytest.raises(ParameterError, match="power exponent must be >= 0 and finite"):
+            HolderIndex(r=math.inf)
+
 
 class TestLogIndex:
     def test_power_with_log_correction(self):

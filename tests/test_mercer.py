@@ -24,6 +24,7 @@ from ratelab.mercer import (
     norms_of_expansion,
     population_regularized,
     power_law_source,
+    real_features,
     sample_dataset,
     target_from_source,
     trigonometric_basis,
@@ -35,13 +36,24 @@ class TestBasis:
     def test_orthonormal_under_uniform_measure(self):
         """Averaging B^T B over a fine uniform grid recovers the identity."""
         xs = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        feats = trigonometric_basis(xs, 9)
+        feats = real_features(trigonometric_basis(xs, 9), 9)
+        assert feats.shape == (4096, 9)
         gram = feats.T @ feats / 4096
         np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
 
-    def test_first_feature_is_constant(self):
-        feats = trigonometric_basis(np.array([0.3, 1.7]), 3)
-        np.testing.assert_allclose(feats[:, 0], 1.0)
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 9])
+    def test_real_features_are_the_columns_of_the_table(self, count):
+        """1, then sqrt(2) times the real and imaginary parts of e^(i k x)."""
+        xs = np.array([0.3, 1.7, 4.0])
+        table = trigonometric_basis(xs, count)
+        assert table.shape == (3, count // 2 + 1)
+        feats = real_features(table, count)
+        assert feats.shape == (3, count)
+        np.testing.assert_array_equal(feats[:, 0], 1.0)
+        np.testing.assert_array_equal(feats[:, 1::2], math.sqrt(2.0) * table[:, 1:].real)
+        np.testing.assert_array_equal(
+            feats[:, 2::2], math.sqrt(2.0) * table[:, 1 : (count + 1) // 2].imag
+        )
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -49,28 +61,37 @@ class TestBasis:
     )
     @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 512, 513, 1025])
     def test_equals_per_column_reference(self, count):
-        """Column j >= 1 is sqrt(2) cos(kx) for odd j, sqrt(2) sin(kx) for even j,
-        k = (j+1)//2, each within 4 k eps of the same formula evaluated in
-        np.longdouble (which rounds the angle k x 2^11 times more finely than
-        float64). A float64 cos(k x) per column misses this bound by its
-        rounded angle alone."""
+        """Column k holds e^(i k x): its real and imaginary parts are each within
+        4 k eps of cos(k x) and sin(k x) evaluated in np.longdouble (which rounds
+        the angle k x 2^11 times more finely than float64). A float64
+        e^(i k x) per column misses this bound by its rounded angle alone."""
         xs = np.random.default_rng(count).uniform(0.0, 2 * np.pi, 1024)
-        freqs = (np.arange(count) + 1) // 2
+        freqs = np.arange(count // 2 + 1)
         angles = xs.astype(np.longdouble)[:, None] * freqs.astype(np.longdouble)
-        ref = np.where(np.arange(count) % 2 == 1, np.cos(angles), np.sin(angles))
-        ref *= np.sqrt(np.longdouble(2.0))
-        ref[:, 0] = 1.0
-        err = np.abs(trigonometric_basis(xs, count).astype(np.longdouble) - ref).max(axis=0)
+        table = trigonometric_basis(xs, count)
+        err_re = np.abs(table.real.astype(np.longdouble) - np.cos(angles)).max(axis=0)
+        err_im = np.abs(table.imag.astype(np.longdouble) - np.sin(angles)).max(axis=0)
         eps = np.finfo(float).eps
-        assert err[0] == 0.0
-        assert np.all(err[1:] <= 4.0 * freqs[1:] * eps)
+        assert err_re[0] == 0.0 and err_im[0] == 0.0
+        assert np.all(err_re[1:] <= 4.0 * freqs[1:] * eps)
+        assert np.all(err_im[1:] <= 4.0 * freqs[1:] * eps)
+
+    def test_first_feature_is_constant(self):
+        """Frequency 0 is exactly 1 in the table, and so is the first feature."""
+        table = trigonometric_basis(np.array([0.3, 1.7]), 3)
+        assert np.array_equal(table[:, 0], np.ones(2, dtype=complex))
+        assert np.array_equal(real_features(table, 3)[:, 0], np.ones(2))
 
     @pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 512, 513])
     def test_row_at_origin_is_exact(self, count):
+        """At x = 0 every table entry is exactly 1, and the real features are
+        exactly 1, sqrt(2), 0, sqrt(2), ..."""
+        table = trigonometric_basis(np.array([0.0]), count)
+        assert np.array_equal(table[0], np.ones(count // 2 + 1, dtype=complex))
         expected = np.zeros(count)
         expected[0] = 1.0
         expected[1::2] = math.sqrt(2.0)
-        assert np.array_equal(trigonometric_basis(np.array([0.0]), count)[0], expected)
+        assert np.array_equal(real_features(table, count)[0], expected)
 
     @pytest.mark.parametrize("m", [1, 7, 1031])
     @pytest.mark.parametrize("count", [9, 512, 513])
@@ -173,7 +194,7 @@ class TestEmpiricalOperator:
 def _grid_sup_energy(model, points=4096):
     """d * sup of sum_n t_n e_n(x)**2 over a uniform grid that contains x = 0."""
     xs = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-    feats = trigonometric_basis(xs, model.n_trunc)
+    feats = model.basis(xs)
     return model.output_dim * float(((feats * feats) @ model.eigenvalues).max())
 
 
@@ -298,7 +319,7 @@ class TestTargets:
         phi = HolderIndex(1.0, domain_max=model.kappa_sq)
         target = target_from_source(model, phi, power_law_source(model), radius=1.0)
         xs = np.array([0.0, 1.0, 4.0])
-        feats = trigonometric_basis(xs, 8)
+        feats = model.basis(xs)
         expected = feats @ (np.sqrt(model.eigenvalues)[:, None] * target.coefficients)
         np.testing.assert_allclose(target.evaluate(xs), expected)
 

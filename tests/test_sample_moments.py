@@ -58,11 +58,13 @@ def _wide_moments(xs, count):
     return cos, sin, basis
 
 
-@pytest.mark.parametrize("n_trunc", [128, 129])
+@pytest.mark.parametrize("n_trunc", [8, 9, 128, 129])
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("noise", sorted(NOISES))
 def test_carried_statistics_match_a_one_shot_longdouble_sum(n_trunc, d, noise):
-    """At m = N, N + 1 and around one and three chunks of R rows."""
+    """At m = N, N + 1 and around one and three chunks of R rows. Every
+    moment up to 2h is read off the table products, S_h at an even N
+    included."""
     rows = CHUNK_CELLS // n_trunc
     model, target = _lab(n_trunc, d)
     for m in (n_trunc, n_trunc + 1, rows - 1, rows, rows + 1, 3 * rows + 5):
