@@ -1,31 +1,34 @@
 """Spectral-filter regression estimators over a kernel Gram matrix.
 
 The fitted function is f(x) = sum_i k(x, x_i) c_i with coefficient rows
-c_i read off the eigendecomposition of the scaled Gram matrix (1/m) K:
 
-    c = (1/m) V g_lam(w) V^T y + (g_lam(0)/m) (y - V V^T y)
-      = (1/m) V (g_lam(w) - g_lam(0)) V^T y + (g_lam(0)/m) y
+    c = (1/m) g_lam(G) y,   G = (1/m) K the scaled Gram matrix.
 
-where w are the retained eigenvalues and V their orthonormal eigenvectors.
+Below N samples, and for kernels that are not a MercerModel, `fit`
+reduces G = Q T Q^T (`gram.eigendecompose`) and evaluates
+g_lam(G) y = Q g_lam(T) Q^T y, with Q applied as Householder reflectors.
+For the Tikhonov family g_lam(T) is a few O(m) tridiagonal solves
+(`SpectralFilter.apply_tridiagonal`). The other filters read the
+eigenpairs T = Z diag(w) Z^T, with V = Q Z:
+
+    g_lam(G) y = V (g_lam(w) - g_lam(0)) V^T y + g_lam(0) y.
+
 The g_lam(0) term carries the Gram null space (and any eigenpairs a
 decomposition omitted, which are all null); dropping it breaks exact
-agreement with direct solvers whenever the filter has g_lam(0) != 0,
-e.g. any Tikhonov variant. Below N samples, and for kernels that are
-not a MercerModel, `fit` evaluates the second line on the dense
-eigensystem through `GramEigen.project` and `GramEigen.combine`, which
-apply V as the reflectors of a tridiagonal reduction times the sorted
-eigenbasis of the tridiagonal matrix, never formed.
+agreement with direct solvers whenever the filter has g_lam(0) != 0.
 
 From m = N on, a MercerModel fit stays in the feature domain. With
 Phi = B diag(sqrt t) / sqrt(m) for the (m, N) basis matrix B and the
-empirical operator Phi^T Phi = W S W^T, the Gram eigenvectors are
+empirical operator A = Phi^T Phi = W S W^T, the Gram eigenvectors are
 V = Phi W S^-1/2, so the expansion a = diag(sqrt t) B^T c of the fit
 against sqrt(t_n) e_n is
 
-    a = W (g_lam(w) - g_lam(0)) W^T u + g_lam(0) u,   u = diag(sqrt t) B^T y / m,
+    a = g_lam(A) u = W (g_lam(w) - g_lam(0)) W^T u + g_lam(0) u,   u = diag(sqrt t) B^T y / m,
 
-O(N^2 d) from the sample's moments (`gram.SampleMoments`), with no
-m-sized array. The coefficient rows themselves,
+evaluated as Q g_lam(T) Q^T u on the reduction of A, as above, in
+O(N^2 d) once A is reduced, from the sample's moments
+(`gram.SampleMoments`), with no m-sized array. The coefficient rows
+themselves,
 
     c = (1/m) B diag(sqrt t) W ((g_lam(w) - g_lam(0)) / w) W^T u + (g_lam(0)/m) y,
 
@@ -92,15 +95,14 @@ def fit(
     lam: float,
     gram: GramEigen | None = None,
 ) -> FittedEstimator:
-    """Fit by applying the spectral filter to the scaled Gram spectrum.
+    """Fit by applying the spectral filter to the decomposed scaled Gram.
 
     ``kernel`` is anything with scalar_kernel(xs, zs); for a MercerModel
     with m >= N the fit runs in the feature domain, from the moments the
     Dataset carries (or moments computed from its samples). A
-    precomputed ``gram`` eigendecomposition is reused as is.
+    precomputed ``gram`` decomposition is reused as is.
     """
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam!r}")
+    g_null = filt.values(0.0, lam)  # refuses a bad lam before any decomposition
     is_mercer = isinstance(kernel, MercerModel)
     feature = is_mercer and (dataset.m >= kernel.n_trunc if gram is None else not gram.complete)
     moments = kernel.moments_of(dataset) if feature else None
@@ -110,16 +112,12 @@ def fit(
         eig = mercer_gram_eigen(kernel, moments)
     else:
         eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis if is_mercer else None))
-    g_vals = np.atleast_1d(filt.values(eig.eigenvalues, lam))
-    g_null = filt.values(0.0, lam)
     dual = expansion = None
     if eig.complete:
-        ys, m = dataset.ys, dataset.m
-        dual = eig.combine((g_vals - g_null)[:, None] * eig.project(ys)) / m
-        dual += (g_null / m) * ys
+        dual = _filtered(eig, filt, lam, g_null, dataset.ys) / dataset.m
     else:
         u = np.sqrt(kernel.eigenvalues)[:, None] * moments.response
-        expansion = eig.combine((g_vals - g_null)[:, None] * eig.project(u)) + g_null * u
+        expansion = _filtered(eig, filt, lam, g_null, u)
     return FittedEstimator(
         dataset=dataset,
         kernel=kernel,
@@ -129,6 +127,23 @@ def fit(
         dual=dual,
         expansion=expansion,
     )
+
+
+def _filtered(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: float, x: np.ndarray):
+    """g_lam(A) x = Q g_lam(T) Q^T x for the matrix A = Q T Q^T that ``eig`` reduces.
+
+    The Tikhonov family solves with T (`SpectralFilter.apply_tridiagonal`).
+    The other kinds, and a T + lam I with a nonpositive pivot, read the
+    eigenpairs T = Z diag(w) Z^T with negative round-off clamped to zero:
+    g_lam(T) = Z (g_lam(w) - g_lam(0)) Z^T + g_lam(0) I, the second term
+    carrying any modes the eigensystem dropped.
+    """
+    reduced = eig.reflect(x, "T")
+    solved = filt.apply_tridiagonal(eig.diag, eig.off, reduced, lam)
+    if solved is None:
+        gain = np.atleast_1d(filt.values(eig.eigenvalues, lam)) - g_null
+        solved = eig.mix @ (gain[:, None] * (eig.mix.T @ reduced)) + g_null * reduced
+    return eig.reflect(solved, "N")
 
 
 def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator:

@@ -8,7 +8,10 @@ p with its decay constant, meaning sup |r| * sigma**p <= decay(p) * lam**p.
 values are never taken on faith.
 
 Each family is defined once, by its log-residual l = log r_lam(sigma):
-g = -expm1(l) / sigma, with the sigma -> 0 limit -dl/dsigma at 0.
+g = -expm1(l) / sigma, with the sigma -> 0 limit -dl/dsigma at 0. The
+Tikhonov family, whose residual (1 + sigma/lam)^(-nu) is rational, also
+acts on a symmetric tridiagonal matrix by shifted solves
+(`SpectralFilter.apply_tridiagonal`), with no eigenvectors.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 from .index_functions import IndexFunction, geometric_grid, nondecreasing
 
 # The parameters each kind takes, by their JSON names, with their types.
@@ -124,6 +128,41 @@ class SpectralFilter:
         pos = arr > 0
         out[pos] = -np.expm1(log_r[pos]) / arr[pos]
         return float(out[0]) if np.ndim(sigma) == 0 else out
+
+    def apply_tridiagonal(self, diag, off, v, lam: float):
+        """g_lam(T) v for the symmetric tridiagonal T, or None where it takes eigenpairs.
+
+        T has diagonal ``diag`` (n,) and off-diagonal ``off`` (n - 1, or
+        one padding entry at n = 1), and v has shape (n, d). For the
+        Tikhonov family r_lam(sigma) = (lam / (sigma + lam))^nu, so
+
+            g_lam(T) v = sum_{j=1..nu} lam^(j-1) (T + lam I)^(-j) v,
+
+        evaluated as x <- (T + lam I)^(-1) (v + lam x) nu times from x = 0:
+        one LDL^T factorization (LAPACK dpttrf) and nu O(n d) solves
+        (dpttrs), or one dptsv at nu = 1. Returns None for Landweber and
+        cutoff, which read the eigenpairs, and when the factorization meets
+        a nonpositive pivot: then lam is at or below a negative round-off
+        eigenvalue, which the eigenpairs clamp to zero.
+        """
+        if self.kind not in ("tikhonov", "iterated_tikhonov"):
+            return None
+        if not lam > 0:
+            raise ParameterError(f"lam must be positive, got {lam!r}")
+        shifted = diag + lam
+        if self.iterations == 1:
+            _, _, x, info = lapack.dptsv(shifted, off, v, overwrite_d=1)
+        else:
+            pivots, factor, info = lapack.dpttrf(shifted, off, overwrite_d=1)
+            x = np.zeros_like(v)
+            if info == 0:
+                for _ in range(self.iterations):
+                    x, info = lapack.dpttrs(pivots, factor, v + lam * x)
+        if info > 0:
+            return None
+        if info < 0:
+            raise NumericalError(f"LAPACK rejected argument {-info} of a tridiagonal solve")
+        return x
 
     def residuals(self, sigma, lam: float):
         """Evaluate r_lam(sigma) = 1 - sigma * g_lam(sigma) in closed form."""

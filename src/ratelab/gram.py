@@ -1,24 +1,26 @@
-"""Datasets, Gram matrices, and their eigendecompositions.
+"""Datasets, Gram matrices, and their decompositions.
 
 The Gram matrix is always stored with the 1/m scaling, so its eigenvalues
 estimate the integral-operator spectrum directly. Decompositions are exact:
-either a dense symmetric eigensolve of the m-by-m Gram, or, for
-finite-rank feature kernels with at least as many samples as features, a
-solve in the feature domain that decomposes the model's N-by-N empirical
-operator. That operator has the Gram's nonzero spectrum, and a spectral
-fit needs nothing else from the sample than it and B^T y / m, so the
-feature path's only input is the sample's `SampleMoments`, which hold
-both, and it never touches an m-sized array. Both solves reduce their
-matrix to tridiagonal form and keep the reduction's orthogonal factor as
-Householder reflectors, so the eigenvectors are held as the reflectors
-times an eigenbasis of the tridiagonal matrix and applied from right to
-left, never formed. No sketching, no default jitter.
+either of the dense m-by-m Gram, or, for finite-rank feature kernels with
+at least as many samples as features, of the model's N-by-N empirical
+operator in the feature domain. That operator has the Gram's nonzero
+spectrum, and a spectral fit needs nothing else from the sample than it
+and B^T y / m, so the feature path's only input is the sample's
+`SampleMoments`, which hold both, and it never touches an m-sized array.
+Both reduce their matrix to tridiagonal form, A = Q T Q^T, and keep Q as
+Householder reflectors; that reduction is the eager product. Health facts
+are read from T by bisection. The eigenpairs of T are solved only when
+first read, and the eigenvectors are then held as the reflectors times
+that eigenbasis and applied from right to left, never formed. No
+sketching, no default jitter.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -137,36 +139,54 @@ def assemble_gram(kernel, xs, table=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramEigen:
-    """Eigensystem of a scaled Gram matrix, or of its feature-domain twin.
+    """Tridiagonal reduction of a scaled Gram matrix, or of its feature-domain twin.
 
-    ``eigenvalues`` (k,) descending and nonnegative. The solver reduced an
-    n-by-n symmetric matrix to tridiagonal form, A = Q T Q^T, and solved
-    T = Z diag(w) Z^T; Q stays as its n - 1 Householder ``reflectors``
-    (Fortran order, as LAPACK dormqr reads them) and their ``tau``, and
-    ``mix`` (n, k) holds the kept columns of Z in descending order, so the
-    orthonormal eigenvectors are Q mix. The dense path decomposes the
-    m-by-m Gram itself, n = m, and ``complete`` is True. The feature path
-    decomposes the N-by-N empirical operator, n = N and ``complete`` is
-    False: its eigenvalues are the Gram's nonzero ones and its
-    eigenvectors W live in the feature domain, where a fit needs them
-    (`estimator.fit`); the Gram's remaining eigenvalues are exactly zero.
-    ``size`` is n, the decomposed dimension. `project` and `combine`
-    apply Q mix and its transpose one factor at a time, Q in O(n^2 d), so
-    the eigenvectors are built only when the ``vectors`` property is
-    read. ``clamped`` records the magnitude of the most negative raw
-    eigenvalue the solver returned, and ``dropped`` how many
-    feature-domain modes the feature path discarded as below RANK_DROP
-    times the top one.
+    An n-by-n symmetric A = Q T Q^T: T is held as its ``diag`` (n,) and
+    ``off`` (n - 1, one padding zero at n = 1), Q as n - 1 Householder
+    ``reflectors`` (Fortran order, as LAPACK dormqr reads them) and their
+    ``tau``. The dense path reduces the m-by-m Gram itself, n = m, and
+    ``complete`` is True. The feature path reduces the N-by-N empirical
+    operator, n = N and ``complete`` is False: its eigenvalues are the
+    Gram's nonzero ones and its eigenvectors W live in the feature domain,
+    where a fit needs them (`estimator.fit`); the Gram's remaining
+    eigenvalues are exactly zero. ``size`` is n. The health facts come
+    from bisection on T: ``clamped`` is the magnitude of the most negative
+    eigenvalue, ``dropped`` how many modes the feature path discards as at
+    most RANK_DROP times the top one.
+
+    The eigensystem T = Z diag(w) Z^T is solved (LAPACK dstevd) on the
+    first read of ``eigenvalues``, ``mix``, ``rank``, ``vectors``,
+    `project` or `combine`, and kept: ``eigenvalues`` (k,) descending with
+    negative round-off clamped to zero, k = n - ``dropped``, and ``mix``
+    (n, k) the matching columns of Z, so the orthonormal eigenvectors are
+    Q mix. `project` and `combine` apply Q mix and its transpose one
+    factor at a time, Q in O(n^2 d); ``vectors`` builds them on each read.
     """
 
-    eigenvalues: np.ndarray
-    mix: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
     size: int
     complete: bool
     clamped: float = 0.0
     dropped: int = 0
+
+    @cached_property
+    def _eigensystem(self):
+        vals, z, info = lapack.dstevd(self.diag, self.off)
+        if info != 0:
+            raise _eigensolver_error(self.diag, self.off, info)
+        order = np.argsort(vals)[::-1][: self.size - self.dropped]
+        return np.maximum(vals[order], 0.0), z[:, order]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigensystem[0]
+
+    @property
+    def mix(self) -> np.ndarray:
+        return self._eigensystem[1]
 
     @property
     def rank(self) -> int:
@@ -179,13 +199,13 @@ class GramEigen:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """(Q mix)^T x for x of shape (n, d), shape (k, d)."""
-        return self.mix.T @ self._reflect(x, "T")
+        return self.mix.T @ self.reflect(x, "T")
 
     def combine(self, z: np.ndarray) -> np.ndarray:
         """Q mix z for z of shape (k, d), shape (n, d)."""
-        return self._reflect(self.mix @ z, "N")
+        return self.reflect(self.mix @ z, "N")
 
-    def _reflect(self, x: np.ndarray, trans: str) -> np.ndarray:
+    def reflect(self, x: np.ndarray, trans: str) -> np.ndarray:
         """Q x for ``trans`` "N", Q^T x for "T", with x of shape (n, d).
 
         Q fixes the first coordinate and the reflectors act on the rest,
@@ -214,7 +234,7 @@ def _tridiagonalize(a: np.ndarray):
     result (reflectors below the subdiagonal), the diagonal and
     off-diagonal of T = Q^T a Q, and the reflectors' tau, using dsytrd's
     optimal blocked workspace. At n = 1 the off-diagonal is one zero,
-    since dstevd wants a length of at least one.
+    since the tridiagonal LAPACK wrappers want a length of at least one.
     """
     n = a.shape[0]
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
@@ -225,45 +245,32 @@ def _tridiagonalize(a: np.ndarray):
     return packed, diag, off if n > 1 else np.zeros(1), tau
 
 
-def _tridiagonal_eigh(a: np.ndarray):
-    """Ascending eigenvalues w, Z, reflectors and tau with a = Q Z diag(w) Z^T Q^T.
+def _spectrum_ends(diag: np.ndarray, off: np.ndarray):
+    """The smallest and the largest eigenvalue of a symmetric tridiagonal matrix.
 
-    `_tridiagonalize` reduces ``a`` to tridiagonal T = Q^T a Q in place,
-    and dstevd solves T = Z diag(w) Z^T by divide and conquer. Q is left
-    as the reflectors dsytrd stores below the subdiagonal, the
-    (n - 1)-square block a[1:, :-1], copied once to Fortran order so that
-    dormqr reads it in place. This skips the O(n^3) back-transformation
-    Q Z that a full eigensolver performs. The packed matrix is released
-    before dstevd allocates Z, so when the caller passes a temporary the
-    two n-by-n arrays are not alive together.
+    Bisection (LAPACK dstebz) for those two eigenvalues only, O(n) per
+    bisection step, where a tridiagonal eigensolver would compute the
+    whole spectrum.
     """
-    packed, diag, off, tau = _tridiagonalize(a)
-    reflectors = np.asfortranarray(packed[1:, :-1])
-    del a, packed
-    vals, z, info = lapack.dstevd(diag, off)
-    if info != 0:
-        raise _eigensolver_error(diag, off, info)
-    return vals, z, reflectors, tau
+    ends = []
+    for index in (1, diag.shape[0]):
+        _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
+        if info != 0:
+            raise _eigensolver_error(diag, off, info)
+        ends.append(float(vals[0]))
+    return ends[0], ends[1]
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """max |eigenvalue| of the exactly symmetric ``a``, from the ends of its spectrum.
 
     Reduces ``a`` to tridiagonal form in place (a writeable ``a`` is
-    overwritten) and bisects (LAPACK dstebz) for its smallest and its
-    largest eigenvalue only, O(n) per bisection step after the O(n^3)
-    reduction, where a symmetric eigenvalue solver would compute the
-    whole spectrum.
+    overwritten) and bisects for its smallest and its largest eigenvalue
+    (`_spectrum_ends`) after the O(n^3) reduction.
     """
     _, diag, off, _ = _tridiagonalize(a)
-    n = diag.shape[0]
-    ends = []
-    for index in (1, n):
-        _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
-        if info != 0:
-            raise _eigensolver_error(diag, off, info)
-        ends.append(abs(vals[0]))
-    return float(max(ends))
+    bottom, top = _spectrum_ends(diag, off)
+    return max(abs(bottom), abs(top))
 
 
 def _eigensolver_error(diag: np.ndarray, off: np.ndarray, info: int) -> NumericalError:
@@ -274,82 +281,79 @@ def _eigensolver_error(diag: np.ndarray, off: np.ndarray, info: int) -> Numerica
     )
 
 
-def _descending(vals: np.ndarray, vecs: np.ndarray):
-    """Sort an eigensystem by descending eigenvalue and measure its clamp.
+def _reduce(a: np.ndarray, complete: bool) -> GramEigen:
+    """Reduce the exactly symmetric ``a`` in place and read its health by bisection.
 
-    Returns the sorted pair and the magnitude of the most negative raw
-    eigenvalue; anything below -1e-10 times the top eigenvalue triggers a
-    warning, attributed to the caller's caller.
+    Q is left as the reflectors dsytrd stores below the subdiagonal, the
+    (n - 1)-square block a[1:, :-1], copied once to Fortran order so that
+    dormqr reads it in place. The most negative eigenvalue is clamped;
+    anything below -1e-10 times the top eigenvalue triggers a warning,
+    attributed to the caller's caller. Off the dense path (``complete``
+    False) the modes at most RANK_DROP times the top one are counted as
+    dropped: dstebz over (below the bottom, RANK_DROP * top] reads that
+    count from two Sturm sequences, and with the whole range as its
+    tolerance it does not refine the eigenvalues it finds.
     """
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    top = float(vals[0]) if vals.size else 0.0
-    most_negative = float(min(vals.min(), 0.0)) if vals.size else 0.0
+    packed, diag, off, tau = _tridiagonalize(a)
+    reflectors = np.asfortranarray(packed[1:, :-1])
+    bottom, top = _spectrum_ends(diag, off)
+    most_negative = min(bottom, 0.0)
     if top > 0 and most_negative < -NEGATIVE_EIG_WARN * top:
         warnings.warn(
             f"clamping eigenvalue {most_negative:g} "
             f"(relative {most_negative / top:g}) to zero",
             stacklevel=3,
         )
-    return vals, vecs, -most_negative
+    dropped = 0
+    if not complete:
+        low, high = bottom - abs(bottom) - 1.0, RANK_DROP * top
+        dropped, _, _, _, info = lapack.dstebz(diag, off, 1, low, high, 0, 0, high - low, "E")
+        if info != 0:
+            raise _eigensolver_error(diag, off, info)
+    return GramEigen(
+        diag=diag,
+        off=off,
+        reflectors=reflectors,
+        tau=tau,
+        size=diag.shape[0],
+        complete=complete,
+        clamped=-most_negative,
+        dropped=int(dropped),
+    )
 
 
 def eigendecompose(gram: np.ndarray) -> GramEigen:
-    """Dense symmetric eigendecomposition with descending eigenvalues.
+    """Dense symmetric decomposition of the m-by-m scaled Gram.
 
-    The m-by-m Gram is symmetrized, 0.5 (G + G^T), and goes through
-    `_tridiagonal_eigh`; its eigenvectors are held as Q times the sorted
-    tridiagonal eigenbasis. Tiny negative eigenvalues are clamped to zero;
-    anything below -1e-10 times the top eigenvalue triggers a warning first.
+    The Gram is symmetrized, 0.5 (G + G^T), and reduced to tridiagonal
+    form (`_reduce`); its eigenvalues, descending with tiny negative ones
+    clamped to zero, and eigenvectors, Q times the sorted tridiagonal
+    eigenbasis, are solved on first read. A clamp below -1e-10 times the
+    top eigenvalue triggers a warning.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
         raise DataError(f"gram must be square and nonempty, got shape {gram.shape}")
-    vals, vecs, reflectors, tau = _tridiagonal_eigh(0.5 * (gram + gram.T))
-    vals, vecs, clamped = _descending(vals, vecs)
-    return GramEigen(
-        eigenvalues=np.maximum(vals, 0.0),
-        mix=vecs,
-        reflectors=reflectors,
-        tau=tau,
-        size=gram.shape[0],
-        complete=True,
-        clamped=clamped,
-    )
+    return _reduce(0.5 * (gram + gram.T), complete=True)
 
 
 def mercer_gram_eigen(model, moments: SampleMoments) -> GramEigen:
-    """Exact Gram eigensystem of a finite-rank feature kernel, from the sample's moments.
+    """Exact Gram decomposition of a finite-rank feature kernel, from the sample's moments.
 
     The scaled Gram is Phi Phi^T with Phi = B diag(sqrt t) / sqrt(m), B
     the (m, N) basis matrix, and its nonzero spectrum equals that of the
     N-by-N matrix Phi^T Phi = `MercerModel.empirical_operator` = W S W^T,
     assembled from the sample's Fourier ``moments`` (which must be this
-    model's). The eigensolve runs at size N through `_tridiagonal_eigh`,
-    so W = Q Z; the result keeps Q's reflectors and ``mix`` = Z over the
-    k modes above RANK_DROP times the top one, ``dropped`` counts the
-    rest, and ``size`` is N. ``clamped`` and its warning follow
-    `eigendecompose`, measured on the feature-domain spectrum. Neither
-    the m-by-m Gram nor an m-by-N array is formed, and the result is an
-    exact decomposition, not an approximation. `estimator.fit` takes
-    this path from m = N on and the dense one below.
+    model's). The reduction runs at size N (`_reduce`), so W = Q Z; the
+    eigensystem, solved on first read, keeps ``mix`` = Z over the modes
+    above RANK_DROP times the top one, ``dropped`` counts the rest, and
+    ``size`` is N. ``clamped`` and its warning follow `eigendecompose`,
+    measured on the feature-domain spectrum. Neither the m-by-m Gram nor
+    an m-by-N array is formed, and the result is an exact decomposition,
+    not an approximation. `estimator.fit` takes this path from m = N on
+    and the dense one below.
     """
-    vals, vecs, reflectors, tau = _tridiagonal_eigh(model.empirical_operator(moments))
-    vals, vecs, clamped = _descending(vals, vecs)
-    top = float(vals[0]) if vals.size else 0.0
-    keep = vals > RANK_DROP * top
-    vals = vals[keep]
-    return GramEigen(
-        eigenvalues=vals,
-        mix=vecs[:, keep],
-        reflectors=reflectors,
-        tau=tau,
-        size=model.n_trunc,
-        complete=False,
-        clamped=clamped,
-        dropped=int(keep.size - vals.size),
-    )
+    return _reduce(model.empirical_operator(moments), complete=False)
 
 
 def reconstruction_error(matrix: np.ndarray, eig: GramEigen) -> float:

@@ -6,8 +6,9 @@ level, and records exact error quantiles per norm. Log-log slopes of
 the medians are then compared against the closed-form exponents, when
 the smoothness profile has them. The report also carries each size's
 numerical health: whether lambda was clipped into its admissible range,
-the largest negative eigenvalue any replicate's eigensolve clamped, and
-the most feature modes any replicate's factored eigensolve dropped.
+the largest negative eigenvalue any replicate's decomposition clamped,
+and the most feature modes any replicate's factored decomposition
+dropped, both bisected from its tridiagonal form (`gram.GramEigen`).
 
 Output files are byte-deterministic for a fixed config and seed: floats
 are written with repr (shortest round trip) and JSON keys are sorted.

@@ -1,7 +1,10 @@
 """Tests for spectral-filter fitting and error norms."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from ratelab.errors import ParameterError, UnsupportedNormError
 from ratelab.estimator import (
@@ -216,6 +219,68 @@ class TestEighOracle:
                 assert np.isfinite(error_norms(result, model, target).l2)
             assert result.gram.complete == (m < N_FACTORED)
             assert _relative_gap(result.coefficients, oracle) <= 1e-10
+
+
+def _solve_iterated(matrix, rhs, lam, nu):
+    """sum_{j=1..nu} lam^(j-1) (A + lam I)^(-j) rhs by dense solves, built here."""
+    shifted = matrix + lam * np.eye(matrix.shape[0])
+    out = np.zeros_like(rhs)
+    for _ in range(nu):
+        out = np.linalg.solve(shifted, rhs + lam * out)
+    return out
+
+
+class TestResolventFit:
+    """The Tikhonov family fits by tridiagonal solves, against oracles that solve
+    densely or diagonalize, built here, on both sides of m = N."""
+
+    @pytest.mark.parametrize("m", [N_FACTORED // 2, N_FACTORED, 4 * N_FACTORED])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("nu", [1, 3])
+    def test_matches_dense_solves(self, m, d, nu, monkeypatch):
+        model, _, data = _toy_problem(m=m, d=d, seed=10 * m + d, n_trunc=N_FACTORED)
+        filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
+        lam = 0.05
+        calls = []
+        real = lapack.dstevd
+        monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        result = fit(data, model, filt, lam=lam)
+        if m < N_FACTORED:
+            gram = assemble_gram(model, data.xs)
+            oracle = _solve_iterated(gram, data.ys / m, lam, nu)
+            assert _relative_gap(result.dual, oracle) <= 1e-10
+            if nu == 1:
+                direct = fit_tikhonov_direct(data, model, lam=lam).coefficients
+                assert _relative_gap(result.dual, direct) <= 1e-10
+        else:
+            operator = model.empirical_operator(model.moments_of(data))
+            u = np.sqrt(model.eigenvalues)[:, None] * model.moments_of(data).response
+            assert _relative_gap(result.expansion, _solve_iterated(operator, u, lam, nu)) <= 1e-10
+            vals, vecs = np.linalg.eigh(operator)
+            gain = filt.values(np.maximum(vals, 0.0), lam)
+            by_eigh = vecs @ (gain[:, None] * (vecs.T @ u))
+            assert _relative_gap(result.expansion, by_eigh) <= 1e-10
+        assert calls == []
+
+    def test_nonpositive_pivot_falls_back_to_the_clamped_eigenpairs(self):
+        """lam below a negative round-off eigenvalue: T + lam I is indefinite, so the
+        fit filters the eigenpairs, which clamp that eigenvalue to zero, and raises
+        nothing."""
+        rng = np.random.default_rng(12)
+        rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        spectrum = np.array([1.0, 0.5, 0.25, 0.1, -1e-12])
+        gram = (rotation * spectrum) @ rotation.T
+        data = Dataset(xs=np.arange(5.0), ys=rng.standard_normal((5, 2)))
+        lam = 1e-13
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = eigendecompose(gram)
+            assert tikhonov().apply_tridiagonal(eig.diag, eig.off, np.ones((5, 1)), lam) is None
+            result = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam, gram=eig)
+        clamped = np.maximum(spectrum, 0.0)
+        oracle = rotation @ ((rotation.T @ data.ys) / (clamped + lam)[:, None]) / 5
+        assert _relative_gap(result.dual, oracle) <= 1e-10
+        assert eig.clamped == pytest.approx(1e-12, rel=1e-3)
 
 
 class TestErrorNorms:

@@ -115,6 +115,50 @@ class TestCutoff:
             assert filt.residual_decay_constant(p) == 1.0
 
 
+def _tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.5, 2.0, n)
+    off = 0.2 * rng.standard_normal(max(n - 1, 1)) if n > 1 else np.zeros(1)
+    dense = np.diag(diag) + np.diag(off[: n - 1], 1) + np.diag(off[: n - 1], -1)
+    return diag, off, dense
+
+
+class TestTridiagonalAction:
+    """The Tikhonov family acts on a tridiagonal T by shifted solves, as its
+    `values` act on T's eigenvalues."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_matches_values_on_the_eigenpairs(self, n, nu):
+        diag, off, dense = _tridiagonal(n, seed=n + nu)
+        filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
+        v = np.random.default_rng(nu).standard_normal((n, 3))
+        vals, vecs = np.linalg.eigh(dense)
+        for lam in (1e-3, 0.3, 5.0):
+            want = vecs @ (filt.values(vals, lam)[:, None] * (vecs.T @ v))
+            got = filt.apply_tridiagonal(diag, off, v, lam)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(diag, _tridiagonal(n, seed=n + nu)[0])
+
+    @pytest.mark.parametrize("filt", [landweber(0.5), spectral_cutoff()])
+    def test_other_kinds_read_eigenpairs(self, filt):
+        diag, off, _ = _tridiagonal(4, seed=0)
+        assert filt.apply_tridiagonal(diag, off, np.ones((4, 1)), 0.1) is None
+
+    @pytest.mark.parametrize("nu", [1, 3])
+    def test_indefinite_shift_reports_none(self, nu):
+        """An eigenvalue of T below -lam leaves a nonpositive pivot."""
+        diag, off, _ = _tridiagonal(5, seed=1)
+        diag[2] = -3.0
+        filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
+        assert filt.apply_tridiagonal(diag, off, np.ones((5, 2)), 0.1) is None
+
+    def test_lambda_must_be_positive(self):
+        diag, off, _ = _tridiagonal(3, seed=2)
+        with pytest.raises(ParameterError):
+            tikhonov().apply_tridiagonal(diag, off, np.ones((3, 1)), 0.0)
+
+
 class TestVerification:
     @pytest.mark.parametrize(
         "filt",

@@ -7,9 +7,11 @@ import pytest
 
 from ratelab.errors import DataError, ParameterError
 from ratelab.gram import (
+    RANK_DROP,
     Dataset,
     GaussianRBF,
-    _tridiagonal_eigh,
+    _spectrum_ends,
+    _tridiagonalize,
     assemble_gram,
     eigendecompose,
     mercer_gram_eigen,
@@ -103,7 +105,7 @@ class TestEigendecompose:
         gram = raw @ raw.T / 7.0 + 1e-3 * rng.standard_normal((7, 7))
         symmetric = 0.5 * (gram + gram.T)
         eig, want = eigendecompose(gram), eigendecompose(symmetric)
-        for field in ("eigenvalues", "mix", "reflectors", "tau"):
+        for field in ("diag", "off", "eigenvalues", "mix", "reflectors", "tau"):
             assert np.array_equal(getattr(eig, field), getattr(want, field))
         np.testing.assert_allclose(
             eig.eigenvalues, np.linalg.eigvalsh(symmetric)[::-1], rtol=0, atol=1e-13
@@ -266,15 +268,13 @@ class TestProductForm:
         assert np.abs(rebuilt - assemble_gram(model, xs)).max() <= 1e-10
 
 
-def _perturbed_solver(monkeypatch, relative):
-    """Make the tridiagonal eigensolver report its smallest eigenvalue as -relative * top."""
-    def perturbed(matrix):
-        vals, *rest = _tridiagonal_eigh(matrix)
-        vals = vals.copy()
-        vals[np.argmin(vals)] = -relative * vals.max()
-        return (vals, *rest)
+def _perturbed_ends(monkeypatch, relative):
+    """Make the bisection report the smallest eigenvalue of T as -relative * top."""
+    def perturbed(diag, off):
+        _, top = _spectrum_ends(diag, off)
+        return -relative * top, top
 
-    monkeypatch.setattr("ratelab.gram._tridiagonal_eigh", perturbed)
+    monkeypatch.setattr("ratelab.gram._spectrum_ends", perturbed)
 
 
 class TestFactoredClamp:
@@ -285,15 +285,21 @@ class TestFactoredClamp:
         return mercer_gram_eigen(model, model.sample_moments(xs))
 
     def test_records_the_raw_feature_spectrum(self):
-        """Three distinct inputs leave the 8 x 8 feature matrix at rank 3."""
+        """Three distinct inputs leave the 8 x 8 feature matrix at rank 3; the clamp
+        is the bisected bottom of its tridiagonal form, exactly, and round-off."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.tile([0.4, 2.0, 5.1], 14)
-        raw = _tridiagonal_eigh(model.empirical_operator(model.sample_moments(xs)))[0]
+        operator = model.empirical_operator(model.sample_moments(xs))
+        oracle = np.linalg.eigvalsh(operator)
+        _, diag, off, _ = _tridiagonalize(operator)
+        bottom, _ = _spectrum_ends(diag, off)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
         assert eig.rank == 3
-        assert eig.clamped == max(-float(raw.min()), 0.0)
+        assert eig.clamped == max(-bottom, 0.0)
+        assert eig.clamped <= 1e-14 * oracle[-1]
+        assert abs(bottom - oracle[0]) <= 1e-14 * oracle[-1]
 
     def test_counts_the_dropped_modes(self):
         """The same rank-3 input drops 5 of the 8 feature modes; full rank drops none."""
@@ -301,21 +307,47 @@ class TestFactoredClamp:
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         assert self._solve(xs).dropped == 0
 
+    @pytest.mark.parametrize("m", [40, 512, 600])
+    def test_bisection_count_matches_an_eigvalsh_oracle(self, m):
+        """At N = 512 the feature path drops exactly the modes eigvalsh puts at or
+        below RANK_DROP times the top one, and its eigensystem keeps the others.
+        At m = 512 and 600 some kept and dropped eigenvalues lie within a factor
+        1.2 of that threshold."""
+        model = build_model(b=2.0, n_trunc=512)
+        xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
+        moments = model.sample_moments(xs)
+        oracle = np.linalg.eigvalsh(model.empirical_operator(moments))
+        eig = mercer_gram_eigen(model, moments)
+        assert eig.dropped == int(np.sum(oracle <= RANK_DROP * oracle[-1]))
+        assert eig.dropped > 0
+        assert eig.rank == 512 - eig.dropped
+
     def test_large_clamp_warns(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
-        _perturbed_solver(monkeypatch, 1e-6)
+        _perturbed_ends(monkeypatch, 1e-6)
         with pytest.warns(UserWarning, match="clamping eigenvalue"):
             eig = self._solve(xs)
         assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
-        assert eig.rank == 7
+        assert eig.rank == 8 - eig.dropped
         assert eig.eigenvalues.min() > 0
 
     def test_small_clamp_is_recorded_silently(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
-        _perturbed_solver(monkeypatch, 1e-13)
+        _perturbed_ends(monkeypatch, 1e-13)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
         assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12, abs=0)
+
+    def test_dense_clamp_is_read_by_bisection(self, monkeypatch):
+        """The dense path takes its clamp from the same bisection helper."""
+        raw = np.random.default_rng(6).standard_normal((6, 6))
+        gram = raw @ raw.T / 6.0
+        top = np.linalg.eigvalsh(gram)[-1]
+        _perturbed_ends(monkeypatch, 1e-6)
+        with pytest.warns(UserWarning, match="clamping eigenvalue"):
+            eig = eigendecompose(gram)
+        assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
+        assert eig.dropped == 0

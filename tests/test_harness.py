@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from ratelab import harness
+from ratelab import gram, harness
 from ratelab.errors import ConfigError, TruncationError
 from ratelab.gram import Dataset
 from ratelab.mercer import trigonometric_basis
@@ -283,8 +284,19 @@ class TestRateSweep:
         assert [health[m]["lambda_clipped"] for m in ("32", "64", "128")] == [False] * 3
 
     def test_health_reports_largest_clamp_per_size(self, monkeypatch, tmp_path):
+        """The bisection reports the k-th decomposition's bottom as -k 1e-14 times its
+        top, so every fit clamps a different, nonzero amount, silently."""
         clamps = {}
+        injected = []
         real_fit = harness.fit
+        real_ends = gram._spectrum_ends
+
+        def negative_end(diag, off):
+            _, top = real_ends(diag, off)
+            injected.append((len(injected) + 1) * 1e-14 * top)
+            return -injected[-1], top
+
+        monkeypatch.setattr("ratelab.gram._spectrum_ends", negative_end)
 
         def recording_fit(data, *args, **kwargs):
             fitted = real_fit(data, *args, **kwargs)
@@ -298,12 +310,18 @@ class TestRateSweep:
             m: max(values) for m, values in clamps.items()
         }
         assert all(len(values) == MINI["replicates"] for values in clamps.values())
+        assert [c for m in MINI["m_grid"] for c in clamps[m]] == injected
+        assert all(h["max_clamped"] > 0 for h in health.values())
 
     def test_health_reports_most_modes_dropped_per_size(self, monkeypatch, tmp_path):
         """Replicates at m = 16, 64 and 128 draw 3 distinct inputs, so the factored
         path, which serves m >= N = 16, keeps 3 of the 16 modes; the dense path
-        at m = 4 drops none."""
+        at m = 4 drops none. The count is bisected: the Tikhonov sweep solves no
+        tridiagonal eigensystem."""
         real_sample = harness.sample_dataset
+        solves = []
+        real_dstevd = lapack.dstevd
+        monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: solves.append(1) or real_dstevd(*a, **k))
 
         def three_point_sample(model, target, noise, m, seed):
             data = real_sample(model, target, noise, m, seed)
@@ -317,6 +335,19 @@ class TestRateSweep:
         assert {m: h["max_dropped"] for m, h in health.items()} == {
             "4": 0, "16": 13, "64": 13, "128": 13
         }
+        assert solves == []
+
+    @pytest.mark.parametrize("kind, per_fit", [("tikhonov", 0), ("cutoff", 1)])
+    def test_tridiagonal_eigensolves_only_where_a_filter_reads_eigenpairs(
+        self, monkeypatch, kind, per_fit
+    ):
+        """Tikhonov fits from the tridiagonal reduction alone, on both sides of
+        m = N = 64; the cutoff reads the eigenpairs, one dstevd per fit."""
+        calls = []
+        real = lapack.dstevd
+        monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rate_sweep(ExperimentConfig.from_dict(dict(MINI, filter={"id": kind})))
+        assert len(calls) == per_fit * len(MINI["m_grid"]) * MINI["replicates"]
 
     def test_different_seed_changes_the_report(self, tmp_path):
         base = dict(MINI)
