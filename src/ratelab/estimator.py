@@ -5,11 +5,11 @@ The fitted function is f(x) = sum_i k(x, x_i) c_i with coefficient rows
     c = (1/m) g_lam(G) y,   G = (1/m) K the scaled Gram matrix.
 
 Below N samples, and for kernels that are not a MercerModel, `fit`
-reduces G = Q T Q^T (`gram.eigendecompose`) and evaluates
-g_lam(G) y = Q g_lam(T) Q^T y, with Q applied as Householder reflectors.
-For the Tikhonov family g_lam(T) is a few O(m) tridiagonal solves
-(`SpectralFilter.apply_tridiagonal`). The other filters read the
-eigenpairs T = Z diag(w) Z^T, with V = Q Z:
+decomposes G (`gram.eigendecompose`). For the Tikhonov family g_lam(G) y
+is one Cholesky factorization of G + lam I and nu solves with it
+(`SpectralFilter.apply_matrix`). The other filters read the eigenpairs
+G = V diag(w) V^T of its tridiagonal reduction G = Q T Q^T, with
+T = Z diag(w) Z^T and V = Q Z applied as Householder reflectors:
 
     g_lam(G) y = V (g_lam(w) - g_lam(0)) V^T y + g_lam(0) y.
 
@@ -25,15 +25,20 @@ against sqrt(t_n) e_n is
 
     a = g_lam(A) u = W (g_lam(w) - g_lam(0)) W^T u + g_lam(0) u,   u = diag(sqrt t) B^T y / m,
 
-evaluated as Q g_lam(T) Q^T u on the reduction of A, as above, in
-O(N^2 d) once A is reduced, from the sample's moments
+evaluated on A as above, by a Cholesky factorization or by eigenpairs,
+in O(N^2 d) once A is factored or reduced, from the sample's moments
 (`gram.SampleMoments`), with no m-sized array. The coefficient rows
-themselves,
+themselves are derived only when read, as the values at the samples of
+an expansion (`MercerModel.expand`), one chunked pass over the basis
+table. For the Tikhonov family the iterates satisfy
+(G + lam I) c_j = y / m + lam c_(j-1), and m G c_j is the values f_j(x)
+of the j-th iterate's expansion a_j, so summing over j = 1..nu gives
 
-    c = (1/m) B diag(sqrt t) W ((g_lam(w) - g_lam(0)) / w) W^T u + (g_lam(0)/m) y,
+    c = (nu y - f_sum(x)) / (lam m),   f_sum the expansion a_1 + ... + a_nu,
 
-are derived only when read, as the values at the samples of an expansion
-(`MercerModel.expand`), one chunked pass over the basis table.
+with no eigenpairs. The other filters read them:
+
+    c = (1/m) B diag(sqrt t) W ((g_lam(w) - g_lam(0)) / w) W^T u + (g_lam(0)/m) y.
 """
 
 from __future__ import annotations
@@ -56,9 +61,13 @@ class FittedEstimator:
     """A fitted regressor: training data, kernel, filter and representation.
 
     A dense fit holds its coefficient rows c (m, d) in ``dual``. A fit in
-    the feature domain (``gram.complete`` False) holds the expansion
-    a (N, d) against sqrt(t_n) e_n in ``expansion`` instead, and
-    ``coefficients`` derives c from it when first read.
+    the feature domain holds the expansion a (N, d) against sqrt(t_n) e_n
+    in ``expansion`` instead, and ``coefficients`` derives c from it when
+    first read. ``gram`` is the decomposition whose eigenpairs the fit
+    applied, None when it applied a Cholesky factorization instead; such
+    a fit in the feature domain keeps the sum of its iterates' expansions
+    in ``iterate_sum``. ``clamped`` and ``dropped`` are the health of the
+    eigenpairs applied, both zero when there were none.
     """
 
     dataset: Dataset
@@ -68,6 +77,15 @@ class FittedEstimator:
     gram: GramEigen | None = None
     dual: np.ndarray | None = None
     expansion: np.ndarray | None = None
+    iterate_sum: np.ndarray | None = None
+
+    @property
+    def clamped(self) -> float:
+        return 0.0 if self.gram is None else self.gram.clamped
+
+    @property
+    def dropped(self) -> int:
+        return 0 if self.gram is None else self.gram.dropped
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -75,6 +93,9 @@ class FittedEstimator:
         if self.dual is not None:
             return self.dual
         model, eig, data = self.kernel, self.gram, self.dataset
+        if eig is None:
+            f_sum = model.expand(self.iterate_sum, data.xs, data.basis)
+            return (self.filter.iterations * data.ys - f_sum) / (self.lam * data.m)
         g_null = self.filter.values(0.0, self.lam)
         gain = np.atleast_1d(self.filter.values(eig.eigenvalues, self.lam)) - g_null
         u = np.sqrt(model.eigenvalues)[:, None] * model.moments_of(data).response
@@ -100,7 +121,8 @@ def fit(
     ``kernel`` is anything with scalar_kernel(xs, zs); for a MercerModel
     with m >= N the fit runs in the feature domain, from the moments the
     Dataset carries (or moments computed from its samples). A
-    precomputed ``gram`` decomposition is reused as is.
+    precomputed ``gram`` decomposition is reused, and its matrix is
+    factored on a copy; one built here is factored in place.
     """
     g_null = filt.values(0.0, lam)  # refuses a bad lam before any decomposition
     is_mercer = isinstance(kernel, MercerModel)
@@ -112,37 +134,35 @@ def fit(
         eig = mercer_gram_eigen(kernel, moments)
     else:
         eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis if is_mercer else None))
-    dual = expansion = None
-    if eig.complete:
-        dual = _filtered(eig, filt, lam, g_null, dataset.ys) / dataset.m
+    x = np.sqrt(kernel.eigenvalues)[:, None] * moments.response if feature else dataset.ys
+    solved = filt.apply_matrix(eig.matrix, x, lam, overwrite=gram is None)
+    if solved is None:
+        applied, iterate_sum = _by_eigenpairs(eig, filt, lam, g_null, x), None
     else:
-        u = np.sqrt(kernel.eigenvalues)[:, None] * moments.response
-        expansion = _filtered(eig, filt, lam, g_null, u)
+        applied, iterate_sum = solved
+        eig = None  # no eigenpairs applied, and a matrix built here now holds the factor
     return FittedEstimator(
         dataset=dataset,
         kernel=kernel,
         filter=filt,
         lam=lam,
         gram=eig,
-        dual=dual,
-        expansion=expansion,
+        dual=None if feature else applied / dataset.m,
+        expansion=applied if feature else None,
+        iterate_sum=iterate_sum if feature else None,
     )
 
 
-def _filtered(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: float, x: np.ndarray):
+def _by_eigenpairs(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: float, x: np.ndarray):
     """g_lam(A) x = Q g_lam(T) Q^T x for the matrix A = Q T Q^T that ``eig`` reduces.
 
-    The Tikhonov family solves with T (`SpectralFilter.apply_tridiagonal`).
-    The other kinds, and a T + lam I with a nonpositive pivot, read the
-    eigenpairs T = Z diag(w) Z^T with negative round-off clamped to zero:
-    g_lam(T) = Z (g_lam(w) - g_lam(0)) Z^T + g_lam(0) I, the second term
-    carrying any modes the eigensystem dropped.
+    g_lam(T) is read from the eigenpairs T = Z diag(w) Z^T with negative
+    round-off clamped to zero: g_lam(T) = Z (g_lam(w) - g_lam(0)) Z^T +
+    g_lam(0) I, the second term carrying any modes the eigensystem dropped.
     """
     reduced = eig.reflect(x, "T")
-    solved = filt.apply_tridiagonal(eig.diag, eig.off, reduced, lam)
-    if solved is None:
-        gain = np.atleast_1d(filt.values(eig.eigenvalues, lam)) - g_null
-        solved = eig.mix @ (gain[:, None] * (eig.mix.T @ reduced)) + g_null * reduced
+    gain = np.atleast_1d(filt.values(eig.eigenvalues, lam)) - g_null
+    solved = eig.mix @ (gain[:, None] * (eig.mix.T @ reduced)) + g_null * reduced
     return eig.reflect(solved, "N")
 
 

@@ -10,8 +10,9 @@ values are never taken on faith.
 Each family is defined once, by its log-residual l = log r_lam(sigma):
 g = -expm1(l) / sigma, with the sigma -> 0 limit -dl/dsigma at 0. The
 Tikhonov family, whose residual (1 + sigma/lam)^(-nu) is rational, also
-acts on a symmetric tridiagonal matrix by shifted solves
-(`SpectralFilter.apply_tridiagonal`), with no eigenvectors.
+acts on a symmetric matrix by one Cholesky factorization of the shifted
+matrix and nu solves with it (`SpectralFilter.apply_matrix`), with no
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -129,40 +130,55 @@ class SpectralFilter:
         out[pos] = -np.expm1(log_r[pos]) / arr[pos]
         return float(out[0]) if np.ndim(sigma) == 0 else out
 
-    def apply_tridiagonal(self, diag, off, v, lam: float):
-        """g_lam(T) v for the symmetric tridiagonal T, or None where it takes eigenpairs.
+    def apply_matrix(self, a, v, lam: float, overwrite: bool = False):
+        """g_lam(A) v and the sum of its iterates, or None where it takes eigenpairs.
 
-        T has diagonal ``diag`` (n,) and off-diagonal ``off`` (n - 1, or
-        one padding entry at n = 1), and v has shape (n, d). For the
-        Tikhonov family r_lam(sigma) = (lam / (sigma + lam))^nu, so
+        ``a`` is the exactly symmetric A, a C-ordered (n, n) array, and v
+        has shape (n, d). For the Tikhonov family
+        r_lam(sigma) = (lam / (sigma + lam))^nu, so
 
-            g_lam(T) v = sum_{j=1..nu} lam^(j-1) (T + lam I)^(-j) v,
+            g_lam(A) v = sum_{j=1..nu} lam^(j-1) (A + lam I)^(-j) v,
 
-        evaluated as x <- (T + lam I)^(-1) (v + lam x) nu times from x = 0:
-        one LDL^T factorization (LAPACK dpttrf) and nu O(n d) solves
-        (dpttrs), or one dptsv at nu = 1. Returns None for Landweber and
-        cutoff, which read the eigenpairs, and when the factorization meets
-        a nonpositive pivot: then lam is at or below a negative round-off
-        eigenvalue, which the eigenpairs clamp to zero.
+        evaluated as x_j = (A + lam I)^(-1) (v + lam x_(j-1)), j = 1..nu,
+        from x_0 = 0: one Cholesky factorization (LAPACK dpotrf) and nu
+        O(n^2 d) solves (dpotrs). Returns (x_nu, x_1 + ... + x_nu); the sum
+        is x_1 itself at nu = 1. Returns None for Landweber and cutoff, which
+        read the eigenpairs, and when the factorization meets a nonpositive
+        pivot: then lam is at or below a negative round-off eigenvalue,
+        which the eigenpairs clamp to zero.
+
+        A + lam I is formed and factored in a copy of ``a``, or with
+        ``overwrite`` in ``a`` itself, which must be writeable. dpotrf
+        writes only the diagonal and the upper triangle of ``a``, so after
+        a nonpositive pivot ``a`` is restored from its lower triangle and
+        holds A again; after a factorization it holds the factor.
         """
         if self.kind not in ("tikhonov", "iterated_tikhonov"):
             return None
         if not lam > 0:
             raise ParameterError(f"lam must be positive, got {lam!r}")
-        shifted = diag + lam
-        if self.iterations == 1:
-            _, _, x, info = lapack.dptsv(shifted, off, v, overwrite_d=1)
-        else:
-            pivots, factor, info = lapack.dpttrf(shifted, off, overwrite_d=1)
-            x = np.zeros_like(v)
-            if info == 0:
-                for _ in range(self.iterations):
-                    x, info = lapack.dpttrs(pivots, factor, v + lam * x)
-        if info > 0:
-            return None
+        diagonal = np.diagonal(a).copy()
+        shifted = a if overwrite else a.copy()
+        np.fill_diagonal(shifted, diagonal + lam)
+        # the transpose is the same symmetric matrix in the Fortran order
+        # dpotrf works in, so the factorization runs in place
+        factor, info = lapack.dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
         if info < 0:
-            raise NumericalError(f"LAPACK rejected argument {-info} of a tridiagonal solve")
-        return x
+            raise NumericalError(f"dpotrf rejected argument {-info}")
+        if info > 0:
+            if overwrite:
+                rows, cols = np.triu_indices(a.shape[0], 1)
+                a[rows, cols] = a[cols, rows]
+                np.fill_diagonal(a, diagonal)
+            return None
+        x = np.zeros_like(v)
+        total = None
+        for _ in range(self.iterations):
+            x, info = lapack.dpotrs(factor, v + lam * x, lower=1)
+            if info != 0:
+                raise NumericalError(f"dpotrs rejected argument {-info}")
+            total = x if total is None else total + x
+        return x, total
 
     def residuals(self, sigma, lam: float):
         """Evaluate r_lam(sigma) = 1 - sigma * g_lam(sigma) in closed form."""

@@ -8,12 +8,13 @@ operator in the feature domain. That operator has the Gram's nonzero
 spectrum, and a spectral fit needs nothing else from the sample than it
 and B^T y / m, so the feature path's only input is the sample's
 `SampleMoments`, which hold both, and it never touches an m-sized array.
-Both reduce their matrix to tridiagonal form, A = Q T Q^T, and keep Q as
-Householder reflectors; that reduction is the eager product. Health facts
-are read from T by bisection. The eigenpairs of T are solved only when
-first read, and the eigenvectors are then held as the reflectors times
-that eigenbasis and applied from right to left, never formed. No
-sketching, no default jitter.
+Both return the exactly symmetric matrix, which is all a resolvent fit
+(the Tikhonov family, one Cholesky factorization) reads. The reduction to
+tridiagonal form, A = Q T Q^T with Q kept as Householder reflectors, and
+the health facts bisected from T are computed on first read; the
+eigenpairs of T are solved only when first read after that, and the
+eigenvectors are then held as the reflectors times that eigenbasis and
+applied from right to left, never formed. No sketching, no default jitter.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -137,22 +139,39 @@ def assemble_gram(kernel, xs, table=None) -> np.ndarray:
     return k / xs.size
 
 
+class _Reduction(NamedTuple):
+    diag: np.ndarray
+    off: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    clamped: float
+    dropped: int
+
+
+def _reduced(field: str) -> property:
+    return property(lambda self: getattr(self._reduction, field))
+
+
 @dataclass(frozen=True, eq=False)
 class GramEigen:
-    """Tridiagonal reduction of a scaled Gram matrix, or of its feature-domain twin.
+    """A scaled Gram matrix, or its feature-domain twin, decomposed on demand.
 
-    An n-by-n symmetric A = Q T Q^T: T is held as its ``diag`` (n,) and
-    ``off`` (n - 1, one padding zero at n = 1), Q as n - 1 Householder
-    ``reflectors`` (Fortran order, as LAPACK dormqr reads them) and their
-    ``tau``. The dense path reduces the m-by-m Gram itself, n = m, and
-    ``complete`` is True. The feature path reduces the N-by-N empirical
-    operator, n = N and ``complete`` is False: its eigenvalues are the
-    Gram's nonzero ones and its eigenvectors W live in the feature domain,
-    where a fit needs them (`estimator.fit`); the Gram's remaining
-    eigenvalues are exactly zero. ``size`` is n. The health facts come
-    from bisection on T: ``clamped`` is the magnitude of the most negative
-    eigenvalue, ``dropped`` how many modes the feature path discards as at
-    most RANK_DROP times the top one.
+    ``matrix`` is the exactly symmetric n-by-n A. The dense path holds the
+    m-by-m Gram itself, n = m, and ``complete`` is True. The feature path
+    holds the N-by-N empirical operator, n = N and ``complete`` is False:
+    its eigenvalues are the Gram's nonzero ones and its eigenvectors W live
+    in the feature domain, where a fit needs them (`estimator.fit`); the
+    Gram's remaining eigenvalues are exactly zero. ``size`` is n. A
+    resolvent fit reads ``matrix`` and nothing else.
+
+    On the first read of any other attribute, A = Q T Q^T is reduced to
+    tridiagonal form on a copy of ``matrix``, which stays intact: T is held
+    as its ``diag`` (n,) and ``off`` (n - 1, one padding zero at n = 1), Q
+    as n - 1 Householder ``reflectors`` (Fortran order, as LAPACK dormqr
+    reads them) and their ``tau``. The health facts come from bisection on
+    T: ``clamped`` is the magnitude of the most negative eigenvalue,
+    ``dropped`` how many modes the feature path discards as at most
+    RANK_DROP times the top one.
 
     The eigensystem T = Z diag(w) Z^T is solved (LAPACK dstevd) on the
     first read of ``eigenvalues``, ``mix``, ``rank``, ``vectors``,
@@ -163,14 +182,23 @@ class GramEigen:
     factor at a time, Q in O(n^2 d); ``vectors`` builds them on each read.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-    size: int
+    matrix: np.ndarray
     complete: bool
-    clamped: float = 0.0
-    dropped: int = 0
+
+    diag = _reduced("diag")
+    off = _reduced("off")
+    reflectors = _reduced("reflectors")
+    tau = _reduced("tau")
+    clamped = _reduced("clamped")
+    dropped = _reduced("dropped")
+
+    @property
+    def size(self) -> int:
+        return int(self.matrix.shape[0])
+
+    @cached_property
+    def _reduction(self) -> _Reduction:
+        return _reduce(self.matrix.copy(), self.complete)
 
     @cached_property
     def _eigensystem(self):
@@ -281,18 +309,18 @@ def _eigensolver_error(diag: np.ndarray, off: np.ndarray, info: int) -> Numerica
     )
 
 
-def _reduce(a: np.ndarray, complete: bool) -> GramEigen:
+def _reduce(a: np.ndarray, complete: bool) -> _Reduction:
     """Reduce the exactly symmetric ``a`` in place and read its health by bisection.
 
     Q is left as the reflectors dsytrd stores below the subdiagonal, the
     (n - 1)-square block a[1:, :-1], copied once to Fortran order so that
     dormqr reads it in place. The most negative eigenvalue is clamped;
-    anything below -1e-10 times the top eigenvalue triggers a warning,
-    attributed to the caller's caller. Off the dense path (``complete``
-    False) the modes at most RANK_DROP times the top one are counted as
-    dropped: dstebz over (below the bottom, RANK_DROP * top] reads that
-    count from two Sturm sequences, and with the whole range as its
-    tolerance it does not refine the eigenvalues it finds.
+    anything below -1e-10 times the top eigenvalue triggers a warning. Off
+    the dense path (``complete`` False) the modes at most RANK_DROP times
+    the top one are counted as dropped: dstebz over (below the bottom,
+    RANK_DROP * top] reads that count from two Sturm sequences, and with
+    the whole range as its tolerance it does not refine the eigenvalues it
+    finds.
     """
     packed, diag, off, tau = _tridiagonalize(a)
     reflectors = np.asfortranarray(packed[1:, :-1])
@@ -301,8 +329,7 @@ def _reduce(a: np.ndarray, complete: bool) -> GramEigen:
     if top > 0 and most_negative < -NEGATIVE_EIG_WARN * top:
         warnings.warn(
             f"clamping eigenvalue {most_negative:g} "
-            f"(relative {most_negative / top:g}) to zero",
-            stacklevel=3,
+            f"(relative {most_negative / top:g}) to zero"
         )
     dropped = 0
     if not complete:
@@ -310,31 +337,22 @@ def _reduce(a: np.ndarray, complete: bool) -> GramEigen:
         dropped, _, _, _, info = lapack.dstebz(diag, off, 1, low, high, 0, 0, high - low, "E")
         if info != 0:
             raise _eigensolver_error(diag, off, info)
-    return GramEigen(
-        diag=diag,
-        off=off,
-        reflectors=reflectors,
-        tau=tau,
-        size=diag.shape[0],
-        complete=complete,
-        clamped=-most_negative,
-        dropped=int(dropped),
-    )
+    return _Reduction(diag, off, reflectors, tau, -most_negative, int(dropped))
 
 
 def eigendecompose(gram: np.ndarray) -> GramEigen:
     """Dense symmetric decomposition of the m-by-m scaled Gram.
 
-    The Gram is symmetrized, 0.5 (G + G^T), and reduced to tridiagonal
-    form (`_reduce`); its eigenvalues, descending with tiny negative ones
-    clamped to zero, and eigenvectors, Q times the sorted tridiagonal
-    eigenbasis, are solved on first read. A clamp below -1e-10 times the
-    top eigenvalue triggers a warning.
+    Holds the symmetrized Gram, 0.5 (G + G^T), which is exactly symmetric.
+    Its tridiagonal reduction and health (`_reduce`) and its eigenvalues,
+    descending with tiny negative ones clamped to zero, and eigenvectors,
+    Q times the sorted tridiagonal eigenbasis, are solved on first read. A
+    clamp below -1e-10 times the top eigenvalue then triggers a warning.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
         raise DataError(f"gram must be square and nonempty, got shape {gram.shape}")
-    return _reduce(0.5 * (gram + gram.T), complete=True)
+    return GramEigen(0.5 * (gram + gram.T), complete=True)
 
 
 def mercer_gram_eigen(model, moments: SampleMoments) -> GramEigen:
@@ -344,16 +362,16 @@ def mercer_gram_eigen(model, moments: SampleMoments) -> GramEigen:
     the (m, N) basis matrix, and its nonzero spectrum equals that of the
     N-by-N matrix Phi^T Phi = `MercerModel.empirical_operator` = W S W^T,
     assembled from the sample's Fourier ``moments`` (which must be this
-    model's). The reduction runs at size N (`_reduce`), so W = Q Z; the
-    eigensystem, solved on first read, keeps ``mix`` = Z over the modes
-    above RANK_DROP times the top one, ``dropped`` counts the rest, and
-    ``size`` is N. ``clamped`` and its warning follow `eigendecompose`,
-    measured on the feature-domain spectrum. Neither the m-by-m Gram nor
-    an m-by-N array is formed, and the result is an exact decomposition,
-    not an approximation. `estimator.fit` takes this path from m = N on
-    and the dense one below.
+    model's). The result holds that matrix, and its reduction runs at size
+    N on first read (`_reduce`), so W = Q Z; the eigensystem, solved on
+    first read, keeps ``mix`` = Z over the modes above RANK_DROP times the
+    top one, ``dropped`` counts the rest, and ``size`` is N. ``clamped``
+    and its warning follow `eigendecompose`, measured on the feature-domain
+    spectrum. Neither the m-by-m Gram nor an m-by-N array is formed, and
+    the result is an exact decomposition, not an approximation.
+    `estimator.fit` takes this path from m = N on and the dense one below.
     """
-    return _reduce(model.empirical_operator(moments), complete=False)
+    return GramEigen(model.empirical_operator(moments), complete=False)
 
 
 def reconstruction_error(matrix: np.ndarray, eig: GramEigen) -> float:

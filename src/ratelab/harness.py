@@ -6,9 +6,11 @@ level, and records exact error quantiles per norm. Log-log slopes of
 the medians are then compared against the closed-form exponents, when
 the smoothness profile has them. The report also carries each size's
 numerical health: whether lambda was clipped into its admissible range,
-the largest negative eigenvalue any replicate's decomposition clamped,
-and the most feature modes any replicate's factored decomposition
-dropped, both bisected from its tridiagonal form (`gram.GramEigen`).
+the largest negative eigenvalue any replicate's fit clamped, and the
+most feature modes any replicate's fit dropped, both bisected from the
+tridiagonal form of the decomposition whose eigenpairs it applied
+(`estimator.FittedEstimator`). A fit by Cholesky factorization, the
+Tikhonov family's, applies none and clamps and drops nothing.
 
 Output files are byte-deterministic for a fixed config and seed: floats
 are written with repr (shortest round trip) and JSON keys are sorted.
@@ -431,8 +433,8 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
             norms = error_norms(fitted, model, target)
             errs_l2[rep] = norms.l2
             errs_rkhs[rep] = norms.rkhs
-            max_clamped = max(max_clamped, fitted.gram.clamped)
-            max_dropped = max(max_dropped, fitted.gram.dropped)
+            max_clamped = max(max_clamped, fitted.clamped)
+            max_dropped = max(max_dropped, fitted.dropped)
             # free this replicate's data and fit before the next one is drawn
             del data, fitted
         high = 1.0 - config.eta

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -286,7 +287,9 @@ class MercerModel:
 
         so the cos/cos and sin/sin blocks are Toeplitz plus or minus
         Hankel in C, and the cos/sin block Hankel minus Toeplitz in S.
-        Assembly costs O(N^2) and the result is exactly symmetric.
+        Assembly costs O(N^2) and the result is exactly symmetric. The
+        scale diag(sqrt t) on both sides is one product with an N-by-N
+        outer product that the model computes once.
         """
         if moments.n_feat != self.n_trunc:
             raise ParameterError(
@@ -308,9 +311,16 @@ class MercerModel:
             cross = hankel(s[2 : h + 2], s[h + 1 :]) - toeplitz(s[:h], -s[:h_sin])
             emp[1::2, 2::2] = cross
             emp[2::2, 1::2] = cross.T
-        root_t = np.sqrt(self.eigenvalues)
-        emp *= np.outer(root_t, root_t)
+        emp *= self._root_outer
         return emp
+
+    @cached_property
+    def _root_outer(self) -> np.ndarray:
+        """outer(sqrt t, sqrt t), the (N, N) scale of `empirical_operator`, read-only."""
+        root_t = np.sqrt(self.eigenvalues)
+        scale = np.outer(root_t, root_t)
+        scale.flags.writeable = False
+        return scale
 
     def moment_product(self, moments: SampleMoments, s) -> np.ndarray:
         """(B^T B / m) s for s of shape (N, d), from the moments alone.

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from scipy.linalg import lapack
 
 from ratelab.cli import main
 
@@ -246,6 +247,20 @@ class TestFit:
         dump = json.loads(out_path.read_text())
         assert sorted(dump) == ["coefficients", "filter", "lam", "xs"]
         assert len(dump["xs"]) == 32
+
+
+def test_feature_domain_fit_writes_its_coefficients_without_a_reduction(tmp_path, monkeypatch, capsys):
+    """At m = 1024 > N = 512 the Tikhonov coefficient rows come from the expansion
+    of the fit's iterates: no tridiagonal reduction and no eigensolve."""
+    calls = []
+    for name in ("dsytrd", "dstevd"):
+        real = getattr(lapack, name)
+        monkeypatch.setattr(lapack, name, lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
+    out_path = tmp_path / "fit.json"
+    assert main(["fit", "--b", "2", "--m", "1024", "--out", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["error_l2"] > 0
+    assert calls == []
+    assert len(json.loads(out_path.read_text())["coefficients"]) == 1024
 
 
 SMALL_RUNS = {

@@ -16,7 +16,14 @@ from ratelab.estimator import (
     fit_tikhonov_direct,
 )
 from ratelab.filters import iterated_tikhonov, landweber, spectral_cutoff, tikhonov
-from ratelab.gram import Dataset, GaussianRBF, GramEigen, assemble_gram, eigendecompose
+from ratelab.gram import (
+    Dataset,
+    GaussianRBF,
+    GramEigen,
+    assemble_gram,
+    eigendecompose,
+    mercer_gram_eigen,
+)
 from ratelab.index_functions import HolderIndex
 from ratelab.mercer import (
     NoiseSpec,
@@ -152,7 +159,7 @@ class TestFactoredFit:
         dense = eigendecompose(assemble_gram(model, data.xs, model.basis(data.xs)))
         for name, filt in _four_filters(model).items():
             factored = fit(data, model, filt, lam=0.05)
-            assert not factored.gram.complete, name
+            assert factored.expansion is not None, name
             assert factored.dual is None, name
             oracle = fit(data, model, filt, lam=0.05, gram=dense)
             assert factored.expansion.shape == (N_FACTORED, d)
@@ -197,7 +204,7 @@ class TestEighOracle:
         model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
         for name, filt in _four_filters(model).items():
             result = fit(data, model, filt, lam=0.05)
-            assert result.gram.complete == (m < N_FACTORED), name
+            assert (result.dual is not None) == (m < N_FACTORED), name
             oracle = _eigh_oracle(data, model, filt, 0.05)
             assert result.coefficients.shape == (m, d)
             assert _relative_gap(result.coefficients, oracle) <= 1e-10, name
@@ -217,7 +224,7 @@ class TestEighOracle:
                 patch.setattr(np.linalg, "eigh", refuse)
                 result = fit(data, model, tikhonov(), lam=0.05)
                 assert np.isfinite(error_norms(result, model, target).l2)
-            assert result.gram.complete == (m < N_FACTORED)
+            assert (result.dual is not None) == (m < N_FACTORED)
             assert _relative_gap(result.coefficients, oracle) <= 1e-10
 
 
@@ -230,9 +237,20 @@ def _solve_iterated(matrix, rhs, lam, nu):
     return out
 
 
+def _count_lapack(monkeypatch, *names):
+    """Record each call of the named LAPACK wrappers, by name, in one list."""
+    calls = []
+    for name in names:
+        real = getattr(lapack, name)
+        monkeypatch.setattr(
+            lapack, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
+        )
+    return calls
+
+
 class TestResolventFit:
-    """The Tikhonov family fits by tridiagonal solves, against oracles that solve
-    densely or diagonalize, built here, on both sides of m = N."""
+    """The Tikhonov family fits by one Cholesky factorization, against oracles that
+    solve densely or diagonalize, built here, on both sides of m = N."""
 
     @pytest.mark.parametrize("m", [N_FACTORED // 2, N_FACTORED, 4 * N_FACTORED])
     @pytest.mark.parametrize("d", [1, 3])
@@ -241,9 +259,7 @@ class TestResolventFit:
         model, _, data = _toy_problem(m=m, d=d, seed=10 * m + d, n_trunc=N_FACTORED)
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
         lam = 0.05
-        calls = []
-        real = lapack.dstevd
-        monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        calls = _count_lapack(monkeypatch, "dsytrd", "dstevd")
         result = fit(data, model, filt, lam=lam)
         if m < N_FACTORED:
             gram = assemble_gram(model, data.xs)
@@ -261,26 +277,98 @@ class TestResolventFit:
             by_eigh = vecs @ (gain[:, None] * (vecs.T @ u))
             assert _relative_gap(result.expansion, by_eigh) <= 1e-10
         assert calls == []
+        assert result.gram is None
+        assert (result.clamped, result.dropped) == (0.0, 0)
+
+    @pytest.mark.parametrize("m", [N_FACTORED // 2, 4 * N_FACTORED])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("nu", [1, 3])
+    def test_coefficients_need_no_eigensolve(self, m, d, nu, monkeypatch):
+        """The coefficient rows against the eigenpair expression, built here from
+        eigh: of the m x m Gram below N, and from m = N on of the empirical
+        operator, c = (1/m) B diag(sqrt t) W ((g(w) - g(0)) / w) W^T u + (g(0)/m) y."""
+        model, _, data = _toy_problem(m=m, d=d, seed=m + 10 * d + nu, n_trunc=N_FACTORED)
+        filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
+        lam = 0.05
+        calls = _count_lapack(monkeypatch, "dsytrd", "dstevd")
+        got = fit(data, model, filt, lam=lam).coefficients
+        assert calls == []
+        if m < N_FACTORED:
+            want = _eigh_oracle(data, model, filt, lam)
+        else:
+            moments = model.moments_of(data)
+            vals, vecs = np.linalg.eigh(model.empirical_operator(moments))
+            g_null = filt.values(0.0, lam)
+            gain = filt.values(vals, lam) - g_null
+            u = np.sqrt(model.eigenvalues)[:, None] * moments.response
+            weights = vecs @ ((gain / vals)[:, None] * (vecs.T @ u)) / m
+            want = (g_null / m) * data.ys + model.expand(weights, data.xs)
+        assert got.shape == (m, d)
+        assert _relative_gap(got, want) <= 1e-10
 
     def test_nonpositive_pivot_falls_back_to_the_clamped_eigenpairs(self):
-        """lam below a negative round-off eigenvalue: T + lam I is indefinite, so the
+        """lam below a negative round-off eigenvalue: G + lam I is indefinite, so the
         fit filters the eigenpairs, which clamp that eigenvalue to zero, and raises
-        nothing."""
+        nothing. A decomposition passed in keeps its matrix; one the fit builds
+        and factors in place gets it back before it is reduced."""
         rng = np.random.default_rng(12)
         rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         spectrum = np.array([1.0, 0.5, 0.25, 0.1, -1e-12])
         gram = (rotation * spectrum) @ rotation.T
         data = Dataset(xs=np.arange(5.0), ys=rng.standard_normal((5, 2)))
         lam = 1e-13
+        clamped = np.maximum(spectrum, 0.0)
+        oracle = rotation @ ((rotation.T @ data.ys) / (clamped + lam)[:, None]) / 5
+        fixed = _FixedGram(gram)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = eigendecompose(gram)
-            assert tikhonov().apply_tridiagonal(eig.diag, eig.off, np.ones((5, 1)), lam) is None
+            kept = eig.matrix.copy()
+            assert tikhonov().apply_matrix(eig.matrix, np.ones((5, 1)), lam) is None
             result = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam, gram=eig)
-        clamped = np.maximum(spectrum, 0.0)
-        oracle = rotation @ ((rotation.T @ data.ys) / (clamped + lam)[:, None]) / 5
+            own = fit(data, fixed, tikhonov(), lam)
+        assert np.array_equal(eig.matrix, kept)
+        assert result.gram is eig
         assert _relative_gap(result.dual, oracle) <= 1e-10
-        assert eig.clamped == pytest.approx(1e-12, rel=1e-3)
+        assert result.clamped == eig.clamped == pytest.approx(1e-12, rel=1e-3)
+        assert np.array_equal(own.gram.matrix, eigendecompose(assemble_gram(fixed, data.xs)).matrix)
+        assert _relative_gap(own.dual, oracle) <= 1e-10
+        assert own.clamped == pytest.approx(1e-12, rel=1e-3)
+
+
+class _FixedGram:
+    """A kernel whose scaled Gram at any m inputs is the given m x m matrix."""
+
+    def __init__(self, gram):
+        self.gram = gram
+
+    def scalar_kernel(self, xs, zs):
+        return self.gram * len(xs)
+
+
+class TestSharedDecomposition:
+    """A decomposition passed to several fits keeps its matrix: whatever order
+    filters read it in, each fit has the bits of a fit on a fresh one."""
+
+    @pytest.mark.parametrize("m", [N_FACTORED // 2, 4 * N_FACTORED])
+    @pytest.mark.parametrize("first, second", [("cutoff", "tikhonov"), ("tikhonov", "cutoff")])
+    def test_each_order_gives_fresh_bits(self, m, first, second):
+        model, _, data = _toy_problem(m=m, d=2, seed=m, n_trunc=N_FACTORED)
+        if m < N_FACTORED:
+            shared = eigendecompose(assemble_gram(model, data.xs, data.basis))
+        else:
+            shared = mercer_gram_eigen(model, model.moments_of(data))
+        kept = shared.matrix.copy()
+        filters = {"cutoff": spectral_cutoff(), "tikhonov": iterated_tikhonov(3)}
+        for name in (first, second):
+            reused = fit(data, model, filters[name], lam=0.05, gram=shared)
+            fresh = fit(data, model, filters[name], lam=0.05)
+            assert np.array_equal(reused.coefficients, fresh.coefficients), name
+            if m >= N_FACTORED:
+                assert np.array_equal(reused.expansion, fresh.expansion), name
+            assert (reused.clamped, reused.dropped) == (fresh.clamped, fresh.dropped), name
+            assert np.array_equal(shared.matrix, kept), name
+        assert np.array_equal(shared.matrix, kept)
 
 
 class TestErrorNorms:

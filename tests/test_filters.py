@@ -124,39 +124,69 @@ def _tridiagonal(n, seed):
 
 
 class TestTridiagonalAction:
-    """The Tikhonov family acts on a tridiagonal T by shifted solves, as its
-    `values` act on T's eigenvalues."""
+    """The Tikhonov family acts on a symmetric matrix, here a tridiagonal one, by
+    one Cholesky factorization and shifted solves, as its `values` act on the
+    matrix's eigenvalues."""
 
     @pytest.mark.parametrize("n", [1, 2, 17])
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_matches_values_on_the_eigenpairs(self, n, nu):
-        diag, off, dense = _tridiagonal(n, seed=n + nu)
+        """Both the result and the sum of the nu iterates, the j-th of which is
+        iterated Tikhonov with j iterations, and the matrix is left as it was."""
+        _, _, dense = _tridiagonal(n, seed=n + nu)
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
         v = np.random.default_rng(nu).standard_normal((n, 3))
         vals, vecs = np.linalg.eigh(dense)
         for lam in (1e-3, 0.3, 5.0):
             want = vecs @ (filt.values(vals, lam)[:, None] * (vecs.T @ v))
-            got = filt.apply_tridiagonal(diag, off, v, lam)
+            gains = sum(iterated_tikhonov(j).values(vals, lam) for j in range(1, nu + 1))
+            want_sum = vecs @ (gains[:, None] * (vecs.T @ v))
+            got, got_sum = filt.apply_matrix(dense, v, lam)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(diag, _tridiagonal(n, seed=n + nu)[0])
+            assert np.max(np.abs(got_sum - want_sum)) <= 1e-12 * np.max(np.abs(want_sum))
+        assert np.array_equal(dense, _tridiagonal(n, seed=n + nu)[2])
 
     @pytest.mark.parametrize("filt", [landweber(0.5), spectral_cutoff()])
     def test_other_kinds_read_eigenpairs(self, filt):
-        diag, off, _ = _tridiagonal(4, seed=0)
-        assert filt.apply_tridiagonal(diag, off, np.ones((4, 1)), 0.1) is None
+        _, _, dense = _tridiagonal(4, seed=0)
+        assert filt.apply_matrix(dense, np.ones((4, 1)), 0.1) is None
+        assert filt.apply_matrix(dense, np.ones((4, 1)), 0.1, overwrite=True) is None
+        assert np.array_equal(dense, _tridiagonal(4, seed=0)[2])
 
     @pytest.mark.parametrize("nu", [1, 3])
     def test_indefinite_shift_reports_none(self, nu):
-        """An eigenvalue of T below -lam leaves a nonpositive pivot."""
-        diag, off, _ = _tridiagonal(5, seed=1)
-        diag[2] = -3.0
+        """An eigenvalue below -lam leaves a nonpositive pivot. The matrix comes back
+        bit for bit, also from a factorization in place."""
+        _, _, dense = _tridiagonal(5, seed=1)
+        dense[2, 2] = -3.0
+        kept = dense.copy()
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
-        assert filt.apply_tridiagonal(diag, off, np.ones((5, 2)), 0.1) is None
+        assert filt.apply_matrix(dense, np.ones((5, 2)), 0.1) is None
+        assert np.array_equal(dense, kept)
+        assert filt.apply_matrix(dense, np.ones((5, 2)), 0.1, overwrite=True) is None
+        assert np.array_equal(dense, kept)
 
     def test_lambda_must_be_positive(self):
-        diag, off, _ = _tridiagonal(3, seed=2)
+        _, _, dense = _tridiagonal(3, seed=2)
         with pytest.raises(ParameterError):
-            tikhonov().apply_tridiagonal(diag, off, np.ones((3, 1)), 0.0)
+            tikhonov().apply_matrix(dense, np.ones((3, 1)), 0.0)
+
+    @pytest.mark.parametrize("nu", [1, 3])
+    def test_overwrite_factors_in_place(self, nu):
+        """On a dense symmetric matrix: the same bits as on a copy, the Cholesky factor
+        of A + lam I in the upper triangle, and the lower triangle untouched."""
+        raw = np.random.default_rng(nu).standard_normal((12, 12))
+        matrix = raw @ raw.T / 12.0
+        v = np.random.default_rng(7).standard_normal((12, 2))
+        filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
+        on_copy = filt.apply_matrix(matrix, v, 0.05)
+        work = matrix.copy()
+        in_place = filt.apply_matrix(work, v, 0.05, overwrite=True)
+        for got, want in zip(in_place, on_copy):
+            assert np.array_equal(got, want)
+        assert np.array_equal(np.tril(work, -1), np.tril(matrix, -1))
+        factor = np.linalg.cholesky(matrix + 0.05 * np.eye(12))
+        np.testing.assert_allclose(np.triu(work), factor.T, rtol=0, atol=1e-13)
 
 
 class TestVerification:

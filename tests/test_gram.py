@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from ratelab.errors import DataError, ParameterError
 from ratelab.gram import (
@@ -93,9 +94,9 @@ class TestEigendecompose:
 
     def test_negative_roundoff_clamped_with_warning(self):
         gram = np.diag([1.0, -1e-8])
+        eig = eigendecompose(gram)
         with pytest.warns(UserWarning):
-            eig = eigendecompose(gram)
-        assert eig.eigenvalues.min() == 0.0
+            assert eig.eigenvalues.min() == 0.0
         assert eig.clamped == pytest.approx(1e-8)
 
     def test_asymmetric_argument_is_symmetrized(self):
@@ -105,7 +106,7 @@ class TestEigendecompose:
         gram = raw @ raw.T / 7.0 + 1e-3 * rng.standard_normal((7, 7))
         symmetric = 0.5 * (gram + gram.T)
         eig, want = eigendecompose(gram), eigendecompose(symmetric)
-        for field in ("diag", "off", "eigenvalues", "mix", "reflectors", "tau"):
+        for field in ("matrix", "diag", "off", "eigenvalues", "mix", "reflectors", "tau"):
             assert np.array_equal(getattr(eig, field), getattr(want, field))
         np.testing.assert_allclose(
             eig.eigenvalues, np.linalg.eigvalsh(symmetric)[::-1], rtol=0, atol=1e-13
@@ -163,6 +164,45 @@ class TestEigendecompose:
         np.testing.assert_allclose(
             eig.eigenvalues, np.linalg.eigvalsh(gram_matrix)[::-1], rtol=0, atol=1e-12
         )
+
+
+class TestLazyReduction:
+    """Both builders hold the exactly symmetric matrix and reduce it, on a copy,
+    only when a reduced attribute is first read."""
+
+    def _count_reductions(self, monkeypatch):
+        calls = []
+        real = lapack.dsytrd
+        monkeypatch.setattr(lapack, "dsytrd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    def test_dense_path(self, monkeypatch):
+        calls = self._count_reductions(monkeypatch)
+        raw = np.random.default_rng(8).standard_normal((9, 9))
+        gram = raw @ raw.T / 9.0 + 1e-3 * raw
+        eig = eigendecompose(gram)
+        assert np.array_equal(eig.matrix, 0.5 * (gram + gram.T))
+        assert np.array_equal(eig.matrix, eig.matrix.T)
+        assert eig.size == 9
+        assert calls == []
+        assert eig.clamped >= 0.0
+        assert eig.rank == 9
+        assert len(calls) == 1
+        assert np.array_equal(eig.matrix, 0.5 * (gram + gram.T))
+
+    def test_feature_path(self, monkeypatch):
+        calls = self._count_reductions(monkeypatch)
+        model = build_model(b=2.0, n_trunc=16)
+        moments = model.sample_moments(np.random.default_rng(3).uniform(0, 2 * np.pi, 40))
+        eig = mercer_gram_eigen(model, moments)
+        want = model.empirical_operator(moments)
+        assert np.array_equal(eig.matrix, want)
+        assert np.array_equal(eig.matrix, eig.matrix.T)
+        assert calls == []
+        assert eig.dropped == 0
+        assert eig.vectors.shape == (16, 16)
+        assert len(calls) == 1
+        assert np.array_equal(eig.matrix, want)
 
 
 class TestFactoredEigen:
@@ -296,7 +336,7 @@ class TestFactoredClamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
-        assert eig.rank == 3
+            assert eig.rank == 3
         assert eig.clamped == max(-bottom, 0.0)
         assert eig.clamped <= 1e-14 * oracle[-1]
         assert abs(bottom - oracle[0]) <= 1e-14 * oracle[-1]
@@ -326,9 +366,9 @@ class TestFactoredClamp:
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
         _perturbed_ends(monkeypatch, 1e-6)
+        eig = self._solve(xs)
         with pytest.warns(UserWarning, match="clamping eigenvalue"):
-            eig = self._solve(xs)
-        assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
+            assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
         assert eig.rank == 8 - eig.dropped
         assert eig.eigenvalues.min() > 0
 
@@ -339,7 +379,7 @@ class TestFactoredClamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
-        assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12, abs=0)
+            assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12, abs=0)
 
     def test_dense_clamp_is_read_by_bisection(self, monkeypatch):
         """The dense path takes its clamp from the same bisection helper."""
@@ -347,7 +387,7 @@ class TestFactoredClamp:
         gram = raw @ raw.T / 6.0
         top = np.linalg.eigvalsh(gram)[-1]
         _perturbed_ends(monkeypatch, 1e-6)
+        eig = eigendecompose(gram)
         with pytest.warns(UserWarning, match="clamping eigenvalue"):
-            eig = eigendecompose(gram)
-        assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
+            assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
         assert eig.dropped == 0

@@ -284,8 +284,9 @@ class TestRateSweep:
         assert [health[m]["lambda_clipped"] for m in ("32", "64", "128")] == [False] * 3
 
     def test_health_reports_largest_clamp_per_size(self, monkeypatch, tmp_path):
-        """The bisection reports the k-th decomposition's bottom as -k 1e-14 times its
-        top, so every fit clamps a different, nonzero amount, silently."""
+        """On a cutoff sweep, which reads eigenpairs, the bisection reports the k-th
+        decomposition's bottom as -k 1e-14 times its top, so every fit clamps a
+        different, nonzero amount, silently."""
         clamps = {}
         injected = []
         real_fit = harness.fit
@@ -300,11 +301,12 @@ class TestRateSweep:
 
         def recording_fit(data, *args, **kwargs):
             fitted = real_fit(data, *args, **kwargs)
-            clamps.setdefault(data.m, []).append(fitted.gram.clamped)
+            clamps.setdefault(data.m, []).append(fitted.clamped)
             return fitted
 
         monkeypatch.setattr("ratelab.harness.fit", recording_fit)
-        files = write_outputs(rate_sweep(ExperimentConfig.from_dict(MINI)), tmp_path / "out")
+        config = ExperimentConfig.from_dict(dict(MINI, filter={"id": "cutoff"}))
+        files = write_outputs(rate_sweep(config), tmp_path / "out")
         health = json.loads(files["report"].read_text())["health"]
         assert {int(m): h["max_clamped"] for m, h in health.items()} == {
             m: max(values) for m, values in clamps.items()
@@ -314,10 +316,10 @@ class TestRateSweep:
         assert all(h["max_clamped"] > 0 for h in health.values())
 
     def test_health_reports_most_modes_dropped_per_size(self, monkeypatch, tmp_path):
-        """Replicates at m = 16, 64 and 128 draw 3 distinct inputs, so the factored
-        path, which serves m >= N = 16, keeps 3 of the 16 modes; the dense path
-        at m = 4 drops none. The count is bisected: the Tikhonov sweep solves no
-        tridiagonal eigensystem."""
+        """On a cutoff sweep, which reads eigenpairs, replicates at m = 16, 64 and 128
+        draw 3 distinct inputs, so the factored path, which serves m >= N = 16,
+        keeps 3 of the 16 modes; the dense path at m = 4 drops none. The count is
+        bisected, before the one tridiagonal eigensolve per fit."""
         real_sample = harness.sample_dataset
         solves = []
         real_dstevd = lapack.dstevd
@@ -329,25 +331,46 @@ class TestRateSweep:
             return Dataset(xs=xs, ys=data.ys, basis=trigonometric_basis(xs, model.n_trunc))
 
         monkeypatch.setattr("ratelab.harness.sample_dataset", three_point_sample)
-        config = dict(MINI, model={"b": 2.0, "N_trunc": 16}, m_grid=[4, 16, 64, 128])
+        config = dict(
+            MINI, model={"b": 2.0, "N_trunc": 16}, m_grid=[4, 16, 64, 128], filter={"id": "cutoff"}
+        )
         files = write_outputs(rate_sweep(ExperimentConfig.from_dict(config)), tmp_path / "out")
         health = json.loads(files["report"].read_text())["health"]
         assert {m: h["max_dropped"] for m, h in health.items()} == {
             "4": 0, "16": 13, "64": 13, "128": 13
         }
-        assert solves == []
+        assert len(solves) == 4 * MINI["replicates"]
+
+    def test_tikhonov_sweep_reduces_nothing_and_reports_no_clamp(self, monkeypatch, tmp_path):
+        """The Tikhonov fits apply a Cholesky factorization on both sides of
+        m = N = 64 and read no eigenpairs, so nothing is reduced, clamped or
+        dropped."""
+        calls = []
+        real = lapack.dsytrd
+        monkeypatch.setattr(lapack, "dsytrd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        files = write_outputs(rate_sweep(ExperimentConfig.from_dict(MINI)), tmp_path / "out")
+        health = json.loads(files["report"].read_text())["health"]
+        assert calls == []
+        assert {m: (h["max_clamped"], h["max_dropped"]) for m, h in health.items()} == {
+            str(m): (0.0, 0) for m in MINI["m_grid"]
+        }
 
     @pytest.mark.parametrize("kind, per_fit", [("tikhonov", 0), ("cutoff", 1)])
     def test_tridiagonal_eigensolves_only_where_a_filter_reads_eigenpairs(
         self, monkeypatch, kind, per_fit
     ):
-        """Tikhonov fits from the tridiagonal reduction alone, on both sides of
-        m = N = 64; the cutoff reads the eigenpairs, one dstevd per fit."""
+        """Tikhonov fits by a Cholesky factorization alone, on both sides of
+        m = N = 64; the cutoff reads the eigenpairs, one reduction and one
+        dstevd per fit."""
         calls = []
-        real = lapack.dstevd
-        monkeypatch.setattr(lapack, "dstevd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for name in ("dsytrd", "dstevd"):
+            real = getattr(lapack, name)
+            monkeypatch.setattr(
+                lapack, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
+            )
         rate_sweep(ExperimentConfig.from_dict(dict(MINI, filter={"id": kind})))
-        assert len(calls) == per_fit * len(MINI["m_grid"]) * MINI["replicates"]
+        fits = len(MINI["m_grid"]) * MINI["replicates"]
+        assert calls.count("dsytrd") == calls.count("dstevd") == per_fit * fits
 
     def test_different_seed_changes_the_report(self, tmp_path):
         base = dict(MINI)

@@ -184,6 +184,18 @@ class TestEmpiricalOperator:
         expected = root_t[:, None] * (basis.T @ basis / 64) * root_t[None, :]
         np.testing.assert_allclose(model.empirical_operator(model.sample_moments(xs)), expected, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("count", [8, 9, 512])
+    def test_cached_scale_gives_the_bits_of_a_fresh_outer_product(self, count):
+        """The unit-spectrum operator times np.outer(sqrt t, sqrt t), formed here,
+        bit for bit, on the first call and on later ones."""
+        model = build_model(b=2.0, n_trunc=count)
+        moments = model.sample_moments(np.random.default_rng(count).uniform(0.0, 2 * np.pi, 64))
+        unit = _unit_spectrum_model(count).empirical_operator(moments)
+        root_t = np.sqrt(model.eigenvalues)
+        expected = unit * np.outer(root_t, root_t)
+        for _ in range(2):
+            assert np.array_equal(model.empirical_operator(moments), expected)
+
     def test_identity_on_an_alias_free_grid(self):
         """2N equispaced points average products of the N features exactly."""
         model = _unit_spectrum_model(9)
