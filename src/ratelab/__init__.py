@@ -74,7 +74,6 @@ from .mercer import (
     build_model,
     norms_of_expansion,
     power_law_source,
-    population_regularized,
     sample_dataset,
     target_from_source,
     trigonometric_basis,

@@ -154,16 +154,11 @@ def fit(
 
 
 def _by_eigenpairs(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: float, x: np.ndarray):
-    """g_lam(A) x = Q g_lam(T) Q^T x for the matrix A = Q T Q^T that ``eig`` reduces.
-
-    g_lam(T) is read from the eigenpairs T = Z diag(w) Z^T with negative
-    round-off clamped to zero: g_lam(T) = Z (g_lam(w) - g_lam(0)) Z^T +
-    g_lam(0) I, the second term carrying any modes the eigensystem dropped.
-    """
-    reduced = eig.reflect(x, "T")
+    """g_lam(A) x = V (g_lam(w) - g_lam(0)) V^T x + g_lam(0) x for the eigenpairs
+    A = V diag(w) V^T of ``eig``, negative round-off clamped to zero; the
+    second term carries any modes the eigensystem dropped."""
     gain = np.atleast_1d(filt.values(eig.eigenvalues, lam)) - g_null
-    solved = eig.mix @ (gain[:, None] * (eig.mix.T @ reduced)) + g_null * reduced
-    return eig.reflect(solved, "N")
+    return eig.combine(gain[:, None] * eig.project(x)) + g_null * x
 
 
 def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator:

@@ -9,11 +9,11 @@ spectrum, and a spectral fit needs nothing else from the sample than it
 and B^T y / m, so the feature path's only input is the sample's
 `SampleMoments`, which hold both, and it never touches an m-sized array.
 Both return the exactly symmetric matrix, which is all a resolvent fit
-(the Tikhonov family, one Cholesky factorization) reads. The reduction to
-tridiagonal form, A = Q T Q^T with Q kept as Householder reflectors, and
-the health facts bisected from T are computed on first read; the
-eigenpairs of T are solved only when first read after that, and the
-eigenvectors are then held as the reflectors times that eigenbasis and
+(the Tikhonov family, one Cholesky factorization) reads. Everything else
+comes from one solve on first read: the reduction to tridiagonal form,
+A = Q T Q^T with Q kept as Householder reflectors, and the whole spectrum
+of T (dstevd), from which the health facts are read too. The
+eigenvectors are held as the reflectors times the eigenbasis of T and
 applied from right to left, never formed. No sketching, no default jitter.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -139,19 +138,6 @@ def assemble_gram(kernel, xs, table=None) -> np.ndarray:
     return k / xs.size
 
 
-class _Reduction(NamedTuple):
-    diag: np.ndarray
-    off: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-    clamped: float
-    dropped: int
-
-
-def _reduced(field: str) -> property:
-    return property(lambda self: getattr(self._reduction, field))
-
-
 @dataclass(frozen=True, eq=False)
 class GramEigen:
     """A scaled Gram matrix, or its feature-domain twin, decomposed on demand.
@@ -164,57 +150,61 @@ class GramEigen:
     Gram's remaining eigenvalues are exactly zero. ``size`` is n. A
     resolvent fit reads ``matrix`` and nothing else.
 
-    On the first read of any other attribute, A = Q T Q^T is reduced to
-    tridiagonal form on a copy of ``matrix``, which stays intact: T is held
-    as its ``diag`` (n,) and ``off`` (n - 1, one padding zero at n = 1), Q
-    as n - 1 Householder ``reflectors`` (Fortran order, as LAPACK dormqr
-    reads them) and their ``tau``. The health facts come from bisection on
-    T: ``clamped`` is the magnitude of the most negative eigenvalue,
-    ``dropped`` how many modes the feature path discards as at most
-    RANK_DROP times the top one.
-
-    The eigensystem T = Z diag(w) Z^T is solved (LAPACK dstevd) on the
-    first read of ``eigenvalues``, ``mix``, ``rank``, ``vectors``,
-    `project` or `combine`, and kept: ``eigenvalues`` (k,) descending with
-    negative round-off clamped to zero, k = n - ``dropped``, and ``mix``
-    (n, k) the matching columns of Z, so the orthonormal eigenvectors are
-    Q mix. `project` and `combine` apply Q mix and its transpose one
-    factor at a time, Q in O(n^2 d); ``vectors`` builds them on each read.
+    On the first read of any other attribute, one solve runs on a copy of
+    ``matrix``, which stays intact: the reduction A = Q T Q^T to
+    tridiagonal form (LAPACK dsytrd), Q kept as its Householder reflectors,
+    and the whole spectrum T = Z diag(w) Z^T (dstevd), sorted descending.
+    The health facts are read from that spectrum: ``clamped`` is the
+    magnitude of the most negative eigenvalue, ``dropped`` how many modes
+    the feature path discards as at most RANK_DROP times the top one.
+    ``eigenvalues`` (k,) are the kept ones, k = n - ``dropped``, with
+    negative round-off clamped to zero, and the orthonormal eigenvectors
+    are Q times the matching columns of Z. `project` and `combine` apply
+    them and their transpose one factor at a time, Q in O(n^2 d);
+    ``vectors`` builds them on each read.
     """
 
     matrix: np.ndarray
     complete: bool
-
-    diag = _reduced("diag")
-    off = _reduced("off")
-    reflectors = _reduced("reflectors")
-    tau = _reduced("tau")
-    clamped = _reduced("clamped")
-    dropped = _reduced("dropped")
 
     @property
     def size(self) -> int:
         return int(self.matrix.shape[0])
 
     @cached_property
-    def _reduction(self) -> _Reduction:
-        return _reduce(self.matrix.copy(), self.complete)
-
-    @cached_property
-    def _eigensystem(self):
-        vals, z, info = lapack.dstevd(self.diag, self.off)
+    def _solved(self):
+        """(eigenvalues, mix, reflectors, tau, clamped, dropped), ``mix`` the
+        kept columns of Z. Q is left as the reflectors dsytrd stores below the
+        subdiagonal, the (n - 1)-square block a[1:, :-1], copied once to
+        Fortran order so that dormqr reads it in place. A most negative
+        eigenvalue below -1e-10 times the top one triggers a warning."""
+        packed, diag, off, tau = _tridiagonalize(self.matrix.copy())
+        vals, z, info = lapack.dstevd(diag, off)
         if info != 0:
-            raise _eigensolver_error(self.diag, self.off, info)
-        order = np.argsort(vals)[::-1][: self.size - self.dropped]
-        return np.maximum(vals[order], 0.0), z[:, order]
+            raise _eigensolver_error(diag, off, info)
+        order = np.argsort(vals)[::-1]
+        vals, z = vals[order], z[:, order]
+        top, bottom = vals[0], vals[-1]
+        if top > 0 and bottom < -NEGATIVE_EIG_WARN * top:
+            warnings.warn(f"clamping eigenvalue {bottom:g} (relative {bottom / top:g}) to zero")
+        kept = self.size if self.complete else int(np.sum(vals > RANK_DROP * top))
+        reflectors = np.asfortranarray(packed[1:, :-1])
+        return (
+            np.maximum(vals[:kept], 0.0), z[:, :kept], reflectors, tau,
+            max(0.0, -float(bottom)), self.size - kept,
+        )
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigensystem[0]
+        return self._solved[0]
 
     @property
-    def mix(self) -> np.ndarray:
-        return self._eigensystem[1]
+    def clamped(self) -> float:
+        return self._solved[4]
+
+    @property
+    def dropped(self) -> int:
+        return self._solved[5]
 
     @property
     def rank(self) -> int:
@@ -222,18 +212,18 @@ class GramEigen:
 
     @property
     def vectors(self) -> np.ndarray:
-        """The (n, k) eigenvector matrix Q mix, built on each access."""
+        """The (n, k) eigenvector matrix, built on each access."""
         return self.combine(np.eye(self.rank))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """(Q mix)^T x for x of shape (n, d), shape (k, d)."""
-        return self.mix.T @ self.reflect(x, "T")
+        """(Q Z)^T x for x of shape (n, d), shape (k, d)."""
+        return self._solved[1].T @ self._reflect(x, "T")
 
     def combine(self, z: np.ndarray) -> np.ndarray:
-        """Q mix z for z of shape (k, d), shape (n, d)."""
-        return self.reflect(self.mix @ z, "N")
+        """Q Z z for z of shape (k, d), shape (n, d)."""
+        return self._reflect(self._solved[1] @ z, "N")
 
-    def reflect(self, x: np.ndarray, trans: str) -> np.ndarray:
+    def _reflect(self, x: np.ndarray, trans: str) -> np.ndarray:
         """Q x for ``trans`` "N", Q^T x for "T", with x of shape (n, d).
 
         Q fixes the first coordinate and the reflectors act on the rest,
@@ -241,10 +231,11 @@ class GramEigen:
         lwork = d keeps dormqr unblocked, the faster choice for the few
         columns of a fit.
         """
-        if not self.tau.size:
+        _, _, reflectors, tau, _, _ = self._solved
+        if not tau.size:
             return x
         tail, _, info = lapack.dormqr(
-            "L", trans, self.reflectors, self.tau,
+            "L", trans, reflectors, tau,
             np.array(x[1:], dtype=float, order="F"), max(1, x.shape[1]), overwrite_c=1,
         )
         if info != 0:
@@ -273,32 +264,22 @@ def _tridiagonalize(a: np.ndarray):
     return packed, diag, off if n > 1 else np.zeros(1), tau
 
 
-def _spectrum_ends(diag: np.ndarray, off: np.ndarray):
-    """The smallest and the largest eigenvalue of a symmetric tridiagonal matrix.
-
-    Bisection (LAPACK dstebz) for those two eigenvalues only, O(n) per
-    bisection step, where a tridiagonal eigensolver would compute the
-    whole spectrum.
-    """
-    ends = []
-    for index in (1, diag.shape[0]):
-        _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
-        if info != 0:
-            raise _eigensolver_error(diag, off, info)
-        ends.append(float(vals[0]))
-    return ends[0], ends[1]
-
-
 def spectral_norm(a: np.ndarray) -> float:
     """max |eigenvalue| of the exactly symmetric ``a``, from the ends of its spectrum.
 
     Reduces ``a`` to tridiagonal form in place (a writeable ``a`` is
-    overwritten) and bisects for its smallest and its largest eigenvalue
-    (`_spectrum_ends`) after the O(n^3) reduction.
+    overwritten), then bisects (LAPACK dstebz) for its smallest and its
+    largest eigenvalue only, O(n) per bisection step, where a tridiagonal
+    eigensolver would compute the whole spectrum.
     """
     _, diag, off, _ = _tridiagonalize(a)
-    bottom, top = _spectrum_ends(diag, off)
-    return max(abs(bottom), abs(top))
+    norm = 0.0
+    for index in (1, diag.shape[0]):
+        _, vals, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, index, index, 0.0, "E")
+        if info != 0:
+            raise _eigensolver_error(diag, off, info)
+        norm = max(norm, abs(float(vals[0])))
+    return norm
 
 
 def _eigensolver_error(diag: np.ndarray, off: np.ndarray, info: int) -> NumericalError:
@@ -309,45 +290,14 @@ def _eigensolver_error(diag: np.ndarray, off: np.ndarray, info: int) -> Numerica
     )
 
 
-def _reduce(a: np.ndarray, complete: bool) -> _Reduction:
-    """Reduce the exactly symmetric ``a`` in place and read its health by bisection.
-
-    Q is left as the reflectors dsytrd stores below the subdiagonal, the
-    (n - 1)-square block a[1:, :-1], copied once to Fortran order so that
-    dormqr reads it in place. The most negative eigenvalue is clamped;
-    anything below -1e-10 times the top eigenvalue triggers a warning. Off
-    the dense path (``complete`` False) the modes at most RANK_DROP times
-    the top one are counted as dropped: dstebz over (below the bottom,
-    RANK_DROP * top] reads that count from two Sturm sequences, and with
-    the whole range as its tolerance it does not refine the eigenvalues it
-    finds.
-    """
-    packed, diag, off, tau = _tridiagonalize(a)
-    reflectors = np.asfortranarray(packed[1:, :-1])
-    bottom, top = _spectrum_ends(diag, off)
-    most_negative = min(bottom, 0.0)
-    if top > 0 and most_negative < -NEGATIVE_EIG_WARN * top:
-        warnings.warn(
-            f"clamping eigenvalue {most_negative:g} "
-            f"(relative {most_negative / top:g}) to zero"
-        )
-    dropped = 0
-    if not complete:
-        low, high = bottom - abs(bottom) - 1.0, RANK_DROP * top
-        dropped, _, _, _, info = lapack.dstebz(diag, off, 1, low, high, 0, 0, high - low, "E")
-        if info != 0:
-            raise _eigensolver_error(diag, off, info)
-    return _Reduction(diag, off, reflectors, tau, -most_negative, int(dropped))
-
-
 def eigendecompose(gram: np.ndarray) -> GramEigen:
     """Dense symmetric decomposition of the m-by-m scaled Gram.
 
     Holds the symmetrized Gram, 0.5 (G + G^T), which is exactly symmetric.
-    Its tridiagonal reduction and health (`_reduce`) and its eigenvalues,
-    descending with tiny negative ones clamped to zero, and eigenvectors,
-    Q times the sorted tridiagonal eigenbasis, are solved on first read. A
-    clamp below -1e-10 times the top eigenvalue then triggers a warning.
+    Its eigenvalues, descending with tiny negative ones clamped to zero,
+    eigenvectors and health are solved together on first read
+    (`GramEigen`). A clamp below -1e-10 times the top eigenvalue then
+    triggers a warning.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
@@ -362,11 +312,10 @@ def mercer_gram_eigen(model, moments: SampleMoments) -> GramEigen:
     the (m, N) basis matrix, and its nonzero spectrum equals that of the
     N-by-N matrix Phi^T Phi = `MercerModel.empirical_operator` = W S W^T,
     assembled from the sample's Fourier ``moments`` (which must be this
-    model's). The result holds that matrix, and its reduction runs at size
-    N on first read (`_reduce`), so W = Q Z; the eigensystem, solved on
-    first read, keeps ``mix`` = Z over the modes above RANK_DROP times the
-    top one, ``dropped`` counts the rest, and ``size`` is N. ``clamped``
-    and its warning follow `eigendecompose`, measured on the feature-domain
+    model's). The result holds that matrix, solved at size N on first read
+    (`GramEigen`), so W = Q Z over the modes above RANK_DROP times the top
+    one; ``dropped`` counts the rest, and ``size`` is N. ``clamped`` and
+    its warning follow `eigendecompose`, read from the feature-domain
     spectrum. Neither the m-by-m Gram nor an m-by-N array is formed, and
     the result is an exact decomposition, not an approximation.
     `estimator.fit` takes this path from m = N on and the dense one below.

@@ -7,9 +7,9 @@ the medians are then compared against the closed-form exponents, when
 the smoothness profile has them. The report also carries each size's
 numerical health: whether lambda was clipped into its admissible range,
 the largest negative eigenvalue any replicate's fit clamped, and the
-most feature modes any replicate's fit dropped, both bisected from the
-tridiagonal form of the decomposition whose eigenpairs it applied
-(`estimator.FittedEstimator`). A fit by Cholesky factorization, the
+most feature modes any replicate's fit dropped, both read from the one
+tridiagonal spectrum (dstevd) of the decomposition whose eigenpairs it
+applied (`estimator.FittedEstimator`). A fit by Cholesky factorization, the
 Tikhonov family's, applies none and clamps and drops nothing.
 
 Output files are byte-deterministic for a fixed config and seed: floats

@@ -534,23 +534,6 @@ def power_law_source(model: MercerModel, s: float = 1.0, radius: float = 1.0) ->
     return radius * g / np.sqrt(np.sum(g * g))
 
 
-def population_regularized(model: MercerModel, target: TargetFunction, lam: float) -> TargetFunction:
-    """The infinite-data regularized solution, shrunk mode by mode.
-
-    Shrinking the source by t_n / (t_n + lam) keeps it inside the same
-    smoothness class, so the result is again a valid TargetFunction.
-    """
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam!r}")
-    shrink = (model.eigenvalues / (model.eigenvalues + lam))[:, None]
-    return TargetFunction(
-        model=model,
-        coefficients=shrink * target.coefficients,
-        source=shrink * target.source,
-        radius=target.radius,
-    )
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     name: str

@@ -23,6 +23,7 @@ from ratelab.gram import (
     assemble_gram,
     eigendecompose,
     mercer_gram_eigen,
+    spectral_norm,
 )
 from ratelab.index_functions import HolderIndex
 from ratelab.mercer import (
@@ -369,6 +370,32 @@ class TestSharedDecomposition:
             assert (reused.clamped, reused.dropped) == (fresh.clamped, fresh.dropped), name
             assert np.array_equal(shared.matrix, kept), name
         assert np.array_equal(shared.matrix, kept)
+
+
+class TestOneSolve:
+    """An eigenpair fit reduces its matrix once and solves the whole tridiagonal
+    spectrum once, reading its health from that spectrum with no bisection; a
+    Tikhonov fit runs none of the three, and only `spectral_norm` bisects, for
+    the two ends of its spectrum."""
+
+    @pytest.mark.parametrize("m", [N_FACTORED // 2, N_FACTORED, 4 * N_FACTORED])
+    @pytest.mark.parametrize("kind, per_fit", [("cutoff", 1), ("tikhonov", 0)])
+    def test_lapack_calls_per_fit(self, m, kind, per_fit, monkeypatch):
+        model, _, data = _toy_problem(m=m, d=2, seed=m, n_trunc=N_FACTORED)
+        filt = spectral_cutoff() if kind == "cutoff" else tikhonov()
+        calls = _count_lapack(monkeypatch, "dsytrd", "dstevd", "dstebz")
+        result = fit(data, model, filt, lam=0.05)
+        assert result.clamped >= 0.0
+        assert result.coefficients.shape == (m, 2)
+        if per_fit:
+            assert result.gram.rank == result.gram.size - result.dropped
+        assert sorted(calls) == ["dstevd", "dsytrd"] * per_fit
+
+    def test_spectral_norm_bisects_twice(self, monkeypatch):
+        raw = np.random.default_rng(1).standard_normal((12, 12))
+        calls = _count_lapack(monkeypatch, "dsytrd", "dstevd", "dstebz")
+        spectral_norm(raw + raw.T)
+        assert sorted(calls) == ["dstebz", "dstebz", "dsytrd"]
 
 
 class TestErrorNorms:

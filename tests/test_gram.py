@@ -11,8 +11,6 @@ from ratelab.gram import (
     RANK_DROP,
     Dataset,
     GaussianRBF,
-    _spectrum_ends,
-    _tridiagonalize,
     assemble_gram,
     eigendecompose,
     mercer_gram_eigen,
@@ -106,7 +104,7 @@ class TestEigendecompose:
         gram = raw @ raw.T / 7.0 + 1e-3 * rng.standard_normal((7, 7))
         symmetric = 0.5 * (gram + gram.T)
         eig, want = eigendecompose(gram), eigendecompose(symmetric)
-        for field in ("matrix", "diag", "off", "eigenvalues", "mix", "reflectors", "tau"):
+        for field in ("matrix", "eigenvalues", "vectors", "clamped", "dropped"):
             assert np.array_equal(getattr(eig, field), getattr(want, field))
         np.testing.assert_allclose(
             eig.eigenvalues, np.linalg.eigvalsh(symmetric)[::-1], rtol=0, atol=1e-13
@@ -151,12 +149,13 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 512])
     def test_built_vectors_are_orthonormal_and_reconstruct(self, n):
-        """The reflectors times the tridiagonal eigenbasis, built on request, at n = 1 too."""
+        """The eigenvectors, built on request, at n = 1 too, and the eigenvalues
+        against an eigvalsh oracle."""
         model = build_model(b=2.0, n_trunc=512)
         xs = np.random.default_rng(n).uniform(0, 2 * np.pi, size=n)
         gram_matrix = assemble_gram(model, xs)
         eig = eigendecompose(gram_matrix)
-        assert eig.tau.shape == (n - 1,)
+        assert eig.rank == n
         vectors = eig.vectors
         assert vectors.shape == (n, n)
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), rtol=0, atol=1e-12)
@@ -297,10 +296,13 @@ class TestProductForm:
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
         moments = model.sample_moments(xs)
         eig = mercer_gram_eigen(model, moments)
+        operator = model.empirical_operator(moments)
         assert eig.size == 16
-        assert eig.reflectors.shape == (15, 15)
-        assert eig.mix.shape == (16, eig.rank)
-        assert reconstruction_error(model.empirical_operator(moments), eig) <= 1e-12
+        assert eig.vectors.shape == (16, eig.rank)
+        np.testing.assert_allclose(
+            eig.eigenvalues, np.linalg.eigvalsh(operator)[::-1], rtol=0, atol=1e-14
+        )
+        assert reconstruction_error(operator, eig) <= 1e-12
         phi = model.basis(xs) * np.sqrt(model.eigenvalues / m)[None, :]
         vectors = eig.vectors
         assert eig.rank == 16
@@ -308,13 +310,17 @@ class TestProductForm:
         assert np.abs(rebuilt - assemble_gram(model, xs)).max() <= 1e-10
 
 
-def _perturbed_ends(monkeypatch, relative):
-    """Make the bisection report the smallest eigenvalue of T as -relative * top."""
-    def perturbed(diag, off):
-        _, top = _spectrum_ends(diag, off)
-        return -relative * top, top
+def _perturbed_bottom(monkeypatch, relative):
+    """Make the tridiagonal eigensolve report its smallest eigenvalue as -relative * top."""
+    real = lapack.dstevd
 
-    monkeypatch.setattr("ratelab.gram._spectrum_ends", perturbed)
+    def perturbed(*args, **kwargs):
+        vals, vectors, info = real(*args, **kwargs)
+        vals = vals.copy()
+        vals[np.argmin(vals)] = -relative * vals.max()
+        return vals, vectors, info
+
+    monkeypatch.setattr("ratelab.gram.lapack.dstevd", perturbed)
 
 
 class TestFactoredClamp:
@@ -326,20 +332,19 @@ class TestFactoredClamp:
 
     def test_records_the_raw_feature_spectrum(self):
         """Three distinct inputs leave the 8 x 8 feature matrix at rank 3; the clamp
-        is the bisected bottom of its tridiagonal form, exactly, and round-off."""
+        is the bottom of its spectrum, as an eigvalsh oracle reads it, and round-off."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.tile([0.4, 2.0, 5.1], 14)
         operator = model.empirical_operator(model.sample_moments(xs))
         oracle = np.linalg.eigvalsh(operator)
-        _, diag, off, _ = _tridiagonalize(operator)
-        bottom, _ = _spectrum_ends(diag, off)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
             assert eig.rank == 3
-        assert eig.clamped == max(-bottom, 0.0)
+        assert eig.clamped >= 0.0
         assert eig.clamped <= 1e-14 * oracle[-1]
-        assert abs(bottom - oracle[0]) <= 1e-14 * oracle[-1]
+        assert abs(eig.clamped - max(-oracle[0], 0.0)) <= 1e-14 * oracle[-1]
+        np.testing.assert_allclose(eig.eigenvalues, oracle[::-1][:3], rtol=0, atol=1e-14)
 
     def test_counts_the_dropped_modes(self):
         """The same rank-3 input drops 5 of the 8 feature modes; full rank drops none."""
@@ -350,7 +355,7 @@ class TestFactoredClamp:
     @pytest.mark.parametrize("m", [40, 512, 600])
     def test_bisection_count_matches_an_eigvalsh_oracle(self, m):
         """At N = 512 the feature path drops exactly the modes eigvalsh puts at or
-        below RANK_DROP times the top one, and its eigensystem keeps the others.
+        below RANK_DROP times the top one, and keeps the others.
         At m = 512 and 600 some kept and dropped eigenvalues lie within a factor
         1.2 of that threshold."""
         model = build_model(b=2.0, n_trunc=512)
@@ -365,7 +370,7 @@ class TestFactoredClamp:
     def test_large_clamp_warns(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
-        _perturbed_ends(monkeypatch, 1e-6)
+        _perturbed_bottom(monkeypatch, 1e-6)
         eig = self._solve(xs)
         with pytest.warns(UserWarning, match="clamping eigenvalue"):
             assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)
@@ -375,18 +380,18 @@ class TestFactoredClamp:
     def test_small_clamp_is_recorded_silently(self, monkeypatch):
         xs = np.random.default_rng(2).uniform(0, 2 * np.pi, size=40)
         top = self._solve(xs).eigenvalues[0]
-        _perturbed_ends(monkeypatch, 1e-13)
+        _perturbed_bottom(monkeypatch, 1e-13)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = self._solve(xs)
             assert eig.clamped == pytest.approx(1e-13 * top, rel=1e-12, abs=0)
 
     def test_dense_clamp_is_read_by_bisection(self, monkeypatch):
-        """The dense path takes its clamp from the same bisection helper."""
+        """The dense path reads its clamp from the same tridiagonal eigensolve."""
         raw = np.random.default_rng(6).standard_normal((6, 6))
         gram = raw @ raw.T / 6.0
         top = np.linalg.eigvalsh(gram)[-1]
-        _perturbed_ends(monkeypatch, 1e-6)
+        _perturbed_bottom(monkeypatch, 1e-6)
         eig = eigendecompose(gram)
         with pytest.warns(UserWarning, match="clamping eigenvalue"):
             assert eig.clamped == pytest.approx(1e-6 * top, rel=1e-12)

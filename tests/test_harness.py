@@ -284,20 +284,22 @@ class TestRateSweep:
         assert [health[m]["lambda_clipped"] for m in ("32", "64", "128")] == [False] * 3
 
     def test_health_reports_largest_clamp_per_size(self, monkeypatch, tmp_path):
-        """On a cutoff sweep, which reads eigenpairs, the bisection reports the k-th
-        decomposition's bottom as -k 1e-14 times its top, so every fit clamps a
-        different, nonzero amount, silently."""
+        """On a cutoff sweep, which reads eigenpairs, the tridiagonal eigensolve
+        reports the k-th decomposition's bottom as -k 1e-14 times its top, so
+        every fit clamps a different, nonzero amount, silently."""
         clamps = {}
         injected = []
         real_fit = harness.fit
-        real_ends = gram._spectrum_ends
+        real_dstevd = gram.lapack.dstevd
 
-        def negative_end(diag, off):
-            _, top = real_ends(diag, off)
-            injected.append((len(injected) + 1) * 1e-14 * top)
-            return -injected[-1], top
+        def negative_end(*args, **kwargs):
+            vals, vectors, info = real_dstevd(*args, **kwargs)
+            injected.append((len(injected) + 1) * 1e-14 * vals.max())
+            vals = vals.copy()
+            vals[np.argmin(vals)] = -injected[-1]
+            return vals, vectors, info
 
-        monkeypatch.setattr("ratelab.gram._spectrum_ends", negative_end)
+        monkeypatch.setattr("ratelab.gram.lapack.dstevd", negative_end)
 
         def recording_fit(data, *args, **kwargs):
             fitted = real_fit(data, *args, **kwargs)
@@ -319,7 +321,7 @@ class TestRateSweep:
         """On a cutoff sweep, which reads eigenpairs, replicates at m = 16, 64 and 128
         draw 3 distinct inputs, so the factored path, which serves m >= N = 16,
         keeps 3 of the 16 modes; the dense path at m = 4 drops none. The count is
-        bisected, before the one tridiagonal eigensolve per fit."""
+        read from the one tridiagonal eigensolve per fit."""
         real_sample = harness.sample_dataset
         solves = []
         real_dstevd = lapack.dstevd

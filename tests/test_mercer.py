@@ -22,7 +22,6 @@ from ratelab.mercer import (
     approx_error_norms,
     build_model,
     norms_of_expansion,
-    population_regularized,
     power_law_source,
     real_features,
     sample_dataset,
@@ -316,15 +315,6 @@ class TestTargets:
         norms = norms_of_expansion(model, coeffs)
         assert norms.rkhs == pytest.approx(math.sqrt(6.0))
         assert norms.l2 == pytest.approx(1.4361406616345072, rel=1e-12)
-
-    def test_population_regularized_shrinks_modewise(self):
-        model = build_model(b=2.0, n_trunc=8)
-        phi = HolderIndex(0.5, domain_max=model.kappa_sq)
-        target = target_from_source(model, phi, power_law_source(model), radius=1.0)
-        reg = population_regularized(model, target, lam=0.25)
-        shrink = model.eigenvalues / (model.eigenvalues + 0.25)
-        np.testing.assert_allclose(reg.coefficients, shrink[:, None] * target.coefficients)
-        assert reg.source_norm < target.source_norm
 
     def test_evaluate_matches_feature_expansion(self):
         model = build_model(b=2.0, n_trunc=8)

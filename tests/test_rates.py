@@ -15,7 +15,6 @@ from ratelab.mercer import (
     NoiseSpec,
     approx_error_norms,
     build_model,
-    population_regularized,
     power_law_source,
     sample_dataset,
     target_from_source,
@@ -75,7 +74,6 @@ LAM_TAKERS = {
     "fit": lambda lab, lam: fit(lab.data, lab.model, tikhonov(), lam),
     "fit_tikhonov_direct": lambda lab, lam: fit_tikhonov_direct(lab.data, lab.model, lam),
     "sample_error_stat": lambda lab, lam: sample_error_stat(lab.model, lab.data, lab.target, lam),
-    "population_regularized": lambda lab, lam: population_regularized(lab.model, lab.target, lam),
     "approx_error_norms": lambda lab, lam: approx_error_norms(
         lab.model, lab.phi, 1.0, lam, lab.target
     ),
