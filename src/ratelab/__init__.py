@@ -48,11 +48,9 @@ from .index_functions import (
     IndexFunction,
     LogIndex,
     ProductIndex,
-    RateMaps,
     check_monotone_flags,
     index_from_dict,
     invert_monotone,
-    make_rate_maps,
 )
 from .lower_bounds import (
     SignPacking,

@@ -30,18 +30,19 @@ def sample_error_stat(
 
     Expands (1/m) sum_i k(., x_i) (y_i - f(x_i)) in the basis, divides
     each mode by sqrt(t_n + lam), and returns the Frobenius norm. Before
-    the whitening the expansion is diag(sqrt t) (B^T y / m - M s), with
-    M = B^T B / m and f = B s, so it comes from the sample's moments
-    (`MercerModel.moments_of`): M s by `MercerModel.moment_product`, with
-    no basis evaluation and no N-by-N matrix.
+    the whitening the expansion is diag(sqrt t) (B^T y / m) - T_x c for
+    the target's coefficients c, with T_x the empirical operator
+    diag(sqrt t) (B^T B / m) diag(sqrt t). Both terms come from the
+    sample's moments (`MercerModel.moments_of`), T_x by
+    `MercerModel.empirical_operator`, so no basis is evaluated.
     """
     if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
     moments = model.moments_of(dataset)
     t = model.eigenvalues
-    signal = np.sqrt(t)[:, None] * target.coefficients
-    raw = moments.response - model.moment_product(moments, signal)
-    scaled = (np.sqrt(t) / np.sqrt(t + lam))[:, None] * raw
+    emp = model.empirical_operator(moments)
+    raw = np.sqrt(t)[:, None] * moments.response - emp @ target.coefficients
+    scaled = raw / np.sqrt(t + lam)[:, None]
     return float(np.sqrt(np.sum(scaled * scaled)))
 
 

@@ -1,11 +1,13 @@
-"""Index functions encoding target smoothness, and the derived rate maps.
+"""Index functions encoding target smoothness, and monotone inversion.
 
 An index function here is a continuous nondecreasing map on [0, domain_max]
 with value exactly 0 at 0. Built-in families: power laws ``t**r``, powers
 with a logarithmic correction ``t**p * log(1/t)**(-nu)``, and finite
 products of those. Each function exposes monotonicity flags for the four
 derived ratio maps; the flags decide which approximation bounds and which
-regularization schedules legitimately apply to it.
+regularization schedules legitimately apply to it. `invert_monotone`
+inverts a nondecreasing map by bisection; `rates.choose_lambda` uses it on
+the schedules t**(1/2 + 1/(2b)) phi(t) and t**(1/(2b)) phi(t).
 
 The logarithmic factor is singular at t = 1, so the family freezes it at
 t0 = 0.99: for t >= t0 the correction keeps its value at t0 and only the
@@ -16,7 +18,6 @@ domains that extend past 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -219,51 +220,6 @@ def check_monotone_flags(phi: IndexFunction) -> MonotoneFlags:
         sqrt_t_over_phi_nondecreasing=nondecreasing(np.sqrt(grid) / vals),
         phi_times_sqrt_t_nondecreasing=nondecreasing(vals * np.sqrt(grid)),
     )
-
-
-@dataclass(frozen=True)
-class RateMaps:
-    """The two schedule maps derived from an index function and a decay exponent.
-
-    ``schedule_rkhs`` is inverted at 1/sqrt(m) to tune for the RKHS norm,
-    ``schedule_l2`` for the L2 norm.
-    """
-
-    index: IndexFunction
-    decay_b: float
-
-    def schedule_rkhs(self, t):
-        return np.asarray(t, float) ** (0.5 + 0.5 / self.decay_b) * self.index.value(t)
-
-    def schedule_l2(self, t):
-        return np.asarray(t, float) ** (0.5 / self.decay_b) * self.index.value(t)
-
-    def _invert(self, func: Callable, y: float) -> float:
-        hi = self.index.domain_max
-        return invert_monotone(lambda t: float(func(t)), y, hi * 1e-12, hi)
-
-    def invert_schedule_rkhs(self, y: float) -> float:
-        return self._invert(self.schedule_rkhs, y)
-
-    def invert_schedule_l2(self, y: float) -> float:
-        return self._invert(self.schedule_l2, y)
-
-
-def make_rate_maps(phi: IndexFunction, b: float) -> RateMaps:
-    """Attach the decay exponent ``b`` to an index function.
-
-    b > 1 is the intended regime; b = 1 (or below) still evaluates but the
-    polynomial effective-dimension bound degenerates, so it warns.
-    """
-    if b <= 0:
-        raise ParameterError(f"decay exponent must be positive, got {b}")
-    if b <= 1:
-        warnings.warn(
-            f"decay exponent b = {b} <= 1: rate maps remain valid but the "
-            "polynomial effective-dimension bound does not apply",
-            stacklevel=2,
-        )
-    return RateMaps(index=phi, decay_b=float(b))
 
 
 def invert_monotone(func: Callable[[float], float], y: float, lo: float, hi: float) -> float:

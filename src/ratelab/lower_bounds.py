@@ -116,6 +116,8 @@ def separation_for_code_length(
         raise ParameterError(f"code length must be a positive multiple of 4, got {ell}")
     if not radius > 0:
         raise ParameterError(f"radius must be positive, got {radius!r}")
+    if radius == math.inf:
+        raise ParameterError(f"radius must be finite, got {radius!r}")
     alpha, b = model.decay_alpha, model.decay_b
     if rkhs_variant:
         t = alpha * (1.25 * ell) ** -b

@@ -322,38 +322,6 @@ class MercerModel:
         scale.flags.writeable = False
         return scale
 
-    def moment_product(self, moments: SampleMoments, s) -> np.ndarray:
-        """(B^T B / m) s for s of shape (N, d), from the moments alone.
-
-        Writing f = B s as sum_k phi_k e^(ikx), k = -h..h, with
-        phi_k = (s_cos,k - i s_sin,k) / sqrt(2) and phi_-k its conjugate,
-        the empirical means psi_j = mean e^(ijx) f(x) = sum_k phi_k z_(j+k)
-        of the moments z_n = C_n + i S_n are one convolution per channel,
-        O(N^2) with no N-by-N matrix. Row 0 of the product is psi_0, the
-        cos j and sin j rows are sqrt(2) times the real and imaginary
-        parts of psi_j. An even N has no sin(h x) feature, so phi_h is
-        real and the unknown S_2h never reaches a row that exists.
-        """
-        count = self.n_trunc
-        h, h_sin = count // 2, (count - 1) // 2
-        s = np.asarray(s, dtype=float)
-        z = moments.cos.astype(complex)
-        z[1 : count] += 1j * moments.sin[1:]
-        window = np.concatenate((np.conj(z[h:0:-1]), z))  # z_n for n = -h .. 2h
-        root_half = math.sqrt(0.5)
-        out = np.empty_like(s)
-        for channel in range(s.shape[1]):
-            phi = np.zeros(h + 1, dtype=complex)
-            phi[0] = s[0, channel]
-            phi[1:] = root_half * s[1::2, channel]
-            phi[1 : h_sin + 1] -= 1j * root_half * s[2::2, channel]
-            both = np.concatenate((np.conj(phi[:0:-1]), phi))  # phi_k for k = -h .. h
-            psi = np.convolve(window, both[::-1], mode="valid")  # psi_j for j = 0 .. h
-            out[0, channel] = psi[0].real
-            out[1::2, channel] = math.sqrt(2.0) * psi[1:].real
-            out[2::2, channel] = math.sqrt(2.0) * psi[1 : h_sin + 1].imag
-        return out
-
     def scalar_kernel(self, xs, zs, table=None) -> np.ndarray:
         """k(x_i, z_j) = (Phi_x Phi_z^T)_ij with Phi = B diag(sqrt t), scaled in
         place in the one copy `real_features` makes; a precomputed ``table``
@@ -380,16 +348,6 @@ class MercerModel:
         n = self.n_trunc
         return self.decay_beta * n ** (1.0 - self.decay_b) / (self.decay_b - 1.0)
 
-    def as_dict(self) -> dict:
-        return {
-            "b": self.decay_b,
-            "alpha": self.decay_alpha,
-            "beta": self.decay_beta,
-            "N_trunc": self.n_trunc,
-            "d": self.output_dim,
-            "spectrum_rule": self.spectrum_rule,
-        }
-
 
 def build_model(
     b: float,
@@ -409,11 +367,11 @@ def build_model(
     contributes 2 (t_cos cos**2 + t_sin sin**2) <= 2 t_cos, since the
     spectrum is nonincreasing, with equality at x = 0.
     """
-    if not b >= 1:
-        raise ParameterError(f"decay exponent must be >= 1, got {b}")
+    if not 1 <= b < math.inf:
+        raise ParameterError(f"decay exponent must be >= 1 and finite, got {b}")
     beta = alpha if beta is None else beta
-    if not 0 < alpha <= beta:
-        raise ConstructionError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
+    if not 0 < alpha <= beta < math.inf:
+        raise ConstructionError(f"need 0 < alpha <= beta < inf, got alpha={alpha}, beta={beta}")
     if n_trunc < 8:
         raise ParameterError(f"n_trunc must be >= 8, got {n_trunc}")
     if d < 1:
@@ -497,9 +455,6 @@ class TargetFunction:
         """Target values at ``xs``; a precomputed ``table`` at ``xs`` is reused if it fits."""
         return self.model.expand(self.coefficients, xs, table)
 
-    def norms(self) -> ExpansionNorms:
-        return norms_of_expansion(self.model, self.coefficients)
-
 
 def target_from_source(
     model: MercerModel, phi: IndexFunction, source, radius: float
@@ -510,6 +465,8 @@ def target_from_source(
     """
     if not radius > 0:
         raise ParameterError(f"radius must be positive, got {radius}")
+    if radius == math.inf:
+        raise ParameterError(f"radius must be finite, got {radius}")
     g = _as_coefficients(model, source)
     norm_sq = float(np.sum(g * g))
     if norm_sq > radius**2 * (1 + SOURCE_RADIUS_SLACK):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .index_functions import HolderIndex, IndexFunction, make_rate_maps
+from .index_functions import HolderIndex, IndexFunction, invert_monotone
 
 
 def effective_dimension(eigenvalues: np.ndarray, lam: float, output_dim: int = 1) -> float:
@@ -76,24 +77,40 @@ class LambdaChoice:
 def choose_lambda(rule: str, phi: IndexFunction, b: float, m: int) -> LambdaChoice:
     """Pick the regularization level for m samples under the given schedule.
 
-    "psi" and "theta" invert the corresponding schedule map at 1/sqrt(m)
-    numerically; the "holder_*_closed" rules use the power-law solutions
-    m**(-b/(2br+b+1)) and m**(-b/(2br+1)) and require a HolderIndex. The
-    value is clipped into (0, min(1, phi.domain_max)] with a flag.
+    "psi" and "theta" invert the schedules Psi(t) = t**(1/2 + 1/(2b)) phi(t)
+    (tuned for the RKHS norm) and Theta(t) = t**(1/(2b)) phi(t) (for L2) at
+    1/sqrt(m) numerically (`invert_monotone`), and warn at b <= 1, where
+    the polynomial effective-dimension bound does not apply. The
+    "holder_*_closed" rules use the power-law solutions m**(-b/(2br+b+1))
+    and m**(-b/(2br+1)) and require a HolderIndex. Every rule needs a
+    finite b > 0. The value is clipped into (0, min(1, phi.domain_max)]
+    with a flag.
     """
     if rule not in LAMBDA_RULES:
         raise ParameterError(f"unknown lambda rule {rule!r}; expected one of {LAMBDA_RULES}")
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
+    if not 0 < b < math.inf:
+        raise ParameterError(f"decay exponent must be positive and finite, got {b}")
     cap = min(1.0, phi.domain_max)
 
     forced = False
     if rule in ("psi", "theta"):
-        maps = make_rate_maps(phi, b)
-        level = 1.0 / math.sqrt(m)
-        invert = maps.invert_schedule_rkhs if rule == "psi" else maps.invert_schedule_l2
+        if b <= 1:
+            warnings.warn(
+                f"decay exponent b = {b} <= 1: the schedules remain valid but the "
+                "polynomial effective-dimension bound does not apply",
+                stacklevel=2,
+            )
+        power = 0.5 + 0.5 / b if rule == "psi" else 0.5 / b
+        hi = phi.domain_max
         try:
-            value = invert(level)
+            value = invert_monotone(
+                lambda t: float(np.asarray(t, float) ** power * phi.value(t)),
+                1.0 / math.sqrt(m),
+                hi * 1e-12,
+                hi,
+            )
         except DomainError:
             # 1/sqrt(m) exceeds the schedule's range: every admissible level
             # is undersized, so take the largest one.

@@ -338,6 +338,30 @@ def test_nan_input_exits_2_naming_it(argv, message, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["effdim", "--b", "inf"], "decay exponent must be >= 1 and finite, got inf"),
+        (["concentration", *SMALL_RUNS["concentration"], "--b", "inf"],
+         "decay exponent must be >= 1 and finite, got inf"),
+        (["fit", *SMALL_RUNS["fit"], "--alpha", "inf"],
+         "need 0 < alpha <= beta < inf, got alpha=inf, beta=inf"),
+        (["fit", *SMALL_RUNS["fit"], "--beta", "inf"],
+         "need 0 < alpha <= beta < inf, got alpha=1.0, beta=inf"),
+        (["fit", *SMALL_RUNS["fit"], "--radius", "inf"], "radius must be finite, got inf"),
+        (["lower-bound", *SMALL_RUNS["lower-bound"], "--radius", "inf"],
+         "radius must be finite, got inf"),
+    ],
+    ids=["effdim-b", "concentration-b", "fit-alpha", "fit-beta", "fit-radius", "lower-bound-radius"],
+)
+def test_non_finite_model_and_class_parameters_exit_2_naming_them(argv, message, capsys):
+    """An infinite b printed poly=nan and exited 1 (effdim) or passed
+    (concentration); an infinite alpha failed as a non-monotone index
+    function; an infinite radius failed as a non-finite dataset."""
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_writes_report_bundle(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,4 +1,4 @@
-"""Tests for smoothness index functions, their flags, and the rate maps."""
+"""Tests for smoothness index functions, their flags, and monotone inversion."""
 
 import math
 
@@ -24,7 +24,6 @@ from ratelab.index_functions import (
     geometric_grid,
     index_from_dict,
     invert_monotone,
-    make_rate_maps,
     nondecreasing,
 )
 
@@ -229,26 +228,3 @@ class TestInvertMonotone:
         # the map jumps over the target, so no t is within tolerance
         with pytest.raises(NumericalError):
             invert_monotone(lambda t: 1.0 if t < 0.5 else 3.0, 2.0, 1e-3, 1.0)
-
-
-class TestRateMaps:
-    def test_holder_closed_forms(self):
-        # for phi = t**r the two maps are pure powers
-        maps = make_rate_maps(HolderIndex(r=0.5, domain_max=4.0), b=2.0)
-        t = 0.3
-        assert math.isclose(maps.schedule_rkhs(t), t ** (0.75 + 0.5), rel_tol=1e-12)
-        assert math.isclose(maps.schedule_l2(t), t ** (0.25 + 0.5), rel_tol=1e-12)
-
-    def test_inversion_round_trip(self):
-        maps = make_rate_maps(HolderIndex(r=1.0), b=3.0)
-        for y in (1e-6, 1e-3, 0.1):
-            t = maps.invert_schedule_rkhs(y)
-            assert math.isclose(maps.schedule_rkhs(t), y, rel_tol=1e-9)
-            t = maps.invert_schedule_l2(y)
-            assert math.isclose(maps.schedule_l2(t), y, rel_tol=1e-9)
-
-    def test_low_decay_warns(self):
-        with pytest.warns(UserWarning):
-            make_rate_maps(HolderIndex(r=0.5), b=1.0)
-        with pytest.raises(ParameterError):
-            make_rate_maps(HolderIndex(r=0.5), b=0.0)

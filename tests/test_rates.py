@@ -108,6 +108,39 @@ class TestChooseLambda:
         assert 0 < choice.value <= 1.0
         assert not choice.clipped
 
+    @pytest.mark.parametrize(
+        "rule, power", [("psi", 0.5 + 0.5 / 3.0), ("theta", 0.5 / 3.0)], ids=["psi", "theta"]
+    )
+    @pytest.mark.parametrize(
+        "phi", [HolderIndex(1.0), LogIndex(p=0.5, nu=1.0)], ids=["holder", "log"]
+    )
+    def test_numeric_rules_invert_their_schedule(self, phi, rule, power):
+        """At b = 3 the returned lam meets 1/sqrt(m) on its schedule,
+        Psi(t) = t**(1/2 + 1/(2b)) phi(t) or Theta(t) = t**(1/(2b)) phi(t)."""
+        for m in (100, 10**6, 10**12):
+            choice = choose_lambda(rule, phi, b=3.0, m=m)
+            assert not choice.clipped
+            schedule = choice.value**power * phi.value(choice.value)
+            assert schedule == pytest.approx(m**-0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("rule", ["psi", "theta"])
+    def test_low_decay_warns(self, rule):
+        """b = 1 leaves the schedules defined but not the polynomial
+        effective-dimension bound; b = 0 has no schedule."""
+        phi = HolderIndex(r=0.5)
+        with pytest.warns(UserWarning, match="b = 1.0 <= 1"):
+            choose_lambda(rule, phi, b=1.0, m=64)
+        with pytest.raises(ParameterError, match="decay exponent"):
+            choose_lambda(rule, phi, b=0.0, m=64)
+
+    @pytest.mark.parametrize("rule", LAMBDA_RULES)
+    def test_nonpositive_or_non_finite_decay_refused(self, rule):
+        """The closed rules returned lam = nan for an infinite or NaN b, and
+        holder_theta_closed divided by zero at b = -1 with r = 1/2."""
+        for b in (-1.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="decay exponent must be positive and finite"):
+                choose_lambda(rule, HolderIndex(r=0.5), b=b, m=64)
+
     def test_closed_rules_require_a_power_profile(self):
         phi = LogIndex(p=0.5, nu=1.0, domain_max=1.0)
         with pytest.raises(ParameterError):

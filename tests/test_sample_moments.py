@@ -119,24 +119,15 @@ def test_two_point_measure_draws_the_sample_dataset_draw(m):
         assert np.array_equal(getattr(data.moments, field), getattr(want.moments, field))
 
 
-@pytest.mark.parametrize("n_trunc", [8, 9, 128, 129])
-@pytest.mark.parametrize("d", [1, 3])
-def test_moment_product_is_the_operator_product(n_trunc, d):
-    """(B^T B / m) s from moments by convolution, against the float64 product."""
-    model = build_model(b=2.0, d=d, n_trunc=n_trunc)
-    rng = np.random.default_rng(n_trunc + d)
-    xs = rng.uniform(0.0, PERIOD, size=300)
-    s = rng.standard_normal((n_trunc, d))
-    basis = model.basis(xs)
-    want = basis.T @ (basis @ s) / 300
-    got = model.moment_product(model.sample_moments(xs), s)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("m", [64, 300])
-def test_sample_error_stat_matches_the_residual_expansion(m):
-    """The moment form against B^T (y - f) / m built from the basis in the test."""
-    model, target = _lab(16, d=3)
+@pytest.mark.parametrize(
+    "n_trunc, d, m",
+    [pytest.param(16, 3, m, id=str(m)) for m in (64, 300)]
+    + [pytest.param(n, d, 300, id=f"{d}-{n}") for d in (1, 3) for n in (8, 9, 128, 129)],
+)
+def test_sample_error_stat_matches_the_residual_expansion(n_trunc, d, m):
+    """The moment form against B^T (y - f) / m built from the basis in the
+    test, at odd and even N and with one and three channels."""
+    model, target = _lab(n_trunc, d=d)
     data = sample_dataset(model, target, NOISES["gaussian"], m=m, seed=m)
     basis = model.basis(data.xs)
     raw = basis.T @ (data.ys - target.evaluate(data.xs)) / m
