@@ -94,13 +94,13 @@ class FittedEstimator:
             return self.dual
         model, eig, data = self.kernel, self.gram, self.dataset
         if eig is None:
-            f_sum = model.expand(self.iterate_sum, data.xs, data.basis)
+            f_sum = model.expand(self.iterate_sum, data.xs)
             return (self.filter.iterations * data.ys - f_sum) / (self.lam * data.m)
         g_null = self.filter.values(0.0, self.lam)
         gain = np.atleast_1d(self.filter.values(eig.eigenvalues, self.lam)) - g_null
         u = np.sqrt(model.eigenvalues)[:, None] * model.moments_of(data).response
         weights = eig.combine((gain / eig.eigenvalues)[:, None] * eig.project(u)) / data.m
-        return (g_null / data.m) * data.ys + model.expand(weights, data.xs, data.basis)
+        return (g_null / data.m) * data.ys + model.expand(weights, data.xs)
 
     def predict(self, xs) -> np.ndarray:
         if self.expansion is not None:
@@ -120,9 +120,11 @@ def fit(
 
     ``kernel`` is anything with scalar_kernel(xs, zs); for a MercerModel
     with m >= N the fit runs in the feature domain, from the moments the
-    Dataset carries (or moments computed from its samples). A
-    precomputed ``gram`` decomposition is reused, and its matrix is
-    factored on a copy; one built here is factored in place.
+    Dataset carries (or moments computed from its samples), and below N
+    on the dense Gram Phi Phi^T / m, from the `Features` it carries (or
+    Phi evaluated at its samples). A precomputed ``gram`` decomposition
+    is reused, and its matrix is factored on a copy; one built here is
+    factored in place.
     """
     g_null = filt.values(0.0, lam)  # refuses a bad lam before any decomposition
     is_mercer = isinstance(kernel, MercerModel)
@@ -133,7 +135,7 @@ def fit(
     elif feature:
         eig = mercer_gram_eigen(kernel, moments)
     else:
-        eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.basis if is_mercer else None))
+        eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.features if is_mercer else None))
     x = np.sqrt(kernel.eigenvalues)[:, None] * moments.response if feature else dataset.ys
     solved = filt.apply_matrix(eig.matrix, x, lam, overwrite=gram is None)
     if solved is None:
@@ -184,16 +186,19 @@ def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.nd
     """Exact expansion of the fitted function against sqrt(t_n) e_n.
 
     f = sum_i k(., x_i) c_i = sum_n sqrt(t_n) (B^T c)_n * (sqrt(t_n) e_n),
-    so the (N, d) coefficient array is diag(sqrt(t)) B^T c with B the basis
-    matrix on the training inputs, from table products over row chunks
-    (`MercerModel.basis_sums`). A fit in the feature domain under
-    ``model`` holds that array already. Exact because the kernel is
-    truncated.
+    so the (N, d) coefficient array is diag(sqrt(t)) B^T c = Phi^T c with B
+    the basis matrix on the training inputs. Below N samples it is Phi^T c,
+    from the `Features` the Dataset carries (`MercerModel.features`); from
+    N on, table products over row chunks (`MercerModel.basis_sums`). A fit
+    in the feature domain under ``model`` holds that array already. Exact
+    because the kernel is truncated.
     """
     if fit_result.expansion is not None and fit_result.kernel is model:
         return fit_result.expansion
     data = fit_result.dataset
-    raw = model.basis_sums(data.xs, fit_result.coefficients, data.basis)
+    if data.m < model.n_trunc:
+        return model.features(data.xs, data.features).T @ fit_result.coefficients
+    raw = model.basis_sums(data.xs, fit_result.coefficients)
     return np.sqrt(model.eigenvalues)[:, None] * raw
 
 

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import DomainError, NumericalError, ParameterError
 from .index_functions import IndexFunction, geometric_grid, nondecreasing
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import DataError, NumericalError, ParameterError
 
 NEGATIVE_EIG_WARN = 1e-10  # warn when clamping below -1e-10 * top eigenvalue
@@ -53,22 +54,32 @@ class SampleMoments:
         return int(self.sin.shape[0])
 
 
+class Features(NamedTuple):
+    """Phi = B diag(s) at a sample's inputs, one row per sample, and the column
+    scale s it was built with (`mercer.real_features`). A MercerModel reads
+    ``matrix`` only where ``scale`` is its own (`MercerModel.features`)."""
+
+    matrix: np.ndarray
+    scale: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Paired samples: inputs ``xs`` of shape (m,), outputs ``ys`` of (m, d).
 
     ``moments`` optionally holds the sample's `SampleMoments` for a
-    trigonometric model, and ``basis`` the table of e^(i k x) at ``xs``
-    (`mercer.trigonometric_basis`), one row per sample (stored
-    read-only). `mercer.draw_dataset`, the draw behind `sample_dataset`
-    and `TwoPointMeasure.sample`, carries the moments at every m and the
-    table only below the feature count, where the dense Gram path needs
-    it; a fit at m >= N reads the moments and no m-sized table.
+    trigonometric model, and ``features`` the `Features` Phi = B diag(sqrt t)
+    of that model at ``xs`` (its matrix stored read-only).
+    `mercer.draw_dataset`, the draw behind `sample_dataset` and
+    `TwoPointMeasure.sample`, carries the moments at every m and Phi only
+    below the feature count, where the dense Gram path reads it: the Gram
+    is Phi Phi^T / m and a fit's expansion Phi^T c. A fit at m >= N reads
+    the moments and no m-sized array.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    basis: np.ndarray | None = None
+    features: Features | None = None
     moments: SampleMoments | None = None
 
     def __post_init__(self):
@@ -84,12 +95,12 @@ class Dataset:
             raise DataError("dataset contains non-finite entries")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        if self.basis is not None:
-            basis = np.asarray(self.basis).view()
-            if basis.ndim != 2 or basis.shape[0] != xs.shape[0]:
-                raise DataError(f"basis{basis.shape} needs one row per sample, m={xs.shape[0]}")
-            basis.flags.writeable = False
-            object.__setattr__(self, "basis", basis)
+        if self.features is not None:
+            matrix = np.asarray(self.features.matrix).view()
+            if matrix.ndim != 2 or matrix.shape[0] != xs.shape[0]:
+                raise DataError(f"features{matrix.shape} need one row per sample, m={xs.shape[0]}")
+            matrix.flags.writeable = False
+            object.__setattr__(self, "features", self.features._replace(matrix=matrix))
         response = None if self.moments is None else self.moments.response
         if response is not None and response.shape[1:] != ys.shape[1:]:
             raise DataError(f"moment response{response.shape} needs {ys.shape[1]} channels")
@@ -122,16 +133,16 @@ class GaussianRBF:
         return {"kind": "gaussian_rbf", "lengthscale": self.lengthscale}
 
 
-def assemble_gram(kernel, xs, table=None) -> np.ndarray:
+def assemble_gram(kernel, xs, features=None) -> np.ndarray:
     """The scaled Gram matrix (1/m) k(x_i, x_j), as symmetric as the kernel
     returns it (`eigendecompose` symmetrizes). A MercerModel kernel reuses
-    a basis ``table`` at ``xs`` (see `MercerModel.scalar_kernel`)."""
+    the `Features` at ``xs`` a Dataset carries (see `MercerModel.scalar_kernel`)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 1:
         raise DataError(f"xs must be a nonempty 1-d array, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise DataError("xs contains non-finite entries")
-    k = kernel.scalar_kernel(xs, xs) if table is None else kernel.scalar_kernel(xs, xs, table)
+    k = kernel.scalar_kernel(xs, xs) if features is None else kernel.scalar_kernel(xs, xs, features)
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise DataError("kernel evaluations contain non-finite entries")

@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
 
 from .errors import (
     AmplitudeError,
@@ -34,7 +33,7 @@ from .errors import (
     ParameterError,
     SourceViolationError,
 )
-from .gram import Dataset, SampleMoments
+from .gram import Dataset, Features, SampleMoments
 from .index_functions import IndexFunction
 
 PERIOD = 2.0 * math.pi
@@ -45,6 +44,8 @@ BOUND_SLACK = 1e-12
 # Basis cells per row chunk at m >= N: 256 rows at N = 512, whose table of
 # 257 complex columns is 1 MiB.
 CHUNK_CELLS = 2**17
+# Table cells per block as `real_features` rewrites a table: a 64 KiB copy.
+BLOCK_CELLS = 2**12
 # Equispaced inputs 2 pi j / GRID_POINTS on which the two-point measure is
 # checked: the divergence average and the noise certificate's target values.
 GRID_POINTS = 512
@@ -95,18 +96,37 @@ def trigonometric_basis(xs, count: int) -> np.ndarray:
     return (table[:, :1].copy() if lone else table).T
 
 
-def real_features(table: np.ndarray, count: int) -> np.ndarray:
-    """The real (m, count) basis matrix B from a `trigonometric_basis` table:
-    columns 1, then sqrt(2) cos(k x) and sqrt(2) sin(k x) for k = 1, 2, ...
+def real_features(table: np.ndarray, count: int, scale=None) -> np.ndarray:
+    """The real (m, count) matrix with columns s_0, then s_(2k-1) cos(k x) and
+    s_(2k) sin(k x), k = 1, 2, ..., written over a `trigonometric_basis`
+    table: B for the default s = (1, sqrt 2, sqrt 2, ...), and
+    Phi = B diag(sqrt t) for s = (sqrt t_0, sqrt(2 t_1), ...)
+    (`MercerModel.features`).
 
-    One copy, scaled and sample-major, whose float view interleaves the
-    real and imaginary parts; column 0's zero imaginary part becomes the
-    constant. Only the dense Gram below N samples needs it
-    (`MercerModel.scalar_kernel`); every sum over samples is a product
-    with the table instead.
+    The table is consumed: its frequency-major memory is rewritten,
+    BLOCK_CELLS cells at a time, into rows of the scaled real and
+    imaginary parts of each frequency, so no second table-sized array is
+    made. The result is the transpose of those rows, row 0 (the zero
+    imaginary part of frequency 0) becoming the constant. Only the dense
+    path below N samples reads B or Phi; every sum over samples from N on
+    is a product with the table.
     """
-    feats = np.multiply(table, math.sqrt(2.0), order="C").view(float)[:, 1 : count + 1]
-    feats[:, 0] = 1.0
+    if scale is None:
+        scale = np.full(count, math.sqrt(2.0))
+        scale[0] = 1.0
+    freq = table.T
+    n_freq, m = freq.shape
+    pair_scale = np.zeros((n_freq, 2, 1))
+    pair_scale.reshape(-1)[1 : count + 1] = scale
+    planar = freq.view(float).reshape(n_freq, 2, m)
+    step = max(1, BLOCK_CELLS // m)
+    for start in range(0, n_freq, step):
+        block = slice(start, start + step)
+        rows = freq[block].copy()
+        np.multiply(rows.real, pair_scale[block, 0], out=planar[block, 0])
+        np.multiply(rows.imag, pair_scale[block, 1], out=planar[block, 1])
+    feats = planar.reshape(2 * n_freq, m)[1 : count + 1].T
+    feats[:, 0] = scale[0]
     return feats
 
 
@@ -132,6 +152,17 @@ def fold(sums: np.ndarray, count: int) -> np.ndarray:
     out[1::2] = math.sqrt(2.0) * sums[1 : count // 2 + 1].real
     out[2::2] = math.sqrt(2.0) * sums[1 : (count + 1) // 2].imag
     return out
+
+
+def _toeplitz_hankel(moments: np.ndarray, zero: int, rows: int, cols: int):
+    """Read-only (rows, cols) views T_jk = M_(j-k) and H_jk = M_(j+k+2) of a
+    moment sequence held as ``moments``, whose entry ``zero`` is M_0 and
+    whose earlier entries hold M_(-1), M_(-2), ... in reverse order."""
+    step = moments.strides[0]
+    view = np.lib.stride_tricks.as_strided
+    toep = view(moments[zero:], (rows, cols), (step, -step), writeable=False)
+    hank = view(moments[zero + 2 :], (rows, cols), (step, step), writeable=False)
+    return toep, hank
 
 
 class MomentSums:
@@ -188,11 +219,36 @@ class MercerModel:
         """The real (len(xs), N) basis matrix B at ``xs`` (`real_features`)."""
         return real_features(trigonometric_basis(xs, self.n_trunc), self.n_trunc)
 
+    def features(self, xs, carried: Features | None = None) -> np.ndarray:
+        """Phi = B diag(sqrt t) at ``xs``, shape (len(xs), N): the matrix of
+        the ``carried`` `Features` if they are this model's at ``xs`` (built
+        with its scale, as `draw_dataset` builds them), else evaluated;
+        anything else passed as ``carried`` is not used."""
+        shape = (len(xs), self.n_trunc)
+        if getattr(carried, "scale", None) is self._feature_scale and carried.matrix.shape == shape:
+            return carried.matrix
+        return self._features_of(trigonometric_basis(xs, self.n_trunc)).matrix
+
+    def _features_of(self, table: np.ndarray) -> Features:
+        """This model's `Features`, written over a `trigonometric_basis` table
+        (`real_features`)."""
+        scale = self._feature_scale
+        return Features(real_features(table, self.n_trunc, scale), scale)
+
+    @cached_property
+    def _feature_scale(self) -> np.ndarray:
+        """sqrt(t_0), then sqrt(2 t_n): the column scale of Phi in `real_features`,
+        read-only; `features` knows the Features it built by it."""
+        scale = np.sqrt(2.0 * self.eigenvalues)
+        scale[0] = math.sqrt(self.eigenvalues[0])
+        scale.flags.writeable = False
+        return scale
+
     def _fits(self, table, m: int) -> bool:
         """Whether ``table`` can stand for this model's `trigonometric_basis`
-        table at m inputs: an earlier evaluation there, such as the one
-        `sample_dataset` carries below N samples, is complex of shape
-        (m, N // 2 + 1); anything else is not used."""
+        table at m inputs: an earlier evaluation there, such as a chunk of
+        `draw_dataset`'s, is complex of shape (m, N // 2 + 1); anything
+        else is not used."""
         return (
             table is not None
             and np.iscomplexobj(table)
@@ -228,12 +284,11 @@ class MercerModel:
             out[rows] = (chunk @ phi).real
         return out
 
-    def basis_sums(self, xs, values, table=None) -> np.ndarray:
+    def basis_sums(self, xs, values) -> np.ndarray:
         """B^T ``values`` (N, d) for the basis B at ``xs`` and ``values`` (m, d):
-        the table product V^T values over `basis_chunks`, then `fold`; a
-        fitting ``table`` at ``xs`` is reused."""
+        the table product V^T values over `basis_chunks`, then `fold`."""
         sums = 0.0
-        for rows, chunk in self.basis_chunks(xs, table):
+        for rows, chunk in self.basis_chunks(xs):
             sums = sums + chunk.T @ values[rows]
         return fold(sums, self.n_trunc)
 
@@ -287,6 +342,8 @@ class MercerModel:
 
         so the cos/cos and sin/sin blocks are Toeplitz plus or minus
         Hankel in C, and the cos/sin block Hankel minus Toeplitz in S.
+        Those Toeplitz and Hankel matrices are strided views of one moment
+        vector each (`_toeplitz_hankel`), added straight into the blocks.
         Assembly costs O(N^2) and the result is exactly symmetric. The
         scale diag(sqrt t) on both sides is one product with an N-by-N
         outer product that the model computes once.
@@ -304,13 +361,17 @@ class MercerModel:
         emp[0, 1::2] = emp[1::2, 0] = math.sqrt(2.0) * c[1 : h + 1]
         emp[0, 2::2] = emp[2::2, 0] = math.sqrt(2.0) * s[1 : h_sin + 1]
         if h:
-            toep, hank = toeplitz(c[:h]), hankel(c[2 : h + 2], c[h + 1 :])
-            emp[1::2, 1::2] = toep + hank
+            # C_(j-k) and C_(j+k+2) as strided views of (C_(h-1), ..., C_1, C_0, ..., C_2h)
+            toep, hank = _toeplitz_hankel(np.concatenate((c[h - 1 : 0 : -1], c)), h - 1, h, h)
+            np.add(toep, hank, out=emp[1::2, 1::2])
         if h_sin:
-            emp[2::2, 2::2] = (toep - hank)[:h_sin, :h_sin]
-            cross = hankel(s[2 : h + 2], s[h + 1 :]) - toeplitz(s[:h], -s[:h_sin])
-            emp[1::2, 2::2] = cross
-            emp[2::2, 1::2] = cross.T
+            np.subtract(toep[:h_sin, :h_sin], hank[:h_sin, :h_sin], out=emp[2::2, 2::2])
+            # S_(j-k) and S_(j+k+2) of (-S_(h'-1), ..., -S_1, S_0, ..., S_(N-1)), h' = h_sin,
+            # since S_(-n) = -S_n
+            odd = np.concatenate((-s[h_sin - 1 : 0 : -1], s))
+            toep, hank = _toeplitz_hankel(odd, h_sin - 1, h, h_sin)
+            np.subtract(hank, toep, out=emp[1::2, 2::2])
+            emp[2::2, 1::2] = emp[1::2, 2::2].T
         emp *= self._root_outer
         return emp
 
@@ -322,20 +383,11 @@ class MercerModel:
         scale.flags.writeable = False
         return scale
 
-    def scalar_kernel(self, xs, zs, table=None) -> np.ndarray:
-        """k(x_i, z_j) = (Phi_x Phi_z^T)_ij with Phi = B diag(sqrt t), scaled in
-        place in the one copy `real_features` makes; a precomputed ``table``
-        at ``xs`` is reused if it fits."""
-        root_t = np.sqrt(self.eigenvalues)
-        if not self._fits(table, len(xs)):
-            table = trigonometric_basis(xs, self.n_trunc)
-        phi_x = real_features(table, self.n_trunc)
-        phi_x *= root_t
-        if zs is xs:
-            return phi_x @ phi_x.T
-        phi_z = self.basis(zs)
-        phi_z *= root_t
-        return phi_x @ phi_z.T
+    def scalar_kernel(self, xs, zs, features: Features | None = None) -> np.ndarray:
+        """k(x_i, z_j) = (Phi_x Phi_z^T)_ij with Phi = B diag(sqrt t) (`features`);
+        ``features`` carried at ``xs`` are reused if they are this model's."""
+        phi_x = self.features(xs, features)
+        return phi_x @ (phi_x if zs is xs else self.features(zs)).T
 
     def trace_tail_bound(self) -> float:
         """Upper bound on the eigenvalue mass dropped by truncation.
@@ -486,6 +538,10 @@ def power_law_source(model: MercerModel, s: float = 1.0, radius: float = 1.0) ->
     """Source with profile n**-s, equal across channels, normalized to ``radius``."""
     if not math.isfinite(s):
         raise ParameterError(f"source exponent s must be finite, got {s}")
+    if not radius > 0:
+        raise ParameterError(f"radius must be positive, got {radius}")
+    if radius == math.inf:
+        raise ParameterError(f"radius must be finite, got {radius}")
     profile = np.arange(1, model.n_trunc + 1, dtype=float) ** -s
     g = np.tile(profile[:, None], (1, model.output_dim))
     return radius * g / np.sqrt(np.sum(g * g))
@@ -736,8 +792,9 @@ def draw_dataset(
     `MercerModel.basis_chunks`: each chunk's table gives its target
     values, its outputs and its share of the `SampleMoments` the Dataset
     carries, and is dropped. Below N samples the one chunk is the whole
-    table, which the Dataset carries too for the dense Gram path; from N
-    on nothing m-sized but the samples is allocated.
+    table, from which the Dataset carries the model's `Features`
+    Phi = B diag(sqrt t) for the dense Gram path, built in one pass; from
+    N on nothing m-sized but the samples is allocated.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
@@ -760,5 +817,5 @@ def draw_dataset(
         else:
             np.add(f_vals, draws[rows], out=ys[rows])
         sums.add(chunk, ys[rows])
-    table = chunk if m < model.n_trunc else None
-    return Dataset(xs=xs, ys=ys, basis=table, moments=sums.moments(m))
+    features = model._features_of(chunk) if m < model.n_trunc else None
+    return Dataset(xs=xs, ys=ys, features=features, moments=sums.moments(m))

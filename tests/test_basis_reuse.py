@@ -1,11 +1,12 @@
 """The basis drawn with a sample is evaluated once and reused downstream.
 
 `sample_dataset` carries the sample's moments on the Dataset, and below
-N samples the basis at its inputs too; the fit, the basis coefficients,
-the tail statistics and the error norms read them instead of evaluating
-the basis again. Reuse must not change a single bit. The divergence grid
-needs no basis at all: each two-point measure's grid weights come from
-one inverse FFT (`MercerModel.expand_on_grid`), once per measure.
+N samples the model's features Phi = B diag(sqrt t) at its inputs too;
+the fit, the basis coefficients, the tail statistics and the error norms
+read them instead of evaluating the basis again. Reuse must not change a
+single bit. The divergence grid needs no basis at all: each two-point
+measure's grid weights come from one inverse FFT
+(`MercerModel.expand_on_grid`), once per measure.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from ratelab.cli import main
 from ratelab.concentration import TAIL_KINDS, operator_deviation, sample_error_stat, tail_test
 from ratelab.estimator import basis_coefficients, error_norms, fit
 from ratelab.filters import tikhonov
-from ratelab.gram import Dataset
+from ratelab.gram import Dataset, Features
 from ratelab.index_functions import HolderIndex
 from ratelab.lower_bounds import (
     TwoPointMeasure,
@@ -79,7 +80,7 @@ def basis_calls(monkeypatch):
 def test_carried_basis_gives_identical_bits(m):
     """Both fit paths (dense at m < N, factored from m = N) agree bit for bit."""
     model, target, data = _draw(m)
-    assert (data.basis is None) == (m >= N_TRUNC)
+    assert (data.features is None) == (m >= N_TRUNC)
     assert data.moments.n_feat == N_TRUNC
     bare = Dataset(xs=data.xs, ys=data.ys)
     for got, want in zip(_outputs(model, target, data), _outputs(model, target, bare)):
@@ -88,10 +89,26 @@ def test_carried_basis_gives_identical_bits(m):
 
 @pytest.mark.parametrize("width", [N_TRUNC - 1, N_TRUNC + 1])
 def test_basis_of_another_width_is_not_used(width):
-    model, target, data = _draw(24, seed=1)
-    other = Dataset(xs=data.xs, ys=data.ys, basis=np.zeros((data.m, width)))
+    """Below N, where the dense path reads carried features, a matrix of
+    another width is not used, even under the model's own scale."""
+    model, target, data = _draw(N_TRUNC - 2, seed=1)
+    wrong = Features(np.zeros((data.m, width)), model._feature_scale)
+    other = Dataset(xs=data.xs, ys=data.ys, features=wrong)
     bare = Dataset(xs=data.xs, ys=data.ys)
     for got, want in zip(_outputs(model, target, other), _outputs(model, target, bare)):
+        assert np.array_equal(got, want)
+
+
+def test_features_of_another_model_are_not_used():
+    """Phi depends on the model's spectrum, not only on N: a sample drawn under
+    one model and fit under another of the same N gives the bits of a fit
+    that carries nothing."""
+    _, _, data = _draw(N_TRUNC - 2, seed=3)
+    model = build_model(b=3.0, n_trunc=N_TRUNC)
+    phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+    target = target_from_source(model, phi, power_law_source(model), radius=1.0)
+    bare = Dataset(xs=data.xs, ys=data.ys)
+    for got, want in zip(_outputs(model, target, data), _outputs(model, target, bare)):
         assert np.array_equal(got, want)
 
 
@@ -179,10 +196,10 @@ def test_default_lower_bound_evaluates_the_grid_once_per_member(monkeypatch, cap
 def test_no_real_features_from_m_equal_n_on(monkeypatch):
     """From m = N on, the draw, both tail statistics and a feature-domain fit,
     with its norms and its coefficient rows, read the complex table only:
-    no real per-sample feature array is formed. Below N the dense Gram
-    forms one, so the refusal is live."""
+    no real per-sample feature array is formed. Below N the draw forms Phi
+    for the dense Gram, so the refusal is live."""
 
-    def refuse(*_args):
+    def refuse(*_args, **_kwargs):
         raise AssertionError("real features were formed")
 
     monkeypatch.setattr(mercer, "real_features", refuse)
@@ -196,6 +213,5 @@ def test_no_real_features_from_m_equal_n_on(monkeypatch):
         assert fitted.dual is None
         assert np.isfinite(error_norms(fitted, model, target).l2)
         assert fitted.coefficients.shape == (m, 1)
-    small = sample_dataset(model, target, noise, m=N_TRUNC - 1, seed=0)
     with pytest.raises(AssertionError, match="real features were formed"):
-        fit(small, model, tikhonov(), lam=0.05)
+        sample_dataset(model, target, noise, m=N_TRUNC - 1, seed=0)

@@ -4,8 +4,8 @@ import json
 import re
 
 import pytest
-from scipy.linalg import lapack
 
+from ratelab._lapack import lapack
 from ratelab.cli import main
 
 MINI_CONFIG = {

@@ -4,8 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
+from ratelab._lapack import lapack
 from ratelab.errors import ParameterError, UnsupportedNormError
 from ratelab.estimator import (
     basis_coefficients,
@@ -356,7 +356,7 @@ class TestSharedDecomposition:
     def test_each_order_gives_fresh_bits(self, m, first, second):
         model, _, data = _toy_problem(m=m, d=2, seed=m, n_trunc=N_FACTORED)
         if m < N_FACTORED:
-            shared = eigendecompose(assemble_gram(model, data.xs, data.basis))
+            shared = eigendecompose(assemble_gram(model, data.xs, data.features))
         else:
             shared = mercer_gram_eigen(model, model.moments_of(data))
         kept = shared.matrix.copy()

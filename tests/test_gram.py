@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
+from ratelab import mercer
+from ratelab._lapack import lapack
 from ratelab.errors import DataError, ParameterError
 from ratelab.gram import (
     RANK_DROP,
     Dataset,
+    Features,
     GaussianRBF,
     assemble_gram,
     eigendecompose,
@@ -40,14 +42,17 @@ class TestDataset:
             Dataset(xs=np.zeros(0), ys=np.zeros((0, 1)))
 
     def test_basis_needs_one_row_per_sample(self):
+        """The carried features matrix, Phi, needs one row per sample."""
         with pytest.raises(DataError):
-            Dataset(xs=np.zeros(3), ys=np.zeros(3), basis=np.zeros((2, 8)))
+            Dataset(xs=np.zeros(3), ys=np.zeros(3), features=Features(np.zeros((2, 8)), np.ones(8)))
 
     def test_basis_stored_read_only(self):
-        basis = np.zeros((3, 8))
-        data = Dataset(xs=np.zeros(3), ys=np.zeros(3), basis=basis)
-        assert not data.basis.flags.writeable
-        assert basis.flags.writeable
+        """The carried Phi is stored read-only; the caller's array stays writeable."""
+        matrix, scale = np.zeros((3, 8)), np.ones(8)
+        data = Dataset(xs=np.zeros(3), ys=np.zeros(3), features=Features(matrix, scale))
+        assert not data.features.matrix.flags.writeable
+        assert data.features.scale is scale
+        assert matrix.flags.writeable
 
 
 class TestAssembleGram:
@@ -63,11 +68,17 @@ class TestAssembleGram:
         np.testing.assert_allclose(gram, [[1.0]])
 
     @pytest.mark.parametrize("m", [5, 8])
-    def test_mercer_gram_from_a_carried_basis_is_identical(self, m):
+    def test_mercer_gram_from_a_carried_basis_is_identical(self, m, monkeypatch):
+        """The model's own Features at xs give the Gram's bits with no basis
+        evaluation; a complex table passed in their place is not used."""
         model = build_model(b=2.0, n_trunc=8)
         xs = np.random.default_rng(m).uniform(0, 2 * np.pi, size=m)
         table = trigonometric_basis(xs, 8)
-        assert np.array_equal(assemble_gram(model, xs, table), assemble_gram(model, xs))
+        carried = Features(model.features(xs), model._feature_scale)
+        fresh = assemble_gram(model, xs)
+        assert np.array_equal(assemble_gram(model, xs, table), fresh)
+        monkeypatch.setattr(mercer, "trigonometric_basis", None)
+        assert np.array_equal(assemble_gram(model, xs, carried), fresh)
 
     def test_bad_lengthscale(self):
         with pytest.raises(ParameterError):

@@ -46,13 +46,13 @@ class TestBasis:
         xs = np.array([0.3, 1.7, 4.0])
         table = trigonometric_basis(xs, count)
         assert table.shape == (3, count // 2 + 1)
+        # real_features consumes the table
+        cos, sin = math.sqrt(2.0) * table[:, 1:].real, math.sqrt(2.0) * table[:, 1:].imag
         feats = real_features(table, count)
         assert feats.shape == (3, count)
         np.testing.assert_array_equal(feats[:, 0], 1.0)
-        np.testing.assert_array_equal(feats[:, 1::2], math.sqrt(2.0) * table[:, 1:].real)
-        np.testing.assert_array_equal(
-            feats[:, 2::2], math.sqrt(2.0) * table[:, 1 : (count + 1) // 2].imag
-        )
+        np.testing.assert_array_equal(feats[:, 1::2], cos)
+        np.testing.assert_array_equal(feats[:, 2::2], sin[:, : (count - 1) // 2])
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -307,6 +307,17 @@ class TestTargets:
             target_from_source(model, phi, power_law_source(model), radius=math.nan)
         with pytest.raises(ParameterError, match="source exponent s must be finite, got nan"):
             power_law_source(model, s=math.nan)
+
+    @pytest.mark.parametrize(
+        "radius, message",
+        [(-1.0, "positive"), (0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")],
+    )
+    def test_power_law_source_refuses_a_bad_radius_by_name(self, radius, message):
+        """A negative radius used to return the negated source, and an infinite
+        or NaN one a non-finite source, without a word."""
+        model = build_model(b=2.0, n_trunc=8)
+        with pytest.raises(ParameterError, match=f"radius must be {message}, got {radius}"):
+            power_law_source(model, radius=radius)
 
     def test_expansion_norms(self):
         model = build_model(b=2.0, n_trunc=8)

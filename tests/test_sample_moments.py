@@ -69,7 +69,7 @@ def test_carried_statistics_match_a_one_shot_longdouble_sum(n_trunc, d, noise):
     model, target = _lab(n_trunc, d)
     for m in (n_trunc, n_trunc + 1, rows - 1, rows, rows + 1, 3 * rows + 5):
         data = sample_dataset(model, target, NOISES[noise], m=m, seed=m)
-        assert data.basis is None
+        assert data.features is None
         cos, sin, basis = _wide_moments(data.xs, n_trunc)
         moments = data.moments
         assert moments.cos.shape == (2 * (n_trunc // 2) + 1,)
@@ -112,9 +112,12 @@ def test_two_point_measure_draws_the_sample_dataset_draw(m):
     model, target = _lab(128, d=3)
     data = TwoPointMeasure(model, target, 4.0).sample(m, np.random.default_rng(5))
     want = sample_dataset(model, target, NOISES["two_point"], m=m, seed=5)
-    assert (data.basis is None) == (m >= 128)
-    for field in ("xs", "ys", "basis"):
+    assert (data.features is None) == (m >= 128)
+    for field in ("xs", "ys"):
         assert np.array_equal(getattr(data, field), getattr(want, field))
+    if m < 128:
+        assert np.array_equal(data.features.matrix, want.features.matrix)
+        assert data.features.scale is want.features.scale
     for field in ("cos", "sin", "response"):
         assert np.array_equal(getattr(data.moments, field), getattr(want.moments, field))
 
