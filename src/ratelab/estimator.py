@@ -17,28 +17,25 @@ The g_lam(0) term carries the Gram null space (and any eigenpairs a
 decomposition omitted, which are all null); dropping it breaks exact
 agreement with direct solvers whenever the filter has g_lam(0) != 0.
 
-From m = N on, a MercerModel fit stays in the feature domain. With
-Phi = B diag(sqrt t) / sqrt(m) for the (m, N) basis matrix B and the
-empirical operator A = Phi^T Phi = W S W^T, the Gram eigenvectors are
-V = Phi W S^-1/2, so the expansion a = diag(sqrt t) B^T c of the fit
-against sqrt(t_n) e_n is
+Every fit under a MercerModel holds its expansion a against
+sqrt(t_n) e_n. With Phi = B diag(sqrt t) / sqrt(m) for the (m, N) basis
+matrix B and the empirical operator A = Phi^T Phi, the push-through
+identity Phi^T g_lam(Phi Phi^T) = g_lam(A) Phi^T gives
 
-    a = g_lam(A) u = W (g_lam(w) - g_lam(0)) W^T u + g_lam(0) u,   u = diag(sqrt t) B^T y / m,
+    a = diag(sqrt t) B^T c = g_lam(A) u,   u = diag(sqrt t) B^T y / m.
 
-evaluated on A as above, by a Cholesky factorization or by eigenpairs,
-in O(N^2 d) once A is factored or reduced, from the sample's moments
-(`gram.SampleMoments`), with no m-sized array. The coefficient rows
-themselves are derived only when read, as the values at the samples of
-an expansion (`MercerModel.expand`), one chunked pass over the basis
-table. For the Tikhonov family the iterates satisfy
-(G + lam I) c_j = y / m + lam c_(j-1), and m G c_j is the values f_j(x)
-of the j-th iterate's expansion a_j, so summing over j = 1..nu gives
+Below N it is computed from the dense fit's rows and the features the
+Gram was built from. From m = N on the fit stays in the feature domain:
+a = g_lam(A) u by a Cholesky factorization or by eigenpairs of A, in
+O(N^2 d) once A is factored or reduced, from the sample's moments
+(`gram.SampleMoments`), with no m-sized array. Its coefficient rows
+follow, when first read, as
 
-    c = (nu y - f_sum(x)) / (lam m),   f_sum the expansion a_1 + ... + a_nu,
+    c = (g_lam(0) y + f_h(x)) / m,   h = h_lam(A) u,   h_lam(s) = (g_lam(s) - g_lam(0)) / s,
 
-with no eigenpairs. The other filters read them:
-
-    c = (1/m) B diag(sqrt t) W ((g_lam(w) - g_lam(0)) / w) W^T u + (g_lam(0)/m) y.
+f_h(x) the values at the samples of the expansion h
+(`MercerModel.expand`), one chunked pass over the basis table; both
+ways of applying a filter give h with a.
 """
 
 from __future__ import annotations
@@ -60,47 +57,31 @@ MONTE_CARLO_POINTS = 10_000
 class FittedEstimator:
     """A fitted regressor: training data, kernel, filter and representation.
 
-    A dense fit holds its coefficient rows c (m, d) in ``dual``. A fit in
-    the feature domain holds the expansion a (N, d) against sqrt(t_n) e_n
-    in ``expansion`` instead, and ``coefficients`` derives c from it when
-    first read. ``gram`` is the decomposition whose eigenpairs the fit
-    applied, None when it applied a Cholesky factorization instead; such
-    a fit in the feature domain keeps the sum of its iterates' expansions
-    in ``iterate_sum``. ``clamped`` and ``dropped`` are the health of the
-    eigenpairs applied, both zero when there were none.
+    A dense fit holds its coefficient rows c (m, d) in ``dual``. A `fit`
+    under a MercerModel holds its expansion a (N, d) against sqrt(t_n) e_n
+    in ``expansion``; in the feature domain it holds no ``dual`` but the
+    expansion h = h_lam(A) u in ``secant``, from which ``coefficients``
+    derives c when first read. ``clamped`` and ``dropped`` are the health
+    of the eigenpairs the fit applied, both zero when there were none.
     """
 
     dataset: Dataset
     kernel: object
     filter: SpectralFilter
     lam: float
-    gram: GramEigen | None = None
+    clamped: float = 0.0
+    dropped: int = 0
     dual: np.ndarray | None = None
     expansion: np.ndarray | None = None
-    iterate_sum: np.ndarray | None = None
-
-    @property
-    def clamped(self) -> float:
-        return 0.0 if self.gram is None else self.gram.clamped
-
-    @property
-    def dropped(self) -> int:
-        return 0 if self.gram is None else self.gram.dropped
+    secant: np.ndarray | None = None
 
     @cached_property
     def coefficients(self) -> np.ndarray:
         """The coefficient rows c, shape (m, d)."""
         if self.dual is not None:
             return self.dual
-        model, eig, data = self.kernel, self.gram, self.dataset
-        if eig is None:
-            f_sum = model.expand(self.iterate_sum, data.xs)
-            return (self.filter.iterations * data.ys - f_sum) / (self.lam * data.m)
-        g_null = self.filter.values(0.0, self.lam)
-        gain = np.atleast_1d(self.filter.values(eig.eigenvalues, self.lam)) - g_null
-        u = np.sqrt(model.eigenvalues)[:, None] * model.moments_of(data).response
-        weights = eig.combine((gain / eig.eigenvalues)[:, None] * eig.project(u)) / data.m
-        return (g_null / data.m) * data.ys + model.expand(weights, data.xs)
+        data, g_null = self.dataset, self.filter.values(0.0, self.lam)
+        return (g_null * data.ys + self.kernel.expand(self.secant, data.xs)) / data.m
 
     def predict(self, xs) -> np.ndarray:
         if self.expansion is not None:
@@ -110,11 +91,7 @@ class FittedEstimator:
 
 
 def fit(
-    dataset: Dataset,
-    kernel,
-    filt: SpectralFilter,
-    lam: float,
-    gram: GramEigen | None = None,
+    dataset: Dataset, kernel, filt: SpectralFilter, lam: float, gram: GramEigen | None = None
 ) -> FittedEstimator:
     """Fit by applying the spectral filter to the decomposed scaled Gram.
 
@@ -122,9 +99,9 @@ def fit(
     with m >= N the fit runs in the feature domain, from the moments the
     Dataset carries (or moments computed from its samples), and below N
     on the dense Gram Phi Phi^T / m, from the `Features` it carries (or
-    Phi evaluated at its samples). A precomputed ``gram`` decomposition
-    is reused, and its matrix is factored on a copy; one built here is
-    factored in place.
+    Phi evaluated at its samples), whose Phi^T c is the expansion. A
+    precomputed ``gram`` decomposition is reused, and its matrix is
+    factored on a copy; one built here is factored in place.
     """
     g_null = filt.values(0.0, lam)  # refuses a bad lam before any decomposition
     is_mercer = isinstance(kernel, MercerModel)
@@ -137,30 +114,28 @@ def fit(
     else:
         eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.features if is_mercer else None))
     x = np.sqrt(kernel.eigenvalues)[:, None] * moments.response if feature else dataset.ys
-    solved = filt.apply_matrix(eig.matrix, x, lam, overwrite=gram is None)
-    if solved is None:
-        applied, iterate_sum = _by_eigenpairs(eig, filt, lam, g_null, x), None
-    else:
-        applied, iterate_sum = solved
-        eig = None  # no eigenpairs applied, and a matrix built here now holds the factor
-    return FittedEstimator(
-        dataset=dataset,
-        kernel=kernel,
-        filter=filt,
-        lam=lam,
-        gram=eig,
-        dual=None if feature else applied / dataset.m,
-        expansion=applied if feature else None,
-        iterate_sum=iterate_sum if feature else None,
-    )
+    applied, health = filt.apply_matrix(eig.matrix, x, lam, overwrite=gram is None), (0.0, 0)
+    if applied is None:
+        applied, health = _by_eigenpairs(eig, filt, lam, g_null, x), (eig.clamped, eig.dropped)
+    value, secant = applied
+    if feature:
+        return FittedEstimator(dataset, kernel, filt, lam, *health, expansion=value, secant=secant)
+    dual = value / dataset.m
+    expansion = kernel.features(dataset.xs, dataset.features).T @ dual if is_mercer else None
+    return FittedEstimator(dataset, kernel, filt, lam, *health, dual=dual, expansion=expansion)
 
 
 def _by_eigenpairs(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: float, x: np.ndarray):
-    """g_lam(A) x = V (g_lam(w) - g_lam(0)) V^T x + g_lam(0) x for the eigenpairs
-    A = V diag(w) V^T of ``eig``, negative round-off clamped to zero; the
-    second term carries any modes the eigensystem dropped."""
-    gain = np.atleast_1d(filt.values(eig.eigenvalues, lam)) - g_null
-    return eig.combine(gain[:, None] * eig.project(x)) + g_null * x
+    """(g_lam(A) x, h_lam(A) x) for the eigenpairs A = V diag(w) V^T of ``eig``,
+    negative round-off clamped to zero: g_lam(A) x = V (g_lam(w) - g_lam(0)) V^T x
+    + g_lam(0) x, whose second term carries any modes the eigensystem dropped,
+    and h_lam(A) x = V h_lam(w) V^T x over the modes with w > 0. The null
+    modes, on which s h_lam(s) vanishes, add nothing to h."""
+    w = eig.eigenvalues
+    gain = np.atleast_1d(filt.values(w, lam)) - g_null
+    proj = eig.project(x)
+    slope = np.divide(gain, w, out=np.zeros_like(gain), where=w > 0)
+    return eig.combine(gain[:, None] * proj) + g_null * x, eig.combine(slope[:, None] * proj)
 
 
 def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator:
@@ -170,15 +145,9 @@ def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator
     """
     if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
-    gram = assemble_gram(kernel, dataset.xs)
-    lhs = gram + lam * np.eye(dataset.m)
-    coeff = np.linalg.solve(lhs, dataset.ys / dataset.m)
+    lhs = assemble_gram(kernel, dataset.xs) + lam * np.eye(dataset.m)
     return FittedEstimator(
-        dataset=dataset,
-        kernel=kernel,
-        filter=tikhonov(),
-        lam=lam,
-        dual=coeff,
+        dataset, kernel, tikhonov(), lam, dual=np.linalg.solve(lhs, dataset.ys / dataset.m)
     )
 
 
@@ -186,33 +155,26 @@ def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.nd
     """Exact expansion of the fitted function against sqrt(t_n) e_n.
 
     f = sum_i k(., x_i) c_i = sum_n sqrt(t_n) (B^T c)_n * (sqrt(t_n) e_n),
-    so the (N, d) coefficient array is diag(sqrt(t)) B^T c = Phi^T c with B
-    the basis matrix on the training inputs. Below N samples it is Phi^T c,
-    from the `Features` the Dataset carries (`MercerModel.features`); from
-    N on, table products over row chunks (`MercerModel.basis_sums`). A fit
-    in the feature domain under ``model`` holds that array already. Exact
-    because the kernel is truncated.
+    so the (N, d) coefficient array is diag(sqrt t) B^T c, the
+    ``expansion`` that `fit` keeps under ``model``; exact because the
+    kernel is truncated. A fit under any other kernel, another
+    MercerModel of the same N included, or one with no expansion (a
+    `fit_tikhonov_direct` result) is refused.
     """
-    if fit_result.expansion is not None and fit_result.kernel is model:
-        return fit_result.expansion
-    data = fit_result.dataset
-    if data.m < model.n_trunc:
-        return model.features(data.xs, data.features).T @ fit_result.coefficients
-    raw = model.basis_sums(data.xs, fit_result.coefficients)
-    return np.sqrt(model.eigenvalues)[:, None] * raw
+    if fit_result.kernel is not model or fit_result.expansion is None:
+        raise UnsupportedNormError(
+            "an exact expansion needs a fit by `fit` under this MercerModel; "
+            "for other kernels use error_l2_montecarlo"
+        )
+    return fit_result.expansion
 
 
 def error_norms(
     fit_result: FittedEstimator, model: MercerModel, target: TargetFunction
 ) -> ExpansionNorms:
-    """Exact L2 and RKHS error norms of a fit under its own Mercer kernel."""
-    if fit_result.kernel is not model:
-        raise UnsupportedNormError(
-            "exact norms need the fit's own MercerModel; for other kernels "
-            "use error_l2_montecarlo"
-        )
-    diff = basis_coefficients(fit_result, model) - target.coefficients
-    return norms_of_expansion(model, diff)
+    """Exact L2 and RKHS error norms of a fit under its own Mercer kernel
+    (`basis_coefficients`, which refuses any other)."""
+    return norms_of_expansion(model, basis_coefficients(fit_result, model) - target.coefficients)
 
 
 def error_l2_montecarlo(

@@ -131,7 +131,7 @@ class ExperimentConfig:
                 _convert(value, f"noise.{key}")
         try:
             noise = noise_from_dict(noise_spec)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("noise", str(exc)) from None
         _check_keys(noise_spec, _NOISE_KEYS[noise.kind], "noise")
 
@@ -151,6 +151,9 @@ class ExperimentConfig:
         if not 0 < eta < 1:
             raise ConfigError("eta", f"need a level in (0, 1), got {eta}")
         seed = resolve_seed(raw.get("seed", 0))
+        tolerance = _number(raw, "slope_tolerance", 0.1)
+        if not tolerance > 0:
+            raise ConfigError("slope_tolerance", f"need a positive tolerance, got {tolerance}")
 
         return cls(
             model_b=_number(model, "b", None, "model"),
@@ -169,7 +172,7 @@ class ExperimentConfig:
             replicates=replicates,
             eta=eta,
             seed=seed,
-            slope_tolerance=_number(raw, "slope_tolerance", 0.1),
+            slope_tolerance=tolerance,
         )
 
     def as_dict(self) -> dict:
@@ -207,11 +210,11 @@ def resolve_seed(seed, key: str = "seed") -> int:
     """The run's seed: ``seed``, named ``key`` where it came from, or
     RATE_LAB_SEED when that is set. Both are checked, and each is refused
     by name unless it is a nonnegative integer, the only seeds numpy takes."""
-    for value, name in ((seed, key), (os.environ.get(SEED_ENV_VAR), SEED_ENV_VAR)):
-        if value is not None:
-            resolved = _convert(value, name, int)
-            if resolved < 0:
-                raise ConfigError(name, f"need a nonnegative integer, got {resolved}")
+    env = os.environ.get(SEED_ENV_VAR)
+    for value, name in [(seed, key)] + ([] if env is None else [(env, SEED_ENV_VAR)]):
+        resolved = _convert(value, name, int)
+        if resolved < 0:
+            raise ConfigError(name, f"need a nonnegative integer, got {resolved}")
     return resolved
 
 

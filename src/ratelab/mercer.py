@@ -59,7 +59,7 @@ def trigonometric_basis(xs, count: int) -> np.ndarray:
     functions: 1, then sqrt(2) cos(k x) and sqrt(2) sin(k x) are the
     real and imaginary parts of column k times sqrt(2) (`real_features`).
     Sums over samples are products with the table (`MercerModel.expand`,
-    `MercerModel.basis_sums`, `MomentSums`).
+    `MomentSums`).
 
     Only cos(x) and sin(x) are computed by transcendental calls. The
     higher frequencies follow by angle doubling: with frequencies 1..w
@@ -283,14 +283,6 @@ class MercerModel:
         for rows, chunk in self.basis_chunks(xs, table):
             out[rows] = (chunk @ phi).real
         return out
-
-    def basis_sums(self, xs, values) -> np.ndarray:
-        """B^T ``values`` (N, d) for the basis B at ``xs`` and ``values`` (m, d):
-        the table product V^T values over `basis_chunks`, then `fold`."""
-        sums = 0.0
-        for rows, chunk in self.basis_chunks(xs):
-            sums = sums + chunk.T @ values[rows]
-        return fold(sums, self.n_trunc)
 
     def expand_on_grid(self, coefficients) -> np.ndarray:
         """Values of the expansion with ``coefficients`` (N, d) against

@@ -407,6 +407,11 @@ class TestSweep:
             ({"filter": {"id": "ridge"}}, "filter.id"),
             ({"model": {"b": 2.0, "N_trunc": 64.9}}, "model.N_trunc"),
             ({"slope_tolerance": float("nan")}, "slope_tolerance"),
+            ({"slope_tolerance": 0}, "slope_tolerance"),
+            ({"slope_tolerance": -0.1}, "slope_tolerance"),
+            ({"seed": None}, "seed"),
+            ({"noise": {"kind": "gaussian", "sigma": [1]}}, "noise"),
+            ({"noise": {"kind": "two_point", "L": None}}, "noise"),
         ],
     )
     def test_malformed_value_exits_with_usage_error(self, change, key, tmp_path, capsys):

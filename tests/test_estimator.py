@@ -114,7 +114,7 @@ class TestFit:
         ys = np.array([0.4, -0.2, 0.9])
         data = Dataset(xs=xs, ys=ys)
         result = fit(data, model, spectral_cutoff(), lam=1e-6)
-        assert result.gram.eigenvalues.min() > 1e-6
+        assert eigendecompose(assemble_gram(model, xs)).eigenvalues.min() > 1e-6
         np.testing.assert_allclose(result.predict(xs), data.ys, rtol=1e-8)
 
     def test_landweber_near_tikhonov_for_small_lambda(self):
@@ -261,6 +261,7 @@ class TestResolventFit:
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
         lam = 0.05
         calls = _count_lapack(monkeypatch, "dsytrd", "dstevd")
+        factored = _count_lapack(monkeypatch, "dpotrf")
         result = fit(data, model, filt, lam=lam)
         if m < N_FACTORED:
             gram = assemble_gram(model, data.xs)
@@ -278,7 +279,7 @@ class TestResolventFit:
             by_eigh = vecs @ (gain[:, None] * (vecs.T @ u))
             assert _relative_gap(result.expansion, by_eigh) <= 1e-10
         assert calls == []
-        assert result.gram is None
+        assert factored == ["dpotrf"]  # a Cholesky factorization, no eigenpairs
         assert (result.clamped, result.dropped) == (0.0, 0)
 
     @pytest.mark.parametrize("m", [N_FACTORED // 2, 4 * N_FACTORED])
@@ -307,11 +308,16 @@ class TestResolventFit:
         assert got.shape == (m, d)
         assert _relative_gap(got, want) <= 1e-10
 
-    def test_nonpositive_pivot_falls_back_to_the_clamped_eigenpairs(self):
+    def test_nonpositive_pivot_falls_back_to_the_clamped_eigenpairs(self, monkeypatch):
         """lam below a negative round-off eigenvalue: G + lam I is indefinite, so the
         fit filters the eigenpairs, which clamp that eigenvalue to zero, and raises
         nothing. A decomposition passed in keeps its matrix; one the fit builds
         and factors in place gets it back before it is reduced."""
+        reduced = []
+        real = lapack.dsytrd
+        monkeypatch.setattr(
+            lapack, "dsytrd", lambda a, *r, **k: reduced.append(a.T.copy()) or real(a, *r, **k)
+        )
         rng = np.random.default_rng(12)
         rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         spectrum = np.array([1.0, 0.5, 0.25, 0.1, -1e-12])
@@ -329,10 +335,11 @@ class TestResolventFit:
             result = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam, gram=eig)
             own = fit(data, fixed, tikhonov(), lam)
         assert np.array_equal(eig.matrix, kept)
-        assert result.gram is eig
+        assert len(reduced) == 2 and np.array_equal(reduced[0], kept)
         assert _relative_gap(result.dual, oracle) <= 1e-10
         assert result.clamped == eig.clamped == pytest.approx(1e-12, rel=1e-3)
-        assert np.array_equal(own.gram.matrix, eigendecompose(assemble_gram(fixed, data.xs)).matrix)
+        assert len(reduced) == 2  # eig.clamped was read off the fit's own reduction of eig
+        assert np.array_equal(reduced[1], eigendecompose(assemble_gram(fixed, data.xs)).matrix)
         assert _relative_gap(own.dual, oracle) <= 1e-10
         assert own.clamped == pytest.approx(1e-12, rel=1e-3)
 
@@ -387,9 +394,13 @@ class TestOneSolve:
         result = fit(data, model, filt, lam=0.05)
         assert result.clamped >= 0.0
         assert result.coefficients.shape == (m, 2)
-        if per_fit:
-            assert result.gram.rank == result.gram.size - result.dropped
         assert sorted(calls) == ["dstevd", "dsytrd"] * per_fit
+        if per_fit:
+            if m < N_FACTORED:
+                own = eigendecompose(assemble_gram(model, data.xs, data.features))
+            else:
+                own = mercer_gram_eigen(model, model.moments_of(data))
+            assert own.rank == own.size - result.dropped
 
     def test_spectral_norm_bisects_twice(self, monkeypatch):
         raw = np.random.default_rng(1).standard_normal((12, 12))
@@ -427,10 +438,19 @@ class TestErrorNorms:
         assert errs.rkhs < 1e-6
 
     def test_exact_norms_need_the_models_own_kernel(self):
-        model, target, data = _toy_problem(m=12, seed=10)
-        rbf = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam=0.05)
-        with pytest.raises(UnsupportedNormError):
-            error_norms(rbf, model, target)
+        """Norms and the expansion both refuse a fit under another kernel, under
+        a second model of the same N, on either side of m = N, and a fit that
+        holds no expansion."""
+        for m in (6, 12):
+            model, target, data = _toy_problem(m=m, seed=10)
+            rbf = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam=0.05)
+            twin = fit(data, build_model(b=2.0, n_trunc=model.n_trunc), tikhonov(), lam=0.05)
+            direct = fit_tikhonov_direct(data, model, lam=0.05)
+            with pytest.raises(UnsupportedNormError):
+                error_norms(rbf, model, target)
+            for other in (rbf, twin, direct):
+                with pytest.raises(UnsupportedNormError):
+                    basis_coefficients(other, model)
 
     def test_export_round_trip(self):
         model, _, data = _toy_problem(m=6, seed=11)

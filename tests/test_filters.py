@@ -131,19 +131,24 @@ class TestTridiagonalAction:
     @pytest.mark.parametrize("n", [1, 2, 17])
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_matches_values_on_the_eigenpairs(self, n, nu):
-        """Both the result and the sum of the nu iterates, the j-th of which is
-        iterated Tikhonov with j iterations, and the matrix is left as it was."""
+        """Both g(A) v and h(A) v, h(s) = (g(s) - g(0)) / s, on a matrix whose
+        eigenvalues are all above 0.3; -lam h(A) v is the sum of the nu
+        iterates, the j-th of which is iterated Tikhonov with j iterations.
+        The matrix is left as it was."""
         _, _, dense = _tridiagonal(n, seed=n + nu)
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
         v = np.random.default_rng(nu).standard_normal((n, 3))
         vals, vecs = np.linalg.eigh(dense)
         for lam in (1e-3, 0.3, 5.0):
             want = vecs @ (filt.values(vals, lam)[:, None] * (vecs.T @ v))
+            slopes = (filt.values(vals, lam) - filt.values(0.0, lam)) / vals
+            want_h = vecs @ (slopes[:, None] * (vecs.T @ v))
             gains = sum(iterated_tikhonov(j).values(vals, lam) for j in range(1, nu + 1))
             want_sum = vecs @ (gains[:, None] * (vecs.T @ v))
-            got, got_sum = filt.apply_matrix(dense, v, lam)
+            got, got_h = filt.apply_matrix(dense, v, lam)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            assert np.max(np.abs(got_sum - want_sum)) <= 1e-12 * np.max(np.abs(want_sum))
+            assert np.max(np.abs(got_h - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+            assert np.max(np.abs(-lam * got_h - want_sum)) <= 1e-12 * np.max(np.abs(want_sum))
         assert np.array_equal(dense, _tridiagonal(n, seed=n + nu)[2])
 
     @pytest.mark.parametrize("filt", [landweber(0.5), spectral_cutoff()])

@@ -129,6 +129,17 @@ class TestConfig:
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "eta": "x"}, "eta"),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "seed": "x"}, "seed"),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "slope_tolerance": "x"}, "slope_tolerance"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "seed": None}, "seed"),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "noise": {"kind": "gaussian", "sigma": [1]}},
+                "noise",
+            ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "noise": {"kind": "two_point", "L": None}},
+                "noise",
+            ),
         ],
     )
     def test_rejects_bad_payloads(self, payload, key):
@@ -152,10 +163,14 @@ class TestConfig:
             ({"noise": {"kind": "gaussian", "sigma": float("nan")}}, "noise.sigma"),
             ({"noise": {"kind": "two_point", "L": float("inf")}}, "noise.L"),
             ({"m_grid": [32, 64, float("nan"), 256]}, "m_grid"),
+            ({"slope_tolerance": 0}, "slope_tolerance"),
+            ({"slope_tolerance": -0.1}, "slope_tolerance"),
         ],
     )
     def test_rejects_non_finite_and_non_integral_numbers(self, change, key):
-        """A number is refused, never truncated to an int or carried as NaN or infinity."""
+        """A number is refused, never truncated to an int or carried as NaN or
+        infinity; a slope tolerance must be positive, since none at or below 0
+        lets any verdict pass."""
         payload = dict({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}}, **change)
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(payload)
