@@ -27,11 +27,9 @@ from .errors import (
 from .estimator import (
     FittedEstimator,
     basis_coefficients,
-    error_l2_montecarlo,
     error_norms,
     export_coefficients,
     fit,
-    fit_tikhonov_direct,
 )
 from .filters import (
     SpectralFilter,
@@ -41,7 +39,7 @@ from .filters import (
     spectral_cutoff,
     tikhonov,
 )
-from .gram import Dataset, GaussianRBF, assemble_gram, eigendecompose, mercer_gram_eigen
+from .gram import Dataset, assemble_gram, eigendecompose, mercer_gram_eigen
 from .harness import ExperimentConfig, load_config, rate_sweep, write_outputs
 from .index_functions import (
     HolderIndex,
@@ -57,7 +55,6 @@ from .lower_bounds import (
     TwoPointMeasure,
     adversarial_family,
     amplitude_for,
-    bayes_error,
     build_packing,
     empirical_fano_check,
     fano_bound,

@@ -7,6 +7,7 @@ Exit codes: 0 when the requested check passed (or nothing was checked),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -79,7 +80,7 @@ def _print(payload: dict):
 
 
 def _cmd_exponents(args) -> int:
-    payload = rate_exponents(args.b, args.r).as_dict()
+    payload = dataclasses.asdict(rate_exponents(args.b, args.r))
     if args.eps is not None:
         payload["individual_l2"] = individual_lower_exponent_l2(
             args.b, args.r1, args.r2, args.eps
@@ -163,7 +164,6 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     model, phi = _build_lab(args)
-    seed = resolve_seed(args.seed, "--seed")
     check = empirical_fano_check(
         model,
         phi,
@@ -171,8 +171,7 @@ def _cmd_lower_bound(args) -> int:
         args.ell,
         args.m,
         trials=args.trials,
-        seed=seed,
-        packing_seed=seed,
+        seed=resolve_seed(args.seed, "--seed"),
     )
 
     level = check["amplitude"]

@@ -128,7 +128,9 @@ def tail_test(
 
     Draws independent datasets, computes the chosen statistic on each,
     and counts how often it exceeds its ceiling. The noise model must
-    certify its moment constants before any bound is evaluated.
+    certify its moment constants before any bound is evaluated. The
+    sample-error test needs noise: without it (Bernstein scale 0) its
+    bound is exactly 0 and its statistic round-off, so it is refused.
     """
     if kind not in TAIL_KINDS:
         raise ParameterError(f"unknown statistic {kind!r}; expected one of {TAIL_KINDS}")
@@ -145,6 +147,11 @@ def tail_test(
             f"> limit {certificate.moment_limit!r}"
         )
     if kind == "sample_error":
+        if certificate.bernstein_scale == 0:
+            raise ParameterError(
+                f"the sample_error tail test needs output noise, got {noise.describe()}: "
+                "its bound is 0 and its statistic round-off"
+            )
         bound = sample_error_bound(model, certificate, lam, m, eta)
     else:
         bound = operator_deviation_bound(model.kappa_sq, m, eta)

@@ -25,11 +25,11 @@ identity Phi^T g_lam(Phi Phi^T) = g_lam(A) Phi^T gives
     a = diag(sqrt t) B^T c = g_lam(A) u,   u = diag(sqrt t) B^T y / m.
 
 Below N it is computed from the dense fit's rows and the features the
-Gram was built from. From m = N on the fit stays in the feature domain:
-a = g_lam(A) u by a Cholesky factorization or by eigenpairs of A, in
-O(N^2 d) once A is factored or reduced, from the sample's moments
-(`gram.SampleMoments`), with no m-sized array. Its coefficient rows
-follow, when first read, as
+Gram was built from, evaluated at most once per fit. From m = N on the
+fit stays in the feature domain: a = g_lam(A) u by a Cholesky
+factorization or by eigenpairs of A, in O(N^2 d) once A is factored or
+reduced, from the sample's moments (`gram.SampleMoments`), with no
+m-sized array. Its coefficient rows follow, when first read, as
 
     c = (g_lam(0) y + f_h(x)) / m,   h = h_lam(A) u,   h_lam(s) = (g_lam(s) - g_lam(0)) / s,
 
@@ -45,13 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedNormError
-from .filters import SpectralFilter, tikhonov
+from .errors import UnsupportedNormError
+from .filters import SpectralFilter
 from .gram import Dataset, GramEigen, assemble_gram, eigendecompose, mercer_gram_eigen
 from .mercer import ExpansionNorms, MercerModel, TargetFunction, norms_of_expansion
-
-MONTE_CARLO_POINTS = 10_000
-
 
 @dataclass(frozen=True, eq=False)
 class FittedEstimator:
@@ -107,12 +104,13 @@ def fit(
     is_mercer = isinstance(kernel, MercerModel)
     feature = is_mercer and (dataset.m >= kernel.n_trunc if gram is None else not gram.complete)
     moments = kernel.moments_of(dataset) if feature else None
+    features = kernel.features(dataset.xs, dataset.features) if is_mercer and not feature else None
     if gram is not None:
         eig = gram
     elif feature:
         eig = mercer_gram_eigen(kernel, moments)
     else:
-        eig = eigendecompose(assemble_gram(kernel, dataset.xs, dataset.features if is_mercer else None))
+        eig = eigendecompose(assemble_gram(kernel, dataset.xs, features))
     x = np.sqrt(kernel.eigenvalues)[:, None] * moments.response if feature else dataset.ys
     applied, health = filt.apply_matrix(eig.matrix, x, lam, overwrite=gram is None), (0.0, 0)
     if applied is None:
@@ -121,7 +119,7 @@ def fit(
     if feature:
         return FittedEstimator(dataset, kernel, filt, lam, *health, expansion=value, secant=secant)
     dual = value / dataset.m
-    expansion = kernel.features(dataset.xs, dataset.features).T @ dual if is_mercer else None
+    expansion = features.matrix.T @ dual if is_mercer else None
     return FittedEstimator(dataset, kernel, filt, lam, *health, dual=dual, expansion=expansion)
 
 
@@ -138,19 +136,6 @@ def _by_eigenpairs(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: flo
     return eig.combine(gain[:, None] * proj) + g_null * x, eig.combine(slope[:, None] * proj)
 
 
-def fit_tikhonov_direct(dataset: Dataset, kernel, lam: float) -> FittedEstimator:
-    """Reference Tikhonov fit via a dense linear solve, no eigendecomposition.
-
-    Solves ((1/m) K + lam I) c = y / m. Exists to cross-check `fit`.
-    """
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam!r}")
-    lhs = assemble_gram(kernel, dataset.xs) + lam * np.eye(dataset.m)
-    return FittedEstimator(
-        dataset, kernel, tikhonov(), lam, dual=np.linalg.solve(lhs, dataset.ys / dataset.m)
-    )
-
-
 def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.ndarray:
     """Exact expansion of the fitted function against sqrt(t_n) e_n.
 
@@ -158,14 +143,11 @@ def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.nd
     so the (N, d) coefficient array is diag(sqrt t) B^T c, the
     ``expansion`` that `fit` keeps under ``model``; exact because the
     kernel is truncated. A fit under any other kernel, another
-    MercerModel of the same N included, or one with no expansion (a
-    `fit_tikhonov_direct` result) is refused.
+    MercerModel of the same N included, or one that holds no expansion
+    is refused.
     """
     if fit_result.kernel is not model or fit_result.expansion is None:
-        raise UnsupportedNormError(
-            "an exact expansion needs a fit by `fit` under this MercerModel; "
-            "for other kernels use error_l2_montecarlo"
-        )
+        raise UnsupportedNormError("an exact expansion needs a fit by `fit` under this MercerModel")
     return fit_result.expansion
 
 
@@ -175,17 +157,6 @@ def error_norms(
     """Exact L2 and RKHS error norms of a fit under its own Mercer kernel
     (`basis_coefficients`, which refuses any other)."""
     return norms_of_expansion(model, basis_coefficients(fit_result, model) - target.coefficients)
-
-
-def error_l2_montecarlo(
-    fit_result: FittedEstimator,
-    target: TargetFunction,
-    points: int = MONTE_CARLO_POINTS,
-) -> float:
-    """Grid approximation of the L2 error, usable with any kernel."""
-    xs = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    diff = fit_result.predict(xs) - target.evaluate(xs)
-    return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
 
 
 def export_coefficients(fit_result: FittedEstimator) -> dict:

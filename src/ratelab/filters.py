@@ -303,21 +303,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def as_dict(self) -> dict:
-        return {
-            "filter": self.filter_id,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": row.name,
-                    "attained": row.attained,
-                    "allowed": row.allowed,
-                    "passed": row.passed,
-                }
-                for row in self.rows
-            ],
-        }
-
 
 def tikhonov() -> SpectralFilter:
     return SpectralFilter("tikhonov")

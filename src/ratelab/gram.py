@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import lapack
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, NumericalError
 
 NEGATIVE_EIG_WARN = 1e-10  # warn when clamping below -1e-10 * top eigenvalue
 RANK_DROP = 1e-12  # factored path drops modes below this times the top one
@@ -114,29 +114,10 @@ class Dataset:
         return self.ys.shape[1]
 
 
-@dataclass(frozen=True)
-class GaussianRBF:
-    """Stationary squared-exponential kernel on the line."""
-
-    lengthscale: float
-
-    def __post_init__(self):
-        if self.lengthscale <= 0:
-            raise ParameterError(f"lengthscale must be positive, got {self.lengthscale}")
-
-    def scalar_kernel(self, xs, zs) -> np.ndarray:
-        xs = np.asarray(xs, float)[:, None]
-        zs = np.asarray(zs, float)[None, :]
-        return np.exp(-((xs - zs) ** 2) / (2.0 * self.lengthscale**2))
-
-    def describe(self) -> dict:
-        return {"kind": "gaussian_rbf", "lengthscale": self.lengthscale}
-
-
 def assemble_gram(kernel, xs, features=None) -> np.ndarray:
     """The scaled Gram matrix (1/m) k(x_i, x_j), as symmetric as the kernel
-    returns it (`eigendecompose` symmetrizes). A MercerModel kernel reuses
-    the `Features` at ``xs`` a Dataset carries (see `MercerModel.scalar_kernel`)."""
+    returns it (`eigendecompose` symmetrizes). A MercerModel kernel reads
+    ``features`` at ``xs`` if they are its own (`MercerModel.scalar_kernel`)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 1:
         raise DataError(f"xs must be a nonempty 1-d array, got shape {xs.shape}")
@@ -171,8 +152,7 @@ class GramEigen:
     ``eigenvalues`` (k,) are the kept ones, k = n - ``dropped``, with
     negative round-off clamped to zero, and the orthonormal eigenvectors
     are Q times the matching columns of Z. `project` and `combine` apply
-    them and their transpose one factor at a time, Q in O(n^2 d);
-    ``vectors`` builds them on each read.
+    them and their transpose one factor at a time, Q in O(n^2 d).
     """
 
     matrix: np.ndarray
@@ -216,15 +196,6 @@ class GramEigen:
     @property
     def dropped(self) -> int:
         return self._solved[5]
-
-    @property
-    def rank(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The (n, k) eigenvector matrix, built on each access."""
-        return self.combine(np.eye(self.rank))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """(Q Z)^T x for x of shape (n, d), shape (k, d)."""
@@ -333,9 +304,3 @@ def mercer_gram_eigen(model, moments: SampleMoments) -> GramEigen:
     """
     return GramEigen(model.empirical_operator(moments), complete=False)
 
-
-def reconstruction_error(matrix: np.ndarray, eig: GramEigen) -> float:
-    """Max-abs deviation between the decomposed matrix and its stored eigensystem:
-    the Gram on the dense path, the empirical operator on the feature path."""
-    approx = (eig.vectors * eig.eigenvalues[None, :]) @ eig.vectors.T
-    return float(np.max(np.abs(np.asarray(matrix) - approx)))

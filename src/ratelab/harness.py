@@ -131,7 +131,9 @@ class ExperimentConfig:
                 _convert(value, f"noise.{key}")
         try:
             noise = noise_from_dict(noise_spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"noise.{exc.args[0]}", "required") from None
+        except (TypeError, ValueError) as exc:
             raise ConfigError("noise", str(exc)) from None
         _check_keys(noise_spec, _NOISE_KEYS[noise.kind], "noise")
 
@@ -393,7 +395,7 @@ def _expected_exponents(config: ExperimentConfig, phi: IndexFunction) -> dict:
     if not isinstance(phi, HolderIndex):
         return {"l2": None, "rkhs": None}
     exps = rate_exponents(config.model_b, phi.r)
-    if config.rule in ("psi", "holder_psi_closed"):
+    if config.rule == "psi":
         return {"l2": exps.l2_upper_psi, "rkhs": exps.rkhs_upper}
     return {"l2": exps.l2_upper_theta, "rkhs": None}
 

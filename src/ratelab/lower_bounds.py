@@ -348,7 +348,6 @@ def empirical_fano_check(
     m: int,
     trials: int = 200,
     seed: int = 0,
-    packing_seed: int = 0,
 ) -> dict:
     """Race an actual estimator against the error floor.
 
@@ -358,12 +357,13 @@ def empirical_fano_check(
     m, and records whether the fit landed epsilon/2 or farther from the
     truth in L2. The observed frequency must not undercut the floor by
     more than three binomial standard errors; ``consistent`` reports that
-    comparison. The result also holds the adversarial ``family`` the
-    trials drew from.
+    comparison. The packing is built from ``seed``, and trial i draws from
+    SeedSequence([seed, i]). The result also holds the adversarial
+    ``family`` the trials drew from.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    packing = build_packing(ell, seed=packing_seed)
+    packing = build_packing(ell, seed=seed)
     epsilon = separation_for_code_length(model, phi, radius, ell)
     family = adversarial_family(model, phi, radius, epsilon, packing)
     level = amplitude_for(phi, radius, model)
@@ -397,16 +397,3 @@ def empirical_fano_check(
         "family": family,
     }
 
-
-def bayes_error(gamma, sigma: float) -> float:
-    """Exact misclassification floor of a balanced two-mean Gaussian test.
-
-    For observations N(+-gamma, sigma^2 I) with equal priors the optimal
-    rule errs with probability erfc(|gamma| / (sigma sqrt(2))) / 2.
-    """
-    norm = float(np.linalg.norm(np.atleast_1d(np.asarray(gamma, dtype=float))))
-    if sigma < 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma!r}")
-    if sigma == 0:
-        return 0.0 if norm > 0 else 0.5
-    return math.erfc(norm / (sigma * math.sqrt(2.0))) / 2.0

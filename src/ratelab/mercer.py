@@ -219,15 +219,15 @@ class MercerModel:
         """The real (len(xs), N) basis matrix B at ``xs`` (`real_features`)."""
         return real_features(trigonometric_basis(xs, self.n_trunc), self.n_trunc)
 
-    def features(self, xs, carried: Features | None = None) -> np.ndarray:
-        """Phi = B diag(sqrt t) at ``xs``, shape (len(xs), N): the matrix of
-        the ``carried`` `Features` if they are this model's at ``xs`` (built
-        with its scale, as `draw_dataset` builds them), else evaluated;
-        anything else passed as ``carried`` is not used."""
+    def features(self, xs, carried: Features | None = None) -> Features:
+        """This model's `Features` at ``xs``, Phi = B diag(sqrt t) of shape
+        (len(xs), N): the ``carried`` ones if they are this model's at ``xs``
+        (built with its scale, as `draw_dataset` builds them), else
+        evaluated; anything else passed as ``carried`` is not used."""
         shape = (len(xs), self.n_trunc)
         if getattr(carried, "scale", None) is self._feature_scale and carried.matrix.shape == shape:
-            return carried.matrix
-        return self._features_of(trigonometric_basis(xs, self.n_trunc)).matrix
+            return carried
+        return self._features_of(trigonometric_basis(xs, self.n_trunc))
 
     def _features_of(self, table: np.ndarray) -> Features:
         """This model's `Features`, written over a `trigonometric_basis` table
@@ -378,8 +378,8 @@ class MercerModel:
     def scalar_kernel(self, xs, zs, features: Features | None = None) -> np.ndarray:
         """k(x_i, z_j) = (Phi_x Phi_z^T)_ij with Phi = B diag(sqrt t) (`features`);
         ``features`` carried at ``xs`` are reused if they are this model's."""
-        phi_x = self.features(xs, features)
-        return phi_x @ (phi_x if zs is xs else self.features(zs)).T
+        phi_x = self.features(xs, features).matrix
+        return phi_x @ (phi_x if zs is xs else self.features(zs).matrix).T
 
     def trace_tail_bound(self) -> float:
         """Upper bound on the eigenvalue mass dropped by truncation.
@@ -491,10 +491,6 @@ class TargetFunction:
     source: np.ndarray  # (N, d)
     radius: float
 
-    @property
-    def source_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.source**2)))
-
     def evaluate(self, xs, table=None) -> np.ndarray:
         """Target values at ``xs``; a precomputed ``table`` at ``xs`` is reused if it fits."""
         return self.model.expand(self.coefficients, xs, table)
@@ -563,30 +559,21 @@ def approx_error_norms(
     phi: IndexFunction,
     radius: float,
     lam: float,
-    target: TargetFunction | None = None,
-    worst_case: bool = False,
+    target: TargetFunction,
 ) -> ApproxErrorReport:
     """Exact norms of (population-regularized minus target), with bound checks.
 
     The per-mode error coefficient is lam / (t_n + lam) times the target
-    coefficient. With ``worst_case`` the report maximizes each norm over
-    single-mode sources of norm ``radius``. Monotonicity flags of ``phi``
-    decide which closed-form limits apply; a licensed limit that fails is a
-    ContractError since these are analytic inequalities. When no limit is
-    licensed the report simply says so.
+    coefficient. Monotonicity flags of ``phi`` decide which closed-form
+    limits apply; a licensed limit that fails is a ContractError since
+    these are analytic inequalities. When no limit is licensed the report
+    simply says so.
     """
     if not 0 < lam <= model.kappa_sq * (1 + 1e-12):
         raise DomainError(f"lam must lie in (0, {model.kappa_sq!r}], got {lam!r}")
     t = model.eigenvalues
-    if worst_case:
-        per_mode_rkhs = radius * lam * phi.value(t) / (t + lam)
-        rkhs_error = float(per_mode_rkhs.max())
-        l2_error = float((np.sqrt(t) * per_mode_rkhs).max())
-    else:
-        if target is None:
-            raise ParameterError("need a target unless worst_case=True")
-        diff = (lam / (t + lam))[:, None] * target.coefficients
-        l2_error, rkhs_error = norms_of_expansion(model, diff)
+    diff = (lam / (t + lam))[:, None] * target.coefficients
+    l2_error, rkhs_error = norms_of_expansion(model, diff)
 
     flags = phi.flags
     phi_lam = phi.value(lam)

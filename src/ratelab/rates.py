@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .index_functions import HolderIndex, IndexFunction, invert_monotone
+from .index_functions import IndexFunction, invert_monotone
 
 
 def effective_dimension(eigenvalues: np.ndarray, lam: float, output_dim: int = 1) -> float:
@@ -60,14 +60,12 @@ def effdim_bound_check(model, lam_grid) -> EffDimReport:
     return EffDimReport(rows=tuple(rows))
 
 
-LAMBDA_RULES = ("psi", "theta", "holder_psi_closed", "holder_theta_closed")
+LAMBDA_RULES = ("psi", "theta")
 
 
 @dataclass(frozen=True)
 class LambdaChoice:
     value: float
-    rule: str
-    m: int
     clipped: bool
 
     def __float__(self) -> float:
@@ -79,11 +77,10 @@ def choose_lambda(rule: str, phi: IndexFunction, b: float, m: int) -> LambdaChoi
 
     "psi" and "theta" invert the schedules Psi(t) = t**(1/2 + 1/(2b)) phi(t)
     (tuned for the RKHS norm) and Theta(t) = t**(1/(2b)) phi(t) (for L2) at
-    1/sqrt(m) numerically (`invert_monotone`), and warn at b <= 1, where
-    the polynomial effective-dimension bound does not apply. The
-    "holder_*_closed" rules use the power-law solutions m**(-b/(2br+b+1))
-    and m**(-b/(2br+1)) and require a HolderIndex. Every rule needs a
-    finite b > 0. The value is clipped into (0, min(1, phi.domain_max)]
+    1/sqrt(m) numerically (`invert_monotone`); for Hoelder phi these are the
+    power laws m**(-b/(2br+b+1)) and m**(-b/(2br+1)). Both need a finite
+    b > 0 and warn at b <= 1, where the polynomial effective-dimension bound
+    does not apply. The value is clipped into (0, min(1, phi.domain_max)]
     with a flag.
     """
     if rule not in LAMBDA_RULES:
@@ -92,43 +89,27 @@ def choose_lambda(rule: str, phi: IndexFunction, b: float, m: int) -> LambdaChoi
         raise ParameterError(f"m must be >= 1, got {m}")
     if not 0 < b < math.inf:
         raise ParameterError(f"decay exponent must be positive and finite, got {b}")
+    if b <= 1:
+        warnings.warn(
+            f"decay exponent b = {b} <= 1: the schedules remain valid but the "
+            "polynomial effective-dimension bound does not apply",
+            stacklevel=2,
+        )
     cap = min(1.0, phi.domain_max)
-
-    forced = False
-    if rule in ("psi", "theta"):
-        if b <= 1:
-            warnings.warn(
-                f"decay exponent b = {b} <= 1: the schedules remain valid but the "
-                "polynomial effective-dimension bound does not apply",
-                stacklevel=2,
-            )
-        power = 0.5 + 0.5 / b if rule == "psi" else 0.5 / b
-        hi = phi.domain_max
-        try:
-            value = invert_monotone(
-                lambda t: float(np.asarray(t, float) ** power * phi.value(t)),
-                1.0 / math.sqrt(m),
-                hi * 1e-12,
-                hi,
-            )
-        except DomainError:
-            # 1/sqrt(m) exceeds the schedule's range: every admissible level
-            # is undersized, so take the largest one.
-            value = cap
-            forced = True
-    else:
-        if not isinstance(phi, HolderIndex):
-            raise ParameterError(
-                f"rule {rule!r} has a closed form only for HolderIndex, got {type(phi).__name__}"
-            )
-        r = phi.r
-        if rule == "holder_psi_closed":
-            value = float(m) ** (-b / (2.0 * b * r + b + 1.0))
-        else:
-            value = float(m) ** (-b / (2.0 * b * r + 1.0))
-
-    clipped = forced or value > cap
-    return LambdaChoice(value=min(value, cap), rule=rule, m=m, clipped=clipped)
+    power = 0.5 + 0.5 / b if rule == "psi" else 0.5 / b
+    hi = phi.domain_max
+    try:
+        value = invert_monotone(
+            lambda t: float(np.asarray(t, float) ** power * phi.value(t)),
+            1.0 / math.sqrt(m),
+            hi * 1e-12,
+            hi,
+        )
+    except DomainError:
+        # 1/sqrt(m) exceeds the schedule's range: every admissible level
+        # is undersized, so take the largest one.
+        return LambdaChoice(value=cap, clipped=True)
+    return LambdaChoice(value=min(value, cap), clipped=value > cap)
 
 
 def check_theorem_condition(m: int, lam: float, kappa: float, eta: float) -> dict:
@@ -164,17 +145,6 @@ class RateExponents:
     def __post_init__(self):
         assert math.isclose(self.rkhs_upper, self.rkhs_lower, rel_tol=1e-12)
         assert math.isclose(self.l2_upper_psi, self.l2_lower, rel_tol=1e-12)
-
-    def as_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "r": self.r,
-            "rkhs_upper": self.rkhs_upper,
-            "rkhs_lower": self.rkhs_lower,
-            "l2_upper_theta": self.l2_upper_theta,
-            "l2_upper_psi": self.l2_upper_psi,
-            "l2_lower": self.l2_lower,
-        }
 
 
 def rate_exponents(b: float, r: float) -> RateExponents:

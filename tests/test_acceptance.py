@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from ratelab.concentration import tail_test
-from ratelab.estimator import fit, fit_tikhonov_direct
+from ratelab.estimator import fit
 from ratelab.filters import iterated_tikhonov, landweber, spectral_cutoff, tikhonov
-from ratelab.gram import Dataset, GaussianRBF
+from ratelab.gram import Dataset
 from ratelab.harness import ExperimentConfig, rate_sweep, write_outputs
 from ratelab.index_functions import HolderIndex, LogIndex, ProductIndex
 from ratelab.lower_bounds import (
@@ -23,7 +23,6 @@ from ratelab.lower_bounds import (
     TwoPointMeasure,
     adversarial_family,
     amplitude_for,
-    bayes_error,
     build_packing,
     fano_bound,
     kl_divergence,
@@ -37,6 +36,8 @@ from ratelab.mercer import (
     target_from_source,
 )
 from ratelab.rates import choose_lambda, effdim_bound_check
+
+from oracles import GaussianRBF, bayes_error, fit_tikhonov_direct
 
 
 def test_criterion_01_filter_axioms():

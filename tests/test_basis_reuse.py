@@ -121,6 +121,16 @@ def test_one_replicate_evaluates_the_basis_once_per_input_set(basis_calls, m):
     assert len(basis_calls) == 1
 
 
+def test_fit_of_a_bare_dataset_evaluates_the_basis_once(basis_calls):
+    """Below N, a Dataset that carries no Features has them evaluated once per
+    fit, and the dense Gram and the expansion Phi^T c both read that one."""
+    model = build_model(b=2.0, n_trunc=512)
+    rng = np.random.default_rng(0)
+    data = Dataset(xs=rng.uniform(0.0, PERIOD, 256), ys=rng.standard_normal(256))
+    fit(data, model, tikhonov(), lam=0.05)
+    assert basis_calls == [256]
+
+
 @pytest.mark.parametrize("kind", TAIL_KINDS)
 def test_tail_test_evaluates_the_basis_once_per_replicate(basis_calls, kind):
     model, _, target = _lab()

@@ -143,6 +143,17 @@ class TestConcentration:
         assert f"error: --lam must be positive and finite, got {float(value)!r}" in err
         assert not out
 
+    def test_noise_free_sample_error_exits_2_naming_the_noise(self, capsys):
+        """At sigma 0 the bound is exactly 0 and the statistic round-off, so this
+        printed "frequency": 1.0 and exited 1; the operator statistic still runs."""
+        argv = ["concentration", "--b", "2", "--n-trunc", "16", "--m", "64", "--sigma", "0"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "error: the sample_error tail test needs output noise" in err
+        assert "'sigma': 0.0" in err
+        assert not out
+        assert main([*argv, "--kind", "operator", "--replicates", "100"]) == 0
+
     def test_given_lam_is_used(self, capsys):
         argv = ["concentration", "--b", "2", "--n-trunc", "8", "--m", "32", "--replicates", "100"]
         assert main([*argv, "--lam", "0.125"]) == 0
@@ -235,6 +246,14 @@ class TestFit:
         assert main(["fit", *SMALL_RUNS["fit"], *argv]) == 2
         captured = capsys.readouterr()
         assert f"error: {flag} applies to none of the filters run" in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("rule", ["holder_psi_closed", "holder_theta_closed"])
+    def test_closed_form_rule_exits_2_naming_it(self, rule, capsys):
+        """The Hoelder power laws are psi and theta in closed form, not rules."""
+        assert main(["fit", *SMALL_RUNS["fit"], "--rule", rule]) == 2
+        captured = capsys.readouterr()
+        assert f"error: unknown lambda rule {rule!r}" in captured.err
         assert not captured.out
 
     def test_reports_errors_and_writes_dump(self, tmp_path, capsys):
@@ -412,6 +431,8 @@ class TestSweep:
             ({"seed": None}, "seed"),
             ({"noise": {"kind": "gaussian", "sigma": [1]}}, "noise"),
             ({"noise": {"kind": "two_point", "L": None}}, "noise"),
+            ({"noise": {"kind": "two_point"}}, "noise.L"),
+            ({"rule": "holder_psi_closed"}, "rule"),
         ],
     )
     def test_malformed_value_exits_with_usage_error(self, change, key, tmp_path, capsys):

@@ -132,6 +132,17 @@ class TestTailTest:
         with pytest.raises(CertificationError):
             tail_test("sample_error", model, target, noise, lam=0.1, m=64, eta=0.2, replicates=100, seed=0)
 
+    def test_noise_free_sample_error_is_refused(self):
+        """With sigma 0 the certificate's Bernstein scale is 0, so the bound is
+        exactly 0 and any round-off in the statistic counted as a violation.
+        The operator statistic does not read the noise and still runs."""
+        model, target = _setup(n_trunc=16)
+        noise = NoiseSpec(kind="gaussian", sigma=0.0)
+        kwargs = dict(lam=0.1, m=64, eta=0.1, replicates=100, seed=0)
+        with pytest.raises(ParameterError, match="sample_error tail test needs output noise"):
+            tail_test("sample_error", model, target, noise, **kwargs)
+        assert tail_test("operator", model, target, noise, **kwargs).passed
+
     def test_parameter_validation(self):
         model, target = _setup()
         noise = NoiseSpec(kind="gaussian", sigma=0.5)

@@ -9,16 +9,13 @@ from ratelab._lapack import lapack
 from ratelab.errors import ParameterError, UnsupportedNormError
 from ratelab.estimator import (
     basis_coefficients,
-    error_l2_montecarlo,
     error_norms,
     export_coefficients,
     fit,
-    fit_tikhonov_direct,
 )
 from ratelab.filters import iterated_tikhonov, landweber, spectral_cutoff, tikhonov
 from ratelab.gram import (
     Dataset,
-    GaussianRBF,
     GramEigen,
     assemble_gram,
     eigendecompose,
@@ -33,6 +30,8 @@ from ratelab.mercer import (
     sample_dataset,
     target_from_source,
 )
+
+from oracles import GaussianRBF, error_l2_montecarlo, fit_tikhonov_direct, rank
 
 
 def _toy_problem(m=20, d=1, seed=0, sigma=0.2, n_trunc=8):
@@ -172,10 +171,15 @@ class TestFactoredFit:
             assert _relative_gap(factored.coefficients, oracle.coefficients) <= 1e-10, name
 
     def test_never_builds_the_eigenvector_matrix(self, monkeypatch):
-        def refuse(_):
-            raise AssertionError("fit built the (m, k) eigenvector matrix")
+        """Eigenvectors are applied to the fit's d = 3 columns, never to the
+        identity that would build them whole."""
+        combine = GramEigen.combine
 
-        monkeypatch.setattr(GramEigen, "vectors", property(refuse))
+        def narrow(self, z):
+            assert z.shape[1] <= 3, "fit built the (m, k) eigenvector matrix"
+            return combine(self, z)
+
+        monkeypatch.setattr(GramEigen, "combine", narrow)
         model, target, data = _toy_problem(m=4 * N_FACTORED, d=3, n_trunc=N_FACTORED)
         for filt in _four_filters(model).values():
             result = fit(data, model, filt, lam=0.05)
@@ -400,7 +404,7 @@ class TestOneSolve:
                 own = eigendecompose(assemble_gram(model, data.xs, data.features))
             else:
                 own = mercer_gram_eigen(model, model.moments_of(data))
-            assert own.rank == own.size - result.dropped
+            assert rank(own) == own.size - result.dropped
 
     def test_spectral_norm_bisects_twice(self, monkeypatch):
         raw = np.random.default_rng(1).standard_normal((12, 12))

@@ -140,6 +140,13 @@ class TestConfig:
                  "noise": {"kind": "two_point", "L": None}},
                 "noise",
             ),
+            (
+                {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
+                 "noise": {"kind": "two_point"}},
+                "noise.L",
+            ),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "rule": "holder_psi_closed"}, "rule"),
+            ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "rule": "holder_theta_closed"}, "rule"),
         ],
     )
     def test_rejects_bad_payloads(self, payload, key):

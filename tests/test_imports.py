@@ -1,9 +1,9 @@
 """ratelab loads numpy and scipy's compiled LAPACK module only, at import
 and at run time.
 
-The Gaussian certificate is a series and the Bayes error uses math.erfc,
-so no scipy subpackage is needed. The LAPACK wrappers are loaded from
-scipy's `_flapack` extension by path (`ratelab._lapack`), since importing
+The Gaussian certificate is a series, so no scipy subpackage is needed.
+The LAPACK wrappers are loaded from scipy's `_flapack` extension by path
+(`ratelab._lapack`), since importing
 `scipy.linalg` runs scipy's array-API set-up, which loads numpy.ma,
 numpy.f2py and numpy.testing and more than doubles the start-up time of
 every process that imports ratelab. Loading scipy.integrate or
@@ -43,13 +43,11 @@ import ratelab.cli
 from ratelab.concentration import tail_test
 from ratelab.harness import ExperimentConfig, rate_sweep
 from ratelab.index_functions import HolderIndex
-from ratelab.lower_bounds import bayes_error
 from ratelab.mercer import NoiseSpec, build_model, power_law_source, target_from_source
 
 added["import"] = sorted(set(sys.modules) - bare)
 for d in (1, 3):
     assert NoiseSpec("gaussian", sigma=0.5).certify(build_model(b=2.0, d=d, n_trunc=8)).satisfied
-bayes_error([0.3, 0.4], 0.5)
 model = build_model(b=2.0, n_trunc=8)
 phi = HolderIndex(0.5, domain_max=model.kappa_sq)
 target = target_from_source(model, phi, power_law_source(model), radius=1.0)

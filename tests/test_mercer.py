@@ -290,7 +290,7 @@ class TestTargets:
         np.testing.assert_allclose(
             target.coefficients, np.sqrt(model.eigenvalues)[:, None] * src
         )
-        assert target.source_norm == pytest.approx(1.5)
+        assert float(np.sqrt(np.sum(target.source**2))) == pytest.approx(1.5)
 
     def test_source_norm_cannot_exceed_radius(self):
         model = build_model(b=2.0, n_trunc=8)
@@ -337,51 +337,72 @@ class TestTargets:
         np.testing.assert_allclose(target.evaluate(xs), expected)
 
 
+def _single_mode_reports(model, phi, radius, lam):
+    """The reports for the sources radius * e_n in channel 0, one per mode. The
+    error is diagonal in the modes, so the largest of each norm over these
+    is its supremum over the class ball of that radius."""
+    reports = []
+    for n in range(model.n_trunc):
+        source = np.zeros((model.n_trunc, model.output_dim))
+        source[n, 0] = radius
+        target = target_from_source(model, phi, source, radius)
+        reports.append(approx_error_norms(model, phi, radius, lam, target=target))
+    return reports
+
+
+def _worst_case(model, phi, radius, lam):
+    """(sup L2 error, sup RKHS error) over the class ball (`_single_mode_reports`)."""
+    reports = _single_mode_reports(model, phi, radius, lam)
+    return max(r.l2_error for r in reports), max(r.rkhs_error for r in reports)
+
+
 class TestApproxError:
     def test_worst_case_l2_for_square_root_profile(self):
-        """With phi(t) = sqrt(t) the sup of lam t / (t + lam) sits at t_1 = 1."""
+        """With phi(t) = sqrt(t) the sup of lam t / (t + lam) sits at t_1 = 1,
+        and the licensed limits hold at every source, the supremum's included."""
         model = build_model(b=2.0, n_trunc=8)
         phi = HolderIndex(0.5, domain_max=model.kappa_sq)
-        report = approx_error_norms(model, phi, radius=1.0, lam=0.01, worst_case=True)
-        assert report.l2_error == pytest.approx(0.01 / 1.01, rel=1e-12)
-        assert report.applicable
-        assert all(check.holds for check in report.bounds)
+        reports = _single_mode_reports(model, phi, radius=1.0, lam=0.01)
+        assert max(r.l2_error for r in reports) == pytest.approx(0.01 / 1.01, rel=1e-12)
+        assert all(report.applicable for report in reports)
+        assert all(check.holds for report in reports for check in report.bounds)
 
     def test_errors_grow_with_lambda(self):
         model = build_model(b=2.0, n_trunc=8)
         phi = HolderIndex(0.5, domain_max=model.kappa_sq)
-        small = approx_error_norms(model, phi, radius=1.0, lam=0.01, worst_case=True)
-        large = approx_error_norms(model, phi, radius=1.0, lam=0.1, worst_case=True)
-        assert small.l2_error < large.l2_error
-        assert small.rkhs_error < large.rkhs_error
+        small = _worst_case(model, phi, radius=1.0, lam=0.01)
+        large = _worst_case(model, phi, radius=1.0, lam=0.1)
+        assert small[0] < large[0]
+        assert small[1] < large[1]
 
     def test_target_case_never_beats_worst_case(self):
         model = build_model(b=2.0, n_trunc=8)
         phi = HolderIndex(0.5, domain_max=model.kappa_sq)
         target = target_from_source(model, phi, power_law_source(model), radius=1.0)
-        worst = approx_error_norms(model, phi, radius=1.0, lam=0.05, worst_case=True)
+        worst_l2, worst_rkhs = _worst_case(model, phi, radius=1.0, lam=0.05)
         actual = approx_error_norms(model, phi, radius=1.0, lam=0.05, target=target)
-        assert actual.l2_error <= worst.l2_error * (1 + 1e-12)
-        assert actual.rkhs_error <= worst.rkhs_error * (1 + 1e-12)
+        assert actual.l2_error <= worst_l2 * (1 + 1e-12)
+        assert actual.rkhs_error <= worst_rkhs * (1 + 1e-12)
 
     def test_unlicensed_profile_reports_not_applicable(self):
         """A profile whose monotonicity flags fail licenses no bounds."""
         model = build_model(b=2.0, n_trunc=8)
         phi = LogIndex(p=0.5, nu=1.0, domain_max=model.kappa_sq)
-        report = approx_error_norms(model, phi, radius=1.0, lam=0.05, worst_case=True)
-        assert not report.applicable
-        assert len(report.bounds) == 0
+        for report in _single_mode_reports(model, phi, radius=1.0, lam=0.05):
+            assert not report.applicable
+            assert len(report.bounds) == 0
 
     def test_lambda_domain(self):
         model = build_model(b=2.0, n_trunc=8)
         phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+        target = target_from_source(model, phi, power_law_source(model), radius=1.0)
         from ratelab.errors import DomainError
 
         with pytest.raises(DomainError):
-            approx_error_norms(model, phi, radius=1.0, lam=0.0, worst_case=True)
+            approx_error_norms(model, phi, radius=1.0, lam=0.0, target=target)
         with pytest.raises(DomainError):
             approx_error_norms(
-                model, phi, radius=1.0, lam=2 * model.kappa_sq, worst_case=True
+                model, phi, radius=1.0, lam=2 * model.kappa_sq, target=target
             )
 
 

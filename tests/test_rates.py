@@ -1,5 +1,6 @@
 """Tests for effective dimension, regularization rules, and rate exponents."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 
 from ratelab.concentration import sample_error_stat
 from ratelab.errors import ParameterError, RateLabError
-from ratelab.estimator import fit, fit_tikhonov_direct
+from ratelab.estimator import fit
 from ratelab.filters import tikhonov
 from ratelab.index_functions import HolderIndex, LogIndex
 from ratelab.mercer import (
@@ -29,6 +30,8 @@ from ratelab.rates import (
     individual_lower_exponent_rkhs,
     rate_exponents,
 )
+
+from oracles import fit_tikhonov_direct
 
 
 class TestEffectiveDimension:
@@ -91,11 +94,13 @@ def test_nan_lam_is_refused_by_name(name, lab):
 
 class TestChooseLambda:
     def test_numeric_matches_closed_form(self):
+        """For Hoelder phi the psi schedule inverts to m**(-b / (2br + b + 1))."""
         phi = HolderIndex(0.5, domain_max=1.0)
         numeric = choose_lambda("psi", phi, b=2.0, m=256)
-        closed = choose_lambda("holder_psi_closed", phi, b=2.0, m=256)
-        assert numeric.value == pytest.approx(closed.value, rel=1e-8)
-        assert closed.value == pytest.approx(256.0 ** (-0.4), rel=1e-12)
+        b, r = 2.0, 0.5
+        closed = 256.0 ** (-b / (2.0 * b * r + b + 1.0))
+        assert numeric.value == pytest.approx(closed, rel=1e-8)
+        assert closed == pytest.approx(256.0 ** (-0.4), rel=1e-12)
 
     def test_theta_closed_form(self):
         phi = HolderIndex(0.5, domain_max=1.0)
@@ -135,21 +140,24 @@ class TestChooseLambda:
 
     @pytest.mark.parametrize("rule", LAMBDA_RULES)
     def test_nonpositive_or_non_finite_decay_refused(self, rule):
-        """The closed rules returned lam = nan for an infinite or NaN b, and
-        holder_theta_closed divided by zero at b = -1 with r = 1/2."""
+        """A closed-form power law returned lam = nan for an infinite or NaN b,
+        and divided by zero at b = -1 with r = 1/2."""
         for b in (-1.0, math.inf, math.nan):
             with pytest.raises(ParameterError, match="decay exponent must be positive and finite"):
                 choose_lambda(rule, HolderIndex(r=0.5), b=b, m=64)
 
-    def test_closed_rules_require_a_power_profile(self):
-        phi = LogIndex(p=0.5, nu=1.0, domain_max=1.0)
-        with pytest.raises(ParameterError):
-            choose_lambda("holder_psi_closed", phi, b=2.0, m=256)
+    @pytest.mark.parametrize("rule", ["holder_psi_closed", "holder_theta_closed"])
+    def test_closed_form_rules_are_unknown(self, rule):
+        """The Hoelder power laws are the psi and theta inversions in closed
+        form, not rules of their own."""
+        phi = HolderIndex(0.5, domain_max=1.0)
+        with pytest.raises(ParameterError, match=f"unknown lambda rule '{rule}'"):
+            choose_lambda(rule, phi, b=2.0, m=256)
 
     def test_clips_to_domain_cap(self):
         """m = 4, b = 2, r = 0 wants 1/16 but the domain tops out at 0.05."""
         phi = HolderIndex(0.0, domain_max=0.05)
-        choice = choose_lambda("holder_theta_closed", phi, b=2.0, m=4)
+        choice = choose_lambda("theta", phi, b=2.0, m=4)
         assert choice.value == 0.05
         assert choice.clipped
 
@@ -170,7 +178,7 @@ class TestChooseLambda:
             choose_lambda("psi", phi, b=2.0, m=0)
 
     def test_rule_registry(self):
-        assert LAMBDA_RULES == ("psi", "theta", "holder_psi_closed", "holder_theta_closed")
+        assert LAMBDA_RULES == ("psi", "theta")
 
 
 class TestTheoremCondition:
@@ -212,7 +220,7 @@ class TestRateExponents:
 
     def test_dict_round_trip(self):
         ex = rate_exponents(2.0, 0.5)
-        d = ex.as_dict()
+        d = dataclasses.asdict(ex)
         assert d["rkhs_upper"] == ex.rkhs_upper
         assert d["l2_upper_psi"] == ex.l2_upper_psi
 
