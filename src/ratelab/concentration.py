@@ -4,7 +4,10 @@ Both statistics are computed exactly in the truncated basis, so the
 checks exercise the bounds themselves rather than a quadrature layer:
 the sampled-data statistics are compared against their closed-form
 ceilings over many replicates and the observed violation frequency must
-stay below the nominal failure probability.
+stay below the nominal failure probability. The sample-error statistic
+reads whole samples (x_i, y_i) and the target at x_i; the operator
+deviation ||T_x - T|| reads the inputs x_i alone, and its tail test
+draws nothing else.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .gram import SampleMoments, spectral_norm
-from .mercer import MercerModel, NoiseCertificate, NoiseSpec, TargetFunction, sample_dataset
+from .mercer import (
+    MercerModel,
+    NoiseCertificate,
+    NoiseSpec,
+    TargetFunction,
+    draw_inputs,
+    sample_dataset,
+)
 from .rates import effective_dimension
 
 TAIL_KINDS = ("sample_error", "operator")
@@ -126,14 +136,19 @@ def tail_test(
 ) -> TailReport:
     """Monte Carlo check that a tail bound holds at its stated level.
 
-    Draws independent datasets, computes the chosen statistic on each,
-    and counts how often it exceeds its ceiling. The noise model must
-    certify its moment constants before any bound is evaluated. The
-    sample-error test needs noise: without it (Bernstein scale 0) its
+    Replicate i draws from SeedSequence([seed, i]), computes the chosen
+    statistic and counts how often it exceeds its ceiling. A sample-error
+    replicate draws a whole Dataset (`sample_dataset`); an operator one
+    draws only its inputs (`mercer.draw_inputs`, that draw's first step,
+    so the same xs) and takes their moments. The noise model must certify
+    its moment constants before any bound is evaluated, for either kind.
+    The sample-error test needs noise: without it (Bernstein scale 0) its
     bound is exactly 0 and its statistic round-off, so it is refused.
     """
     if kind not in TAIL_KINDS:
         raise ParameterError(f"unknown statistic {kind!r}; expected one of {TAIL_KINDS}")
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     if replicates < MIN_REPLICATES:
         raise ParameterError(
             f"replicates must be >= {MIN_REPLICATES} for a meaningful frequency, "
@@ -159,11 +174,12 @@ def tail_test(
     rows = []
     for i in range(replicates):
         rep_seed = np.random.SeedSequence([seed, i])
-        data = sample_dataset(model, target, noise, m, rep_seed)
         if kind == "sample_error":
+            data = sample_dataset(model, target, noise, m, rep_seed)
             stat = sample_error_stat(model, data, target, lam)
         else:
-            stat = operator_deviation(model, data.moments)["value"]
+            xs = draw_inputs(m, np.random.default_rng(rep_seed))
+            stat = operator_deviation(model, model.sample_moments(xs))["value"]
         rows.append(TailRow(replicate=i, statistic=stat, bound=bound))
 
     return TailReport(kind=kind, m=m, lam=lam, eta=eta, bound=bound, rows=tuple(rows))

@@ -756,6 +756,16 @@ def sample_dataset(
     return draw_dataset(model, target, noise, m, rng)
 
 
+def draw_inputs(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw m i.i.d. inputs, uniform on [0, 2 pi), from ``rng``: the first
+    draw `draw_dataset` takes, so a statistic of the inputs alone (the
+    operator tail test's) sees the same xs as a whole Dataset drawn from
+    the same stream."""
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
+    return rng.uniform(0.0, PERIOD, size=m)
+
+
 def draw_dataset(
     model: MercerModel,
     target: TargetFunction,
@@ -765,9 +775,9 @@ def draw_dataset(
 ) -> Dataset:
     """Draw m i.i.d. pairs from ``rng``: uniform inputs, outputs from the noise model.
 
-    The inputs, then the noise (normals, or one uniform per sample for
-    the two-point measure, inverted through the cumulative atom weights)
-    are drawn whole. The samples are then walked in
+    The inputs (`draw_inputs`), then the noise (normals, or one uniform
+    per sample for the two-point measure, inverted through the cumulative
+    atom weights) are drawn whole. The samples are then walked in
     `MercerModel.basis_chunks`: each chunk's table gives its target
     values, its outputs and its share of the `SampleMoments` the Dataset
     carries, and is dropped. Below N samples the one chunk is the whole
@@ -775,9 +785,7 @@ def draw_dataset(
     Phi = B diag(sqrt t) for the dense Gram path, built in one pass; from
     N on nothing m-sized but the samples is allocated.
     """
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    xs = rng.uniform(0.0, PERIOD, size=m)
+    xs = draw_inputs(m, rng)
     d = model.output_dim
     if noise.kind == "two_point":
         draws = rng.random((m, 1))

@@ -132,11 +132,26 @@ def test_fit_of_a_bare_dataset_evaluates_the_basis_once(basis_calls):
 
 
 @pytest.mark.parametrize("kind", TAIL_KINDS)
-def test_tail_test_evaluates_the_basis_once_per_replicate(basis_calls, kind):
+def test_tail_test_evaluates_the_basis_once_per_replicate(basis_calls, monkeypatch, kind):
+    """One basis table per replicate for both kinds. The sample-error kind
+    draws a whole Dataset, which reads the target at its inputs once; the
+    operator kind draws inputs only and reads no target. This is the mapping
+    the benchmark's trace asserts: the tail workload reaches
+    `TargetFunction.evaluate` and `sample_dataset` through its sample-error
+    half alone."""
+    evaluated = []
+    original = mercer.TargetFunction.evaluate
+
+    def counting(self, xs, table=None):
+        evaluated.append(len(xs))
+        return original(self, xs, table)
+
+    monkeypatch.setattr(mercer.TargetFunction, "evaluate", counting)
     model, _, target = _lab()
     tail_test(kind, model, target, NoiseSpec(kind="gaussian", sigma=0.5), 0.05, 32, 0.1,
               replicates=100)
-    assert len(basis_calls) == 100
+    assert basis_calls == [32] * 100
+    assert evaluated == ([32] * 100 if kind == "sample_error" else [])
 
 
 @pytest.mark.parametrize("m", [16, 64, 256])

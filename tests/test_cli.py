@@ -159,6 +159,16 @@ class TestConcentration:
         assert main([*argv, "--lam", "0.125"]) == 0
         assert json.loads(capsys.readouterr().out)["lam"] == 0.125
 
+    @pytest.mark.parametrize("kind", ["sample_error", "operator"])
+    @pytest.mark.parametrize("lam", [[], ["--lam", "0.1"]], ids=["psi-lam", "given-lam"])
+    def test_no_samples_exits_2_naming_m(self, kind, lam, capsys):
+        """With --lam given, m = 0 reached the bound and raised ZeroDivisionError."""
+        argv = ["concentration", "--b", "2", "--n-trunc", "16", "--m", "0", "--kind", kind, *lam]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "error: m must be >= 1, got 0" in err
+        assert not out
+
 
 class TestLowerBound:
     def test_report_field_names(self, capsys):

@@ -22,6 +22,7 @@ from ratelab.mercer import (
     sample_dataset,
     target_from_source,
 )
+from ratelab.rates import effective_dimension
 
 
 def _setup(n_trunc=8, radius=1.0):
@@ -143,6 +144,39 @@ class TestTailTest:
             tail_test("sample_error", model, target, noise, **kwargs)
         assert tail_test("operator", model, target, noise, **kwargs).passed
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_trunc, m", [(16, 64), (128, 1024)])
+    def test_operator_rows_are_the_dataset_statistic(self, n_trunc, m, seed):
+        """The operator test draws inputs only, yet every row is the statistic
+        of the whole Dataset replicate i would draw, bit for bit: the inputs
+        are that draw's first step and the statistic reads nothing else."""
+        model, target = _setup(n_trunc=n_trunc)
+        noise = NoiseSpec(kind="gaussian", sigma=0.5)
+        report = tail_test("operator", model, target, noise, lam=0.1, m=m, eta=0.1,
+                           replicates=100, seed=seed)
+        for row in report.rows:
+            data = sample_dataset(model, target, noise, m, np.random.SeedSequence([seed, row.replicate]))
+            assert row.statistic == operator_deviation(model, data.moments)["value"]
+
+    def test_sample_error_mean_square_is_exact(self):
+        """E[stat^2] = sigma^2 N_d(lam) / m exactly: the statistic is the
+        whitened moment diag(sqrt(t / (t + lam))) B^T eps / m, the noise is
+        independent of x with variance sigma^2, and E B_in^2 = 1 for the
+        orthonormal basis. The replicate mean of stat^2 must lie within 3
+        standard errors of it, and the statistic scaled by 0.9 must not."""
+        sigma, lam, m = 0.5, 0.01, 256
+        model, target = _setup(n_trunc=128)
+        report = tail_test("sample_error", model, target, NoiseSpec(kind="gaussian", sigma=sigma),
+                           lam=lam, m=m, eta=0.1, replicates=500, seed=0)
+        want = sigma**2 * effective_dimension(model.eigenvalues, lam, model.output_dim) / m
+        squares = np.array([row.statistic for row in report.rows]) ** 2
+
+        def z_score(values):
+            return (values.mean() - want) / (values.std(ddof=1) / np.sqrt(values.size))
+
+        assert abs(z_score(squares)) <= 3.0
+        assert abs(z_score(0.81 * squares)) > 3.0
+
     def test_parameter_validation(self):
         model, target = _setup()
         noise = NoiseSpec(kind="gaussian", sigma=0.5)
@@ -150,3 +184,5 @@ class TestTailTest:
             tail_test("sample_error", model, target, noise, lam=0.1, m=64, eta=0.2, replicates=50, seed=0)
         with pytest.raises(ParameterError):
             tail_test("median", model, target, noise, lam=0.1, m=64, eta=0.2, replicates=100, seed=0)
+        with pytest.raises(ParameterError, match="m must be >= 1, got 0"):
+            tail_test("operator", model, target, noise, lam=0.1, m=0, eta=0.2, replicates=100, seed=0)

@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse", "scipy.stats")
 # what importing scipy.linalg loads beside itself, by way of scipy's array-API set-up
 SPARED = ("numpy.ma", "numpy.f2py", "numpy.testing")
-LAPACK_NAMES = ("dsytrd", "dsytrd_lwork", "dstevd", "dormqr", "dstebz", "dpotrf", "dpotrs")
+LAPACK_NAMES = ("dsytrd", "dstevd", "dormqr", "dstebz", "dpotrf", "dpotrs")
 
 SCRIPT = """
 import contextlib, io, json, sys

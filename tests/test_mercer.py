@@ -21,6 +21,7 @@ from ratelab.mercer import (
     NoiseSpec,
     approx_error_norms,
     build_model,
+    draw_inputs,
     norms_of_expansion,
     power_law_source,
     real_features,
@@ -628,6 +629,24 @@ class TestSampling:
         second = sample_dataset(model, target, noise, m=16, seed=5)
         np.testing.assert_array_equal(first.xs, second.xs)
         np.testing.assert_array_equal(first.ys, second.ys)
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_draw_inputs_is_the_dataset_draw_of_xs(self, m):
+        """`draw_inputs` takes the first draw of `sample_dataset`'s stream, so
+        an input-only statistic sees the Dataset's xs bit for bit."""
+        model = build_model(b=2.0, n_trunc=16)
+        phi = HolderIndex(0.5, domain_max=model.kappa_sq)
+        target = target_from_source(model, phi, power_law_source(model), radius=1.0)
+        for noise in (NoiseSpec(kind="gaussian", sigma=0.3), NoiseSpec(kind="two_point", amplitude=4.0)):
+            seed = np.random.SeedSequence([3, m])
+            data = sample_dataset(model, target, noise, m=m, seed=seed)
+            xs = draw_inputs(m, np.random.default_rng(seed))
+            assert xs.tobytes() == data.xs.tobytes()
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_draw_inputs_refuses_no_samples(self, m):
+        with pytest.raises(ParameterError, match=f"m must be >= 1, got {m}"):
+            draw_inputs(m, np.random.default_rng(0))
 
     def test_noiseless_outputs_are_exact(self):
         model = build_model(b=2.0, n_trunc=8)
