@@ -182,7 +182,7 @@ def _cmd_lower_bound(args) -> int:
     kl_max = 0.0
     for i, first in enumerate(measures):
         for second in measures[i + 1 :]:
-            kl_max = max(kl_max, kl_divergence(first, second).value)
+            kl_max = max(kl_max, kl_divergence(first, second))
 
     _print(
         {
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--source-s", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write fitted coefficients as JSON")
+    p.add_argument("--out", default=None, help="write the fit's lam, filter and expansion as JSON")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sweep", help="full convergence-rate experiment")

@@ -69,7 +69,7 @@ def sample_error_bound(
     ) * math.log(4.0 / eta)
 
 
-def operator_deviation(model: MercerModel, moments: SampleMoments) -> dict:
+def operator_deviation(model: MercerModel, moments: SampleMoments) -> float:
     """Spectral norm of (empirical feature second moment) - diag(t).
 
     The empirical operator in the orthonormal coefficient basis is
@@ -77,15 +77,11 @@ def operator_deviation(model: MercerModel, moments: SampleMoments) -> dict:
     with B the basis at the sample's inputs, assembled from the sample's
     ``moments`` (this model's) and exact for the truncated kernel. The
     norm comes from the two ends of the spectrum (`gram.spectral_norm`),
-    not from every eigenvalue. Also reports the eigenvalue mass the
-    truncation dropped, which this statistic cannot see.
+    not from every eigenvalue.
     """
     emp = model.empirical_operator(moments)
     emp[np.diag_indices_from(emp)] -= model.eigenvalues
-    return {
-        "value": spectral_norm(emp),
-        "truncation_tail": model.trace_tail_bound(),
-    }
+    return spectral_norm(emp)
 
 
 def operator_deviation_bound(kappa_sq: float, m: int, eta: float) -> float:
@@ -179,7 +175,7 @@ def tail_test(
             stat = sample_error_stat(model, data, target, lam)
         else:
             xs = draw_inputs(m, np.random.default_rng(rep_seed))
-            stat = operator_deviation(model, model.sample_moments(xs))["value"]
+            stat = operator_deviation(model, model.sample_moments(xs))
         rows.append(TailRow(replicate=i, statistic=stat, bound=bound))
 
     return TailReport(kind=kind, m=m, lam=lam, eta=eta, bound=bound, rows=tuple(rows))

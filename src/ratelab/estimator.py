@@ -18,9 +18,10 @@ decomposition omitted, which are all null); dropping it breaks exact
 agreement with direct solvers whenever the filter has g_lam(0) != 0.
 
 Every fit under a MercerModel holds its expansion a against
-sqrt(t_n) e_n. With Phi = B diag(sqrt t) / sqrt(m) for the (m, N) basis
-matrix B and the empirical operator A = Phi^T Phi, the push-through
-identity Phi^T g_lam(Phi Phi^T) = g_lam(A) Phi^T gives
+sqrt(t_n) e_n, the one representation its norms read. With
+Phi = B diag(sqrt t) / sqrt(m) for the (m, N) basis matrix B and the
+empirical operator A = Phi^T Phi, the push-through identity
+Phi^T g_lam(Phi Phi^T) = g_lam(A) Phi^T gives
 
     a = diag(sqrt t) B^T c = g_lam(A) u,   u = diag(sqrt t) B^T y / m.
 
@@ -29,19 +30,12 @@ Gram was built from, evaluated at most once per fit. From m = N on the
 fit stays in the feature domain: a = g_lam(A) u by a Cholesky
 factorization or by eigenpairs of A, in O(N^2 d) once A is factored or
 reduced, from the sample's moments (`gram.SampleMoments`), with no
-m-sized array. Its coefficient rows follow, when first read, as
-
-    c = (g_lam(0) y + f_h(x)) / m,   h = h_lam(A) u,   h_lam(s) = (g_lam(s) - g_lam(0)) / s,
-
-f_h(x) the values at the samples of the expansion h
-(`MercerModel.expand`), one chunked pass over the basis table; both
-ways of applying a filter give h with a.
+m-sized array and no coefficient rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +50,9 @@ class FittedEstimator:
 
     A dense fit holds its coefficient rows c (m, d) in ``dual``. A `fit`
     under a MercerModel holds its expansion a (N, d) against sqrt(t_n) e_n
-    in ``expansion``; in the feature domain it holds no ``dual`` but the
-    expansion h = h_lam(A) u in ``secant``, from which ``coefficients``
-    derives c when first read. ``clamped`` and ``dropped`` are the health
-    of the eigenpairs the fit applied, both zero when there were none.
+    in ``expansion``, the only representation of a feature-domain fit.
+    ``clamped`` and ``dropped`` are the health of the eigenpairs the fit
+    applied, both zero when there were none.
     """
 
     dataset: Dataset
@@ -70,21 +63,6 @@ class FittedEstimator:
     dropped: int = 0
     dual: np.ndarray | None = None
     expansion: np.ndarray | None = None
-    secant: np.ndarray | None = None
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The coefficient rows c, shape (m, d)."""
-        if self.dual is not None:
-            return self.dual
-        data, g_null = self.dataset, self.filter.values(0.0, self.lam)
-        return (g_null * data.ys + self.kernel.expand(self.secant, data.xs)) / data.m
-
-    def predict(self, xs) -> np.ndarray:
-        if self.expansion is not None:
-            return self.kernel.expand(self.expansion, xs)
-        cross = self.kernel.scalar_kernel(np.atleast_1d(xs), self.dataset.xs)
-        return cross @ self.coefficients
 
 
 def fit(
@@ -115,25 +93,19 @@ def fit(
     applied, health = filt.apply_matrix(eig.matrix, x, lam, overwrite=gram is None), (0.0, 0)
     if applied is None:
         applied, health = _by_eigenpairs(eig, filt, lam, g_null, x), (eig.clamped, eig.dropped)
-    value, secant = applied
     if feature:
-        return FittedEstimator(dataset, kernel, filt, lam, *health, expansion=value, secant=secant)
-    dual = value / dataset.m
+        return FittedEstimator(dataset, kernel, filt, lam, *health, expansion=applied)
+    dual = applied / dataset.m
     expansion = features.matrix.T @ dual if is_mercer else None
     return FittedEstimator(dataset, kernel, filt, lam, *health, dual=dual, expansion=expansion)
 
 
 def _by_eigenpairs(eig: GramEigen, filt: SpectralFilter, lam: float, g_null: float, x: np.ndarray):
-    """(g_lam(A) x, h_lam(A) x) for the eigenpairs A = V diag(w) V^T of ``eig``,
-    negative round-off clamped to zero: g_lam(A) x = V (g_lam(w) - g_lam(0)) V^T x
-    + g_lam(0) x, whose second term carries any modes the eigensystem dropped,
-    and h_lam(A) x = V h_lam(w) V^T x over the modes with w > 0. The null
-    modes, on which s h_lam(s) vanishes, add nothing to h."""
-    w = eig.eigenvalues
-    gain = np.atleast_1d(filt.values(w, lam)) - g_null
-    proj = eig.project(x)
-    slope = np.divide(gain, w, out=np.zeros_like(gain), where=w > 0)
-    return eig.combine(gain[:, None] * proj) + g_null * x, eig.combine(slope[:, None] * proj)
+    """g_lam(A) x = V (g_lam(w) - g_lam(0)) V^T x + g_lam(0) x for the eigenpairs
+    A = V diag(w) V^T of ``eig``, negative round-off clamped to zero; the
+    second term carries any modes the eigensystem dropped."""
+    gain = np.atleast_1d(filt.values(eig.eigenvalues, lam)) - g_null
+    return eig.combine(gain[:, None] * eig.project(x)) + g_null * x
 
 
 def basis_coefficients(fit_result: FittedEstimator, model: MercerModel) -> np.ndarray:
@@ -160,10 +132,11 @@ def error_norms(
 
 
 def export_coefficients(fit_result: FittedEstimator) -> dict:
-    """JSON-ready dump of the fitted representation."""
+    """JSON-ready dump of a fit under its MercerModel: lam, the filter and the
+    (N, d) expansion against sqrt(t_n) e_n (`basis_coefficients`), in the
+    basis of `TargetFunction.coefficients`."""
     return {
         "lam": fit_result.lam,
         "filter": fit_result.filter.describe(),
-        "xs": fit_result.dataset.xs.tolist(),
-        "coefficients": fit_result.coefficients.tolist(),
+        "expansion": basis_coefficients(fit_result, fit_result.kernel).tolist(),
     }

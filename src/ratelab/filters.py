@@ -111,7 +111,7 @@ class SpectralFilter:
         if self.kind == "landweber":
             if arr.size and arr.max() * self.step > 1 + 1e-12:
                 raise DomainError(
-                    f"step {self.step!r} exceeds 1/sigma at sigma={arr.max()!r}"
+                    f"step {self.step!r} exceeds 1/sigma at sigma={float(arr.max())!r}"
                 )
             nu = _iteration_count(lam)
             with np.errstate(divide="ignore"):
@@ -131,8 +131,7 @@ class SpectralFilter:
         return float(out[0]) if np.ndim(sigma) == 0 else out
 
     def apply_matrix(self, a, v, lam: float, overwrite: bool = False):
-        """(g_lam(A) v, h_lam(A) v), h_lam(s) = (g_lam(s) - g_lam(0)) / s, or None
-        where it takes eigenpairs.
+        """g_lam(A) v, or None where it takes eigenpairs.
 
         ``a`` is the exactly symmetric A, a C-ordered (n, n) array, and v
         has shape (n, d). For the Tikhonov family
@@ -142,12 +141,10 @@ class SpectralFilter:
 
         evaluated as x_j = (A + lam I)^(-1) (v + lam x_(j-1)), j = 1..nu,
         from x_0 = 0: one Cholesky factorization (LAPACK dpotrf) and nu
-        O(n^2 d) solves (dpotrs). g_lam(A) v is x_nu and, with
-        g_lam(0) = nu / lam, h_lam(A) v = -(x_1 + ... + x_nu) / lam. Returns
-        None for Landweber and cutoff, which read the eigenpairs, and when
-        the factorization meets a nonpositive pivot: then lam is at or
-        below a negative round-off eigenvalue, which the eigenpairs clamp
-        to zero.
+        O(n^2 d) solves (dpotrs); x_nu is returned. Returns None for
+        Landweber and cutoff, which read the eigenpairs, and when the
+        factorization meets a nonpositive pivot: then lam is at or below a
+        negative round-off eigenvalue, which the eigenpairs clamp to zero.
 
         A + lam I is formed and factored in a copy of ``a``, or with
         ``overwrite`` in ``a`` itself, which must be writeable. dpotrf
@@ -174,13 +171,11 @@ class SpectralFilter:
                 np.fill_diagonal(a, diagonal)
             return None
         x = np.zeros_like(v)
-        total = None
         for _ in range(self.iterations):
             x, info = lapack.dpotrs(factor, v + lam * x, lower=1)
             if info != 0:
                 raise NumericalError(f"dpotrs rejected argument {-info}")
-            total = x if total is None else total + x
-        return x, -total / lam
+        return x
 
     def residuals(self, sigma, lam: float):
         """Evaluate r_lam(sigma) = 1 - sigma * g_lam(sigma) in closed form."""

@@ -400,6 +400,23 @@ def _expected_exponents(config: ExperimentConfig, phi: IndexFunction) -> dict:
     return {"l2": exps.l2_upper_theta, "rkhs": None}
 
 
+def quantiles(values: np.ndarray, levels) -> list:
+    """np.quantile(values, q) for each q in ``levels``, bit for bit, from one
+    sort and without the numpy.ma import np.quantile makes under numpy 2.
+
+    numpy's default linear rule: h = (n - 1) q, i = floor(h), t = h - i and,
+    for the sorted values a and b at i and min(i + 1, n - 1),
+    a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5. A NaN gives NaN.
+    """
+    ordered, out = np.sort(values), []
+    for q in levels:
+        h = (len(ordered) - 1) * q
+        i = math.floor(h)
+        a, b, t = float(ordered[i]), float(ordered[min(i + 1, len(ordered) - 1)]), h - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return [math.nan] * len(levels) if math.isnan(ordered[-1]) else out
+
+
 def rate_sweep(config: ExperimentConfig) -> SweepResult:
     """Run one full convergence experiment and judge the observed slopes."""
     model = build_model(
@@ -442,16 +459,18 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
             max_dropped = max(max_dropped, fitted.dropped)
             # free this replicate's data and fit before the next one is drawn
             del data, fitted
-        high = 1.0 - config.eta
+        levels = (0.5, 1.0 - config.eta)
+        q50_l2, q90_l2 = quantiles(errs_l2, levels)
+        q50_rkhs, q90_rkhs = quantiles(errs_rkhs, levels)
         rows.append(
             SweepRow(
                 m=m,
                 lam=lam.value,
                 margin=margin,
-                q50_l2=float(np.quantile(errs_l2, 0.5)),
-                q90_l2=float(np.quantile(errs_l2, high)),
-                q50_rkhs=float(np.quantile(errs_rkhs, 0.5)),
-                q90_rkhs=float(np.quantile(errs_rkhs, high)),
+                q50_l2=q50_l2,
+                q90_l2=q90_l2,
+                q50_rkhs=q50_rkhs,
+                q90_rkhs=q90_rkhs,
                 lam_clipped=lam.clipped,
                 max_clamped=max_clamped,
                 max_dropped=max_dropped,

@@ -75,7 +75,7 @@ class IndexFunction:
         if arr.size and (arr.min() < 0 or arr.max() > self.domain_max * (1 + 1e-12)):
             raise DomainError(
                 f"argument outside [0, {self.domain_max!r}]: "
-                f"range [{arr.min()!r}, {arr.max()!r}]"
+                f"range [{float(arr.min())!r}, {float(arr.max())!r}]"
             )
         out = np.zeros_like(arr, dtype=float)
         pos = arr > 0

@@ -271,17 +271,7 @@ class TwoPointMeasure:
         return draw_dataset(self.model, self.target, noise, m, rng)
 
 
-@dataclass(frozen=True)
-class KLComparison:
-    value: float
-    bound: float
-
-    @property
-    def within(self) -> bool:
-        return self.value <= self.bound * (1 + 1e-9)
-
-
-def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparison:
+def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> float:
     """Average conditional divergence of two measures sharing an amplitude.
 
     Computed exactly per grid point from the atom weights and averaged
@@ -290,7 +280,7 @@ def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparis
     so comparing K measures pairwise costs K grid evaluations. The
     closed-form ceiling 16 / (15 d L^2) times the squared L2 gap of
     the means must hold; a violation raises since the inequality is
-    analytic.
+    analytic, so every divergence returned is within it.
     """
     if first.model is not second.model or first.amplitude != second.amplitude:
         raise ParameterError("measures must share their model and amplitude")
@@ -302,13 +292,12 @@ def kl_divergence(first: TwoPointMeasure, second: TwoPointMeasure) -> KLComparis
     gap = first.target.coefficients - second.target.coefficients
     l2_gap = norms_of_expansion(first.model, gap).l2
     bound = 16.0 / (15.0 * d * level**2) * l2_gap**2
-    report = KLComparison(value=value, bound=bound)
-    if not report.within:
+    if not value <= bound * (1 + 1e-9):
         raise ContractError(
             f"divergence {value!r} exceeds its ceiling {bound!r}; "
             "the mean gap algebra is broken"
         )
-    return report
+    return value
 
 
 # -- information-theoretic error floors ----------------------------------------

@@ -96,12 +96,12 @@ def trigonometric_basis(xs, count: int) -> np.ndarray:
     return (table[:, :1].copy() if lone else table).T
 
 
-def real_features(table: np.ndarray, count: int, scale=None) -> np.ndarray:
+def real_features(table: np.ndarray, count: int, scale: np.ndarray) -> np.ndarray:
     """The real (m, count) matrix with columns s_0, then s_(2k-1) cos(k x) and
     s_(2k) sin(k x), k = 1, 2, ..., written over a `trigonometric_basis`
-    table: B for the default s = (1, sqrt 2, sqrt 2, ...), and
-    Phi = B diag(sqrt t) for s = (sqrt t_0, sqrt(2 t_1), ...)
-    (`MercerModel.features`).
+    table: Phi = B diag(sqrt t) for s = (sqrt t_0, sqrt(2 t_1), ...)
+    (`MercerModel.features`), and the basis B itself for
+    s = (1, sqrt 2, sqrt 2, ...).
 
     The table is consumed: its frequency-major memory is rewritten,
     BLOCK_CELLS cells at a time, into rows of the scaled real and
@@ -111,9 +111,6 @@ def real_features(table: np.ndarray, count: int, scale=None) -> np.ndarray:
     path below N samples reads B or Phi; every sum over samples from N on
     is a product with the table.
     """
-    if scale is None:
-        scale = np.full(count, math.sqrt(2.0))
-        scale[0] = 1.0
     freq = table.T
     n_freq, m = freq.shape
     pair_scale = np.zeros((n_freq, 2, 1))
@@ -215,10 +212,6 @@ class MercerModel:
     def n_trunc(self) -> int:
         return int(self.eigenvalues.shape[0])
 
-    def basis(self, xs) -> np.ndarray:
-        """The real (len(xs), N) basis matrix B at ``xs`` (`real_features`)."""
-        return real_features(trigonometric_basis(xs, self.n_trunc), self.n_trunc)
-
     def features(self, xs, carried: Features | None = None) -> Features:
         """This model's `Features` at ``xs``, Phi = B diag(sqrt t) of shape
         (len(xs), N): the ``carried`` ones if they are this model's at ``xs``
@@ -244,43 +237,36 @@ class MercerModel:
         scale.flags.writeable = False
         return scale
 
-    def _fits(self, table, m: int) -> bool:
-        """Whether ``table`` can stand for this model's `trigonometric_basis`
-        table at m inputs: an earlier evaluation there, such as a chunk of
-        `draw_dataset`'s, is complex of shape (m, N // 2 + 1); anything
-        else is not used."""
-        return (
-            table is not None
-            and np.iscomplexobj(table)
-            and table.shape == (m, self.n_trunc // 2 + 1)
-        )
-
-    def basis_chunks(self, xs, table=None):
+    def basis_chunks(self, xs):
         """Yield (rows, table at xs[rows]) over row chunks that cover ``xs``.
 
         Below N samples there is one chunk, the whole table. From N on a
         chunk has CHUNK_CELLS // N rows, so no more than one chunk of the
-        table is alive at a time. A precomputed ``table`` that fits (see
-        `_fits`) is sliced in the same chunks instead of evaluated, so
-        anything accumulated over the chunks has the same bits either way.
+        table is alive at a time.
         """
         m = len(xs)
         step = m if m < self.n_trunc else max(1, CHUNK_CELLS // self.n_trunc)
-        whole = table if self._fits(table, m) else None
         for start in range(0, m, step):
             rows = slice(start, start + step)
-            chunk = trigonometric_basis(xs[rows], self.n_trunc) if whole is None else whole[rows]
-            yield rows, chunk
+            yield rows, trigonometric_basis(xs[rows], self.n_trunc)
 
     def expand(self, coefficients, xs, table=None) -> np.ndarray:
         """Values at ``xs`` of the expansion with ``coefficients`` (N, d)
         against sqrt(t_n) e_n: Re(V phi) for the table V at ``xs`` and the
-        expansion's `spectrum` phi, over `basis_chunks`; a fitting
-        ``table`` at ``xs`` is reused."""
+        expansion's `spectrum` phi, over `basis_chunks`. A given ``table``
+        is the whole table at ``xs``, as a `basis_chunks` chunk is, and is
+        used as it is; one of another shape or dtype is refused."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         phi = spectrum(np.sqrt(self.eigenvalues)[:, None] * coefficients)
+        if table is not None:
+            shape = (len(xs), self.n_trunc // 2 + 1)
+            if table.shape != shape or table.dtype != complex:
+                raise ParameterError(
+                    f"a basis table here must be complex {shape}, got {table.dtype} {table.shape}"
+                )
+            return (table @ phi).real
         out = np.empty((len(xs), phi.shape[1]))
-        for rows, chunk in self.basis_chunks(xs, table):
+        for rows, chunk in self.basis_chunks(xs):
             out[rows] = (chunk @ phi).real
         return out
 
@@ -492,7 +478,8 @@ class TargetFunction:
     radius: float
 
     def evaluate(self, xs, table=None) -> np.ndarray:
-        """Target values at ``xs``; a precomputed ``table`` at ``xs`` is reused if it fits."""
+        """Target values at ``xs``, from the basis ``table`` at ``xs`` if given
+        (`MercerModel.expand`)."""
         return self.model.expand(self.coefficients, xs, table)
 
 
@@ -738,7 +725,7 @@ def two_point_weights(f_vals: np.ndarray, level: float, d: int):
     if weights.min() < 0:
         raise AmplitudeError(
             f"two-point level {level!r} is below a target value "
-            f"(max |f_j| = {np.abs(f_vals).max()!r}); weights would be negative"
+            f"(max |f_j| = {float(np.abs(f_vals).max())!r}); weights would be negative"
         )
     return atoms, weights
 

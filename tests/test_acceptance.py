@@ -37,7 +37,7 @@ from ratelab.mercer import (
 )
 from ratelab.rates import choose_lambda, effdim_bound_check
 
-from oracles import GaussianRBF, bayes_error, fit_tikhonov_direct
+from oracles import GaussianRBF, basis, bayes_error, divergence_ceiling, fit_tikhonov_direct
 
 
 def test_criterion_01_filter_axioms():
@@ -52,7 +52,8 @@ def test_criterion_01_filter_axioms():
 
 
 def test_criterion_02_oracle_equivalence():
-    """Spectral-path Tikhonov matches the direct solve to 1e-10 relative."""
+    """Spectral-path Tikhonov matches the direct solve to 1e-10 relative: the
+    coefficient rows, or from m = N on the expansion they give."""
     start = time.monotonic()
     rng = np.random.default_rng(1)
     for index in range(20):
@@ -70,8 +71,13 @@ def test_criterion_02_oracle_equivalence():
         )
         spectral = fit(data, kernel, tikhonov(), lam=lam)
         direct = fit_tikhonov_direct(data, kernel, lam=lam)
-        gap = np.linalg.norm(spectral.coefficients - direct.coefficients)
-        scale = np.linalg.norm(direct.coefficients)
+        if spectral.dual is not None:
+            got, want = spectral.dual, direct.dual
+        else:  # a Mercer fit from m = N on keeps its expansion, against Phi^T c
+            phi = basis(kernel, data.xs) * np.sqrt(kernel.eigenvalues)
+            got, want = spectral.expansion, phi.T @ direct.dual
+        gap = np.linalg.norm(got - want)
+        scale = np.linalg.norm(want)
         assert gap <= 1e-10 * scale, f"instance {index}: rel gap {gap / scale:.3e}"
     assert time.monotonic() - start < 5.0
 
@@ -222,7 +228,8 @@ def test_criterion_08_lower_bound_lab():
         measures = [TwoPointMeasure(model, member, level) for member in family.members]
         for i, first in enumerate(measures):
             for second in measures[i + 1 :]:
-                assert kl_divergence(first, second).within
+                ceiling = divergence_ceiling(first, second)
+                assert kl_divergence(first, second) <= ceiling * (1 + 1e-9)
 
     cancel_eps = level * math.sqrt(15.0 / (64.0 * 1e6))
     out = fano_bound(48, m=10**6, epsilon=cancel_eps, d=1, amplitude=level)

@@ -3,10 +3,14 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from ratelab import cli
 from ratelab._lapack import lapack
 from ratelab.cli import main
+from ratelab.estimator import basis_coefficients
+from ratelab.mercer import norms_of_expansion
 
 MINI_CONFIG = {
     "model": {"b": 2.0, "N_trunc": 64},
@@ -274,13 +278,43 @@ class TestFit:
         assert payload["error_l2"] > 0
         assert payload["error_rkhs"] > 0
         dump = json.loads(out_path.read_text())
-        assert sorted(dump) == ["coefficients", "filter", "lam", "xs"]
-        assert len(dump["xs"]) == 32
+        assert sorted(dump) == ["expansion", "filter", "lam"]
+        assert len(dump["expansion"]) == 8
+
+    def test_landweber_step_above_the_spectrum_names_sigma_as_a_float(self, capsys):
+        """The refusal prints sigma as a plain number, not np.float64(...)."""
+        argv = ["fit", "--b", "2", "--m", "64", "--filter", "landweber", "--tau", "10"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: step 10.0 exceeds 1/sigma at sigma=1.00" in err
+        assert "np.float64" not in err
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    @pytest.mark.parametrize("filt", ["tikhonov", "landweber"])
+    def test_out_writes_the_expansion_the_errors_are_read_from(self, tmp_path, monkeypatch,
+                                                              capsys, m, filt):
+        """Below N = 512 (dense) and above (feature domain): the file holds the
+        fit's (N, d) expansion bit for bit, its error against the target's
+        coefficients gives the printed norms exactly, and it has no inputs."""
+        seen = []
+        real = cli.error_norms
+        monkeypatch.setattr(cli, "error_norms", lambda *a: seen.append(a) or real(*a))
+        out_path = tmp_path / "fit.json"
+        assert main(["fit", "--b", "2", "--m", str(m), "--filter", filt, "--out", str(out_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        (fitted, model, target), = seen
+        dump = json.loads(out_path.read_text())
+        assert sorted(dump) == ["expansion", "filter", "lam"]
+        expansion = np.array(dump["expansion"])
+        assert expansion.shape == (512, 1)
+        assert np.array_equal(expansion, basis_coefficients(fitted, model))
+        norms = norms_of_expansion(model, expansion - target.coefficients)
+        assert (norms.l2, norms.rkhs) == (printed["error_l2"], printed["error_rkhs"])
 
 
 def test_feature_domain_fit_writes_its_coefficients_without_a_reduction(tmp_path, monkeypatch, capsys):
-    """At m = 1024 > N = 512 the Tikhonov coefficient rows come from the expansion
-    of the fit's iterates: no tridiagonal reduction and no eigensolve."""
+    """At m = 1024 > N = 512 the Tikhonov fit writes its expansion with no
+    tridiagonal reduction and no eigensolve."""
     calls = []
     for name in ("dsytrd", "dstevd"):
         real = getattr(lapack, name)
@@ -289,7 +323,7 @@ def test_feature_domain_fit_writes_its_coefficients_without_a_reduction(tmp_path
     assert main(["fit", "--b", "2", "--m", "1024", "--out", str(out_path)]) == 0
     assert json.loads(capsys.readouterr().out)["error_l2"] > 0
     assert calls == []
-    assert len(json.loads(out_path.read_text())["coefficients"]) == 1024
+    assert len(json.loads(out_path.read_text())["expansion"]) == 512
 
 
 SMALL_RUNS = {

@@ -31,7 +31,14 @@ from ratelab.mercer import (
     target_from_source,
 )
 
-from oracles import GaussianRBF, error_l2_montecarlo, fit_tikhonov_direct, rank
+from oracles import (
+    GaussianRBF,
+    basis,
+    error_l2_montecarlo,
+    fit_tikhonov_direct,
+    predict,
+    rank,
+)
 
 
 def _toy_problem(m=20, d=1, seed=0, sigma=0.2, n_trunc=8):
@@ -40,6 +47,20 @@ def _toy_problem(m=20, d=1, seed=0, sigma=0.2, n_trunc=8):
     target = target_from_source(model, phi, power_law_source(model), radius=1.0)
     data = sample_dataset(model, target, NoiseSpec(kind="gaussian", sigma=sigma), m=m, seed=seed)
     return model, target, data
+
+
+def _expansion_of(model, xs, rows):
+    """Phi^T c for coefficient rows c at ``xs``, Phi = B diag(sqrt t) built here:
+    the expansion against sqrt(t_n) e_n of sum_i k(., x_i) c_i."""
+    return (basis(model, xs) * np.sqrt(model.eigenvalues)).T @ rows
+
+
+def _fitted_and_oracle(result, model, data, rows):
+    """The fit's rows and the oracle ``rows`` below N, where the fit keeps its
+    rows, else its expansion and the oracle rows' expansion Phi^T c."""
+    if result.dual is not None:
+        return result.dual, rows
+    return result.expansion, _expansion_of(model, data.xs, rows)
 
 
 class TestFit:
@@ -51,8 +72,8 @@ class TestFit:
         data = Dataset(xs=np.array([x0]), ys=np.array([1.0]))
         result = fit(data, model, tikhonov(), lam=1.0)
         expected = 1.0 / (k00 + 1.0)
-        assert result.coefficients[0, 0] == pytest.approx(expected, rel=1e-14)
-        assert result.predict(np.array([x0]))[0, 0] == pytest.approx(
+        assert result.dual[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert predict(result, np.array([x0]))[0, 0] == pytest.approx(
             k00 * expected, rel=1e-14
         )
 
@@ -62,7 +83,7 @@ class TestFit:
         spectral = fit(data, model, tikhonov(), lam=0.05)
         direct = fit_tikhonov_direct(data, model, lam=0.05)
         np.testing.assert_allclose(
-            spectral.coefficients, direct.coefficients, rtol=1e-10, atol=1e-14
+            *_fitted_and_oracle(spectral, model, data, direct.dual), rtol=1e-10, atol=1e-14
         )
 
     def test_matches_direct_solve_on_factored_path(self):
@@ -72,7 +93,7 @@ class TestFit:
         spectral = fit(data, model, tikhonov(), lam=0.05)
         direct = fit_tikhonov_direct(data, model, lam=0.05)
         np.testing.assert_allclose(
-            spectral.coefficients, direct.coefficients, rtol=1e-10, atol=1e-14
+            *_fitted_and_oracle(spectral, model, data, direct.dual), rtol=1e-10, atol=1e-14
         )
 
     def test_matches_direct_solve_with_duplicate_inputs(self):
@@ -83,9 +104,7 @@ class TestFit:
         data = Dataset(xs=xs, ys=ys)
         spectral = fit(data, model, tikhonov(), lam=0.1)
         direct = fit_tikhonov_direct(data, model, lam=0.1)
-        np.testing.assert_allclose(
-            spectral.coefficients, direct.coefficients, rtol=1e-10, atol=1e-14
-        )
+        np.testing.assert_allclose(spectral.dual, direct.dual, rtol=1e-10, atol=1e-14)
 
     def test_matches_direct_solve_for_rbf_kernel(self):
         kernel = GaussianRBF(lengthscale=1.0)
@@ -93,17 +112,15 @@ class TestFit:
         data = Dataset(xs=rng.uniform(0, 2 * np.pi, 12), ys=rng.standard_normal(12))
         spectral = fit(data, kernel, tikhonov(), lam=0.02)
         direct = fit_tikhonov_direct(data, kernel, lam=0.02)
-        np.testing.assert_allclose(
-            spectral.coefficients, direct.coefficients, rtol=1e-10, atol=1e-14
-        )
+        np.testing.assert_allclose(spectral.dual, direct.dual, rtol=1e-10, atol=1e-14)
 
     def test_iterated_tikhonov_shrinks_less(self):
         """More iterations pass more signal, so training residuals shrink."""
         model, _, data = _toy_problem(m=24, seed=5)
         one = fit(data, model, tikhonov(), lam=0.1)
         two = fit(data, model, iterated_tikhonov(2), lam=0.1)
-        resid_one = np.linalg.norm(one.predict(data.xs) - data.ys)
-        resid_two = np.linalg.norm(two.predict(data.xs) - data.ys)
+        resid_one = np.linalg.norm(predict(one, data.xs) - data.ys)
+        resid_two = np.linalg.norm(predict(two, data.xs) - data.ys)
         assert resid_two < resid_one
 
     def test_cutoff_interpolates_below_threshold(self):
@@ -114,14 +131,14 @@ class TestFit:
         data = Dataset(xs=xs, ys=ys)
         result = fit(data, model, spectral_cutoff(), lam=1e-6)
         assert eigendecompose(assemble_gram(model, xs)).eigenvalues.min() > 1e-6
-        np.testing.assert_allclose(result.predict(xs), data.ys, rtol=1e-8)
+        np.testing.assert_allclose(predict(result, xs), data.ys, rtol=1e-8)
 
     def test_landweber_near_tikhonov_for_small_lambda(self):
         model, _, data = _toy_problem(m=16, seed=6)
         step = 1.0 / model.kappa_sq
         result = fit(data, model, landweber(step=step), lam=0.05)
-        assert result.coefficients.shape == (16, 1)
-        assert np.isfinite(result.coefficients).all()
+        assert result.expansion.shape == (model.n_trunc, 1)
+        assert np.isfinite(result.expansion).all()
 
     def test_lambda_must_be_positive(self):
         model, _, data = _toy_problem(m=8)
@@ -153,10 +170,10 @@ class TestFactoredFit:
     )
     @pytest.mark.parametrize("d", [1, 3])
     def test_matches_the_dense_oracle(self, m, d):
-        """The feature-domain expansion, and the coefficient rows derived from it on
-        request, against a fit on the dense m x m eigensystem, from m = N on."""
+        """The feature-domain expansion against a fit on the dense m x m
+        eigensystem, from m = N on."""
         model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
-        dense = eigendecompose(assemble_gram(model, data.xs, model.basis(data.xs)))
+        dense = eigendecompose(assemble_gram(model, data.xs, basis(model, data.xs)))
         for name, filt in _four_filters(model).items():
             factored = fit(data, model, filt, lam=0.05)
             assert factored.expansion is not None, name
@@ -167,8 +184,6 @@ class TestFactoredFit:
             assert _relative_gap(
                 factored.expansion, basis_coefficients(oracle, model)
             ) <= 1e-10, name
-            assert factored.coefficients.shape == (m, d)
-            assert _relative_gap(factored.coefficients, oracle.coefficients) <= 1e-10, name
 
     def test_never_builds_the_eigenvector_matrix(self, monkeypatch):
         """Eigenvectors are applied to the fit's d = 3 columns, never to the
@@ -199,7 +214,8 @@ def _eigh_oracle(data, model, filt, lam):
 
 
 class TestEighOracle:
-    """Both fit paths match coefficients built from np.linalg.eigh in the test itself."""
+    """Both fit paths match coefficients built from np.linalg.eigh in the test itself:
+    the rows below N, their expansion Phi^T c from m = N on."""
 
     @pytest.mark.parametrize(
         "m", [1, 2, 5, N_FACTORED, N_FACTORED + 1, 8 * N_FACTORED]
@@ -211,11 +227,12 @@ class TestEighOracle:
             result = fit(data, model, filt, lam=0.05)
             assert (result.dual is not None) == (m < N_FACTORED), name
             oracle = _eigh_oracle(data, model, filt, 0.05)
-            assert result.coefficients.shape == (m, d)
-            assert _relative_gap(result.coefficients, oracle) <= 1e-10, name
+            got, want = _fitted_and_oracle(result, model, data, oracle)
+            assert got.shape == want.shape
+            assert _relative_gap(got, want) <= 1e-10, name
         direct = fit_tikhonov_direct(data, model, lam=0.05)
         tik = fit(data, model, tikhonov(), lam=0.05)
-        assert _relative_gap(tik.coefficients, direct.coefficients) <= 1e-10
+        assert _relative_gap(*_fitted_and_oracle(tik, model, data, direct.dual)) <= 1e-10
 
     def test_fits_without_eigh(self, monkeypatch):
         """Neither path calls np.linalg.eigh, dense (m < N) or factored (m >= N)."""
@@ -230,7 +247,7 @@ class TestEighOracle:
                 result = fit(data, model, tikhonov(), lam=0.05)
                 assert np.isfinite(error_norms(result, model, target).l2)
             assert (result.dual is not None) == (m < N_FACTORED)
-            assert _relative_gap(result.coefficients, oracle) <= 1e-10
+            assert _relative_gap(*_fitted_and_oracle(result, model, data, oracle)) <= 1e-10
 
 
 def _solve_iterated(matrix, rhs, lam, nu):
@@ -272,7 +289,7 @@ class TestResolventFit:
             oracle = _solve_iterated(gram, data.ys / m, lam, nu)
             assert _relative_gap(result.dual, oracle) <= 1e-10
             if nu == 1:
-                direct = fit_tikhonov_direct(data, model, lam=lam).coefficients
+                direct = fit_tikhonov_direct(data, model, lam=lam).dual
                 assert _relative_gap(result.dual, direct) <= 1e-10
         else:
             operator = model.empirical_operator(model.moments_of(data))
@@ -290,26 +307,18 @@ class TestResolventFit:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("nu", [1, 3])
     def test_coefficients_need_no_eigensolve(self, m, d, nu, monkeypatch):
-        """The coefficient rows against the eigenpair expression, built here from
-        eigh: of the m x m Gram below N, and from m = N on of the empirical
-        operator, c = (1/m) B diag(sqrt t) W ((g(w) - g(0)) / w) W^T u + (g(0)/m) y."""
+        """With no eigensolve, the coefficient rows below N, and from m = N on
+        their expansion Phi^T c, against rows built here from an eigh of the
+        m x m Gram on both sides of m = N."""
         model, _, data = _toy_problem(m=m, d=d, seed=m + 10 * d + nu, n_trunc=N_FACTORED)
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
         lam = 0.05
         calls = _count_lapack(monkeypatch, "dsytrd", "dstevd")
-        got = fit(data, model, filt, lam=lam).coefficients
+        result = fit(data, model, filt, lam=lam)
         assert calls == []
-        if m < N_FACTORED:
-            want = _eigh_oracle(data, model, filt, lam)
-        else:
-            moments = model.moments_of(data)
-            vals, vecs = np.linalg.eigh(model.empirical_operator(moments))
-            g_null = filt.values(0.0, lam)
-            gain = filt.values(vals, lam) - g_null
-            u = np.sqrt(model.eigenvalues)[:, None] * moments.response
-            weights = vecs @ ((gain / vals)[:, None] * (vecs.T @ u)) / m
-            want = (g_null / m) * data.ys + model.expand(weights, data.xs)
-        assert got.shape == (m, d)
+        assert (result.dual is not None) == (m < N_FACTORED)
+        got, want = _fitted_and_oracle(result, model, data, _eigh_oracle(data, model, filt, lam))
+        assert got.shape == want.shape
         assert _relative_gap(got, want) <= 1e-10
 
     def test_nonpositive_pivot_falls_back_to_the_clamped_eigenpairs(self, monkeypatch):
@@ -375,9 +384,9 @@ class TestSharedDecomposition:
         for name in (first, second):
             reused = fit(data, model, filters[name], lam=0.05, gram=shared)
             fresh = fit(data, model, filters[name], lam=0.05)
-            assert np.array_equal(reused.coefficients, fresh.coefficients), name
-            if m >= N_FACTORED:
-                assert np.array_equal(reused.expansion, fresh.expansion), name
+            assert np.array_equal(reused.expansion, fresh.expansion), name
+            if m < N_FACTORED:
+                assert np.array_equal(reused.dual, fresh.dual), name
             assert (reused.clamped, reused.dropped) == (fresh.clamped, fresh.dropped), name
             assert np.array_equal(shared.matrix, kept), name
         assert np.array_equal(shared.matrix, kept)
@@ -397,7 +406,7 @@ class TestOneSolve:
         calls = _count_lapack(monkeypatch, "dsytrd", "dstevd", "dstebz")
         result = fit(data, model, filt, lam=0.05)
         assert result.clamped >= 0.0
-        assert result.coefficients.shape == (m, 2)
+        assert result.expansion.shape == (N_FACTORED, 2)
         assert sorted(calls) == ["dstevd", "dsytrd"] * per_fit
         if per_fit:
             if m < N_FACTORED:
@@ -405,6 +414,20 @@ class TestOneSolve:
             else:
                 own = mercer_gram_eigen(model, model.moments_of(data))
             assert rank(own) == own.size - result.dropped
+
+    @pytest.mark.parametrize("m", [N_FACTORED // 2, N_FACTORED, 4 * N_FACTORED])
+    @pytest.mark.parametrize("kind", ["cutoff", "landweber"])
+    def test_eigenpair_fit_reflects_twice(self, m, kind, monkeypatch):
+        """An eigenpair fit applies the reflectors of its reduction twice, once
+        to project the fit's d columns and once to combine them back; a
+        Tikhonov fit never."""
+        model, _, data = _toy_problem(m=m, d=2, seed=m, n_trunc=N_FACTORED)
+        filt = _four_filters(model)[kind]
+        calls = _count_lapack(monkeypatch, "dormqr")
+        fit(data, model, filt, lam=0.05)
+        assert calls == ["dormqr", "dormqr"]
+        fit(data, model, tikhonov(), lam=0.05)
+        assert calls == ["dormqr", "dormqr"]
 
     def test_spectral_norm_bisects_twice(self, monkeypatch):
         raw = np.random.default_rng(1).standard_normal((12, 12))
@@ -419,9 +442,9 @@ class TestErrorNorms:
         result = fit(data, model, tikhonov(), lam=0.05)
         coeffs = basis_coefficients(result, model)
         grid = np.linspace(0.0, 2 * np.pi, 50)
-        feats = model.basis(grid)
+        feats = basis(model, grid)
         expansion = feats @ (np.sqrt(model.eigenvalues)[:, None] * coeffs)
-        np.testing.assert_allclose(result.predict(grid), expansion, atol=1e-12)
+        np.testing.assert_allclose(predict(result, grid), expansion, atol=1e-12)
 
     def test_exact_l2_matches_montecarlo(self):
         model, target, data = _toy_problem(m=24, seed=8)
@@ -460,7 +483,7 @@ class TestErrorNorms:
         model, _, data = _toy_problem(m=6, seed=11)
         result = fit(data, model, tikhonov(), lam=0.05)
         dump = export_coefficients(result)
-        assert set(dump) == {"lam", "filter", "xs", "coefficients"}
+        assert set(dump) == {"lam", "filter", "expansion"}
         assert dump["lam"] == 0.05
-        assert len(dump["xs"]) == 6
+        assert np.array_equal(dump["expansion"], basis_coefficients(result, model))
         assert dump["filter"]["id"] == "tikhonov"

@@ -19,7 +19,7 @@ from ratelab.gram import (
 )
 from ratelab.mercer import build_model, trigonometric_basis
 
-from oracles import GaussianRBF, eigenvectors, rank, reconstruction_error
+from oracles import GaussianRBF, basis, eigenvectors, rank, reconstruction_error
 
 
 class TestDataset:
@@ -316,7 +316,7 @@ class TestProductForm:
             eig.eigenvalues, np.linalg.eigvalsh(operator)[::-1], rtol=0, atol=1e-14
         )
         assert reconstruction_error(operator, eig) <= 1e-12
-        phi = model.basis(xs) * np.sqrt(model.eigenvalues / m)[None, :]
+        phi = basis(model, xs) * np.sqrt(model.eigenvalues / m)[None, :]
         vectors = eigenvectors(eig)
         assert rank(eig) == 16
         rebuilt = (phi @ vectors) @ (phi @ vectors).T

@@ -15,6 +15,7 @@ from ratelab.harness import (
     ExperimentConfig,
     fit_slope,
     load_config,
+    quantiles,
     rate_sweep,
     write_outputs,
 )
@@ -25,6 +26,22 @@ MINI = {
     "m_grid": [16, 32, 64, 128],
     "replicates": 4,
 }
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.05, 0.2])
+def test_quantiles_are_those_of_np_quantile(eta):
+    """Both levels a sweep reads, 0.5 and 1 - eta, bit for bit against
+    np.quantile, for n = 2..64 replicates of positive values spread over
+    decades, as error norms are, and a NaN gives NaN there too."""
+    rng = np.random.default_rng(int(100 * eta))
+    levels = (0.5, 1.0 - eta)
+    for n in range(2, 65):
+        for _ in range(20):
+            values = rng.lognormal(size=n) * 10.0 ** rng.integers(-8, 2)
+            want = [float(np.quantile(values, q)) for q in levels]
+            assert quantiles(values, levels) == want, n
+    nan = np.array([1.0, np.nan, 2.0])
+    assert np.isnan(quantiles(nan, levels)).all() and np.isnan(np.quantile(nan, levels)).all()
 
 
 class TestConfig:

@@ -72,11 +72,10 @@ print(json.dumps(added))
 def test_no_scipy_beyond_linalg_is_loaded():
     """Neither scipy.linalg nor a heavy scipy subpackage is loaded by the import,
     both tail statistics, a lower-bound race with dense fits or a sweep across
-    m = N. The import, the tails and the race also load none of the numpy
-    submodules scipy.linalg's import pulls in, beyond what importing numpy
-    and scipy loads by itself (numpy 1.x loads numpy.ma there). The sweep is
-    not held to that: numpy 2's np.unique, which np.quantile calls, imports
-    numpy.ma."""
+    m = N. No stage loads any of the numpy submodules scipy.linalg's import
+    pulls in, beyond what importing numpy and scipy loads by itself (numpy
+    1.x loads numpy.ma there): the sweep takes its quantiles without
+    np.quantile, whose np.unique imports numpy.ma under numpy 2."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
@@ -88,8 +87,7 @@ def test_no_scipy_beyond_linalg_is_loaded():
         assert [name for name in loaded if name.startswith(HEAVY)] == [], stage
         assert "scipy.linalg" not in loaded, stage
         assert "scipy.linalg._flapack" in loaded, stage
-    for stage in ("import", "tails and race"):
-        assert [name for name in added[stage] if name.startswith(SPARED)] == [], stage
+        assert [name for name in loaded if name.startswith(SPARED)] == [], stage
 
 
 def test_lapack_is_the_module_scipy_linalg_reexports():

@@ -55,6 +55,11 @@ class TestHolderIndex:
         with pytest.raises(DomainError):
             phi.value(1.5)
 
+    def test_domain_error_prints_plain_numbers(self):
+        """The range is printed as floats, not as numpy 2's np.float64(...)."""
+        with pytest.raises(DomainError, match=r"range \[0\.5, 1\.5\]$"):
+            HolderIndex(r=1.0).value(np.array([0.5, 1.5]))
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParameterError):
             HolderIndex(r=-0.5)

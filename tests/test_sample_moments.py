@@ -29,6 +29,8 @@ from ratelab.mercer import (
     two_point_weights,
 )
 
+from oracles import basis
+
 NOISES = {
     "gaussian": NoiseSpec(kind="gaussian", sigma=0.5),
     "two_point": NoiseSpec(kind="two_point", amplitude=4.0),
@@ -132,8 +134,8 @@ def test_sample_error_stat_matches_the_residual_expansion(n_trunc, d, m):
     test, at odd and even N and with one and three channels."""
     model, target = _lab(n_trunc, d=d)
     data = sample_dataset(model, target, NOISES["gaussian"], m=m, seed=m)
-    basis = model.basis(data.xs)
-    raw = basis.T @ (data.ys - target.evaluate(data.xs)) / m
+    bmat = basis(model, data.xs)
+    raw = bmat.T @ (data.ys - target.evaluate(data.xs)) / m
     t = model.eigenvalues
     want = float(np.linalg.norm((np.sqrt(t) / np.sqrt(t + 0.05))[:, None] * raw))
     assert sample_error_stat(model, data, target, lam=0.05) == pytest.approx(want, rel=1e-12)
