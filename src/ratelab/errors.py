@@ -47,7 +47,7 @@ class NumericalError(RateLabError, RuntimeError):
 
 
 class UnsupportedNormError(RateLabError, ValueError):
-    """Exact norms are unavailable for this kernel; use the Monte Carlo path."""
+    """Exact norms were asked of a fit under another model than its own."""
 
 
 class PackingFailureError(RateLabError, RuntimeError):

@@ -114,25 +114,12 @@ class Dataset:
     def m(self) -> int:
         return self.xs.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.ys.shape[1]
 
-
-def assemble_gram(kernel, xs, features=None) -> np.ndarray:
-    """The scaled Gram matrix (1/m) k(x_i, x_j), as symmetric as the kernel
-    returns it (`eigendecompose` symmetrizes). A MercerModel kernel reads
-    ``features`` at ``xs`` if they are its own (`MercerModel.scalar_kernel`)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 1:
-        raise DataError(f"xs must be a nonempty 1-d array, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise DataError("xs contains non-finite entries")
-    k = kernel.scalar_kernel(xs, xs) if features is None else kernel.scalar_kernel(xs, xs, features)
-    k = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(k)):
-        raise DataError("kernel evaluations contain non-finite entries")
-    return k / xs.size
+def assemble_gram(model, xs, features: Features | None = None) -> np.ndarray:
+    """The scaled Gram matrix Phi Phi^T / m of a MercerModel at the m inputs
+    ``xs`` (`MercerModel.scalar_kernel`), reading ``features`` if they are its
+    own Phi at ``xs``; `eigendecompose` symmetrizes it."""
+    return model.scalar_kernel(xs, features) / len(xs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -124,10 +124,10 @@ class ExperimentConfig:
             _number(filter_spec, key, None, "filter", params[key])
 
         noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
-        # a NaN or infinite level is named as not finite before NoiseSpec's
-        # range check; a value that is no number is left to noise_from_dict
+        # a NaN or infinite level, or a boolean, is refused by name before
+        # NoiseSpec's range check; any other non-number is left to noise_from_dict
         for key, value in noise_spec.items() if isinstance(noise_spec, dict) else ():
-            if isinstance(value, float):
+            if isinstance(value, (float, bool)):
                 _convert(value, f"noise.{key}")
         try:
             noise = noise_from_dict(noise_spec)
@@ -229,8 +229,10 @@ def _convert(value, name: str, kind=float):
     """``value`` converted by ``kind``, refused unless finite and, for int, integral.
 
     A float such as 64.0 is a valid int; 64.9 is refused, not truncated,
-    and NaN or infinity is refused for either kind.
+    and NaN or infinity is refused for either kind, as is a JSON boolean.
     """
+    if isinstance(value, bool):
+        raise ConfigError(name, f"need a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(name, f"need an integer, got {value!r}")
     try:

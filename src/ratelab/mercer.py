@@ -361,11 +361,12 @@ class MercerModel:
         scale.flags.writeable = False
         return scale
 
-    def scalar_kernel(self, xs, zs, features: Features | None = None) -> np.ndarray:
-        """k(x_i, z_j) = (Phi_x Phi_z^T)_ij with Phi = B diag(sqrt t) (`features`);
-        ``features`` carried at ``xs`` are reused if they are this model's."""
-        phi_x = self.features(xs, features).matrix
-        return phi_x @ (phi_x if zs is xs else self.features(zs).matrix).T
+    def scalar_kernel(self, xs, features: Features | None = None) -> np.ndarray:
+        """k(x_i, x_j) = (Phi Phi^T)_ij with Phi = B diag(sqrt t) at ``xs``
+        (`features`); ``features`` carried at ``xs`` are reused if they are
+        this model's."""
+        phi = self.features(xs, features).matrix
+        return phi @ phi.T
 
     def trace_tail_bound(self) -> float:
         """Upper bound on the eigenvalue mass dropped by truncation.

@@ -1,44 +1,24 @@
 """Independent references the tests check the package against.
 
 None of these is reached by a command, a sweep or the benchmark, so they
-live here rather than in `ratelab`: a kernel that is not a MercerModel,
-eigenvectors built whole from a decomposition, a Tikhonov fit by one dense
-solve, the real basis matrix, a fit's values at new inputs, the
-divergence ceiling of two two-point measures, a grid estimate of the L2
-error and the exact error of a two-mean Gaussian test.
+live here rather than in `ratelab`: eigenvectors built whole from a
+decomposition, a Tikhonov fit by one dense solve, the real basis matrix B
+and Phi = B diag(sqrt t), a fit's values at new inputs, the divergence
+ceiling of two two-point measures, a grid estimate of the L2 error and
+the exact error of a two-mean Gaussian test.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ratelab.errors import ParameterError
 from ratelab.estimator import FittedEstimator
 from ratelab.filters import tikhonov
-from ratelab.gram import GramEigen, assemble_gram
+from ratelab.gram import GramEigen
 from ratelab.mercer import real_features, trigonometric_basis
 
 MONTE_CARLO_POINTS = 10_000
-
-
-@dataclass(frozen=True)
-class GaussianRBF:
-    """Stationary squared-exponential kernel on the line."""
-
-    lengthscale: float
-
-    def __post_init__(self):
-        if self.lengthscale <= 0:
-            raise ParameterError(f"lengthscale must be positive, got {self.lengthscale}")
-
-    def scalar_kernel(self, xs, zs) -> np.ndarray:
-        xs = np.asarray(xs, float)[:, None]
-        zs = np.asarray(zs, float)[None, :]
-        return np.exp(-((xs - zs) ** 2) / (2.0 * self.lengthscale**2))
-
-    def describe(self) -> dict:
-        return {"kind": "gaussian_rbf", "lengthscale": self.lengthscale}
 
 
 def rank(eig: GramEigen) -> int:
@@ -59,18 +39,18 @@ def reconstruction_error(matrix: np.ndarray, eig: GramEigen) -> float:
     return float(np.max(np.abs(np.asarray(matrix) - approx)))
 
 
-def fit_tikhonov_direct(dataset, kernel, lam: float) -> FittedEstimator:
+def fit_tikhonov_direct(dataset, model, lam: float) -> FittedEstimator:
     """Reference Tikhonov fit via a dense linear solve, no eigendecomposition.
 
-    Solves ((1/m) K + lam I) c = y / m. The result holds its coefficient
-    rows and no expansion.
+    Solves ((1/m) Phi Phi^T + lam I) c = y / m with Phi = B diag(sqrt t)
+    built here (`basis`), and holds the expansion Phi^T c.
     """
     if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
-    lhs = assemble_gram(kernel, dataset.xs) + lam * np.eye(dataset.m)
-    return FittedEstimator(
-        dataset, kernel, tikhonov(), lam, dual=np.linalg.solve(lhs, dataset.ys / dataset.m)
-    )
+    phi = features(model, dataset.xs)
+    lhs = phi @ phi.T / dataset.m + lam * np.eye(dataset.m)
+    rows = np.linalg.solve(lhs, dataset.ys / dataset.m)
+    return FittedEstimator(model, tikhonov(), lam, phi.T @ rows)
 
 
 def basis_scale(count: int) -> np.ndarray:
@@ -88,13 +68,15 @@ def basis(model, xs) -> np.ndarray:
     return real_features(trigonometric_basis(xs, count), count, basis_scale(count))
 
 
+def features(model, xs) -> np.ndarray:
+    """Phi = B diag(sqrt t) of ``model`` at ``xs``, from `basis`: the kernel
+    is Phi Phi^T, and rows c give the expansion Phi^T c against sqrt(t_n) e_n."""
+    return basis(model, xs) * np.sqrt(model.eigenvalues)
+
+
 def predict(fit_result: FittedEstimator, xs) -> np.ndarray:
-    """Values of a fit at ``xs``: from its expansion under a MercerModel, else
-    from its coefficient rows against the kernel at its samples."""
-    if fit_result.expansion is not None:
-        return fit_result.kernel.expand(fit_result.expansion, xs)
-    cross = fit_result.kernel.scalar_kernel(np.atleast_1d(xs), fit_result.dataset.xs)
-    return cross @ fit_result.dual
+    """Values of a fit at ``xs``, from its expansion."""
+    return fit_result.kernel.expand(fit_result.expansion, xs)
 
 
 def divergence_ceiling(first, second) -> float:
@@ -106,7 +88,7 @@ def divergence_ceiling(first, second) -> float:
 
 
 def error_l2_montecarlo(fit_result, target, points: int = MONTE_CARLO_POINTS) -> float:
-    """Grid approximation of the L2 error, usable with any kernel."""
+    """Grid approximation of the L2 error, from the fit's values on a grid."""
     xs = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     diff = predict(fit_result, xs) - target.evaluate(xs)
     return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))

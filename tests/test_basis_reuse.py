@@ -59,7 +59,6 @@ def _draw(m, seed=0):
 def _outputs(model, target, data):
     fitted = fit(data, model, tikhonov(), lam=0.05)
     return (
-        fitted.dual,
         basis_coefficients(fitted, model),
         sample_error_stat(model, data, target, lam=0.05),
         operator_deviation(model, model.moments_of(data)),
@@ -251,7 +250,6 @@ def test_no_real_features_from_m_equal_n_on(monkeypatch):
     for m in (N_TRUNC, 24):
         data = sample_dataset(model, target, noise, m=m, seed=m)
         fitted = fit(data, model, tikhonov(), lam=0.05)
-        assert fitted.dual is None
         assert np.isfinite(error_norms(fitted, model, target).l2)
     with pytest.raises(AssertionError, match="real features were formed"):
         sample_dataset(model, target, noise, m=N_TRUNC - 1, seed=0)

@@ -487,6 +487,28 @@ class TestSweep:
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"m_grid": [True, 64, 128, 256]}, "m_grid"),
+            ({"seed": True}, "seed"),
+            ({"model": {"b": True, "N_trunc": 64}}, "model.b"),
+            ({"model": {"b": 2.0, "N_trunc": 64, "d": True}}, "model.d"),
+            ({"phi": {"kind": "holder", "r": True}}, "phi.r"),
+            ({"filter": {"id": "iterated_tikhonov", "nu": True}}, "filter.nu"),
+            ({"source": {"s": True}}, "source.s"),
+            ({"noise": {"kind": "gaussian", "sigma": True}}, "noise.sigma"),
+        ],
+    )
+    def test_boolean_value_exits_with_usage_error(self, change, key, tmp_path, capsys):
+        """A JSON true is no number: it was read as 1, and the sweep ran."""
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(dict(MINI_CONFIG, **change)))
+        code = main(["sweep", "--config", str(config_path), "--outdir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config key '{key}': need a number, got True" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_with_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "absent.json"), "--outdir", str(tmp_path / "o")])
         assert code == 2

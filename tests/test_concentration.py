@@ -18,11 +18,14 @@ from ratelab.index_functions import HolderIndex
 from ratelab.mercer import (
     NoiseSpec,
     build_model,
+    draw_inputs,
     power_law_source,
     sample_dataset,
     target_from_source,
 )
 from ratelab.rates import effective_dimension
+
+from oracles import features
 
 
 def _setup(n_trunc=8, radius=1.0):
@@ -78,6 +81,33 @@ class TestOperatorDeviation:
         emp[np.diag_indices_from(emp)] -= model.eigenvalues
         oracle = float(np.max(np.abs(np.linalg.eigvalsh(emp))))
         assert operator_deviation(model, moments) == pytest.approx(oracle, rel=1e-13)
+
+    def test_hilbert_schmidt_mean_square_is_exact(self):
+        """E ||T_x - T||_HS^2 = (E k(x, x)^2 - sum t_n^2) / m exactly: T_x is the
+        mean of m independent phi(x_i) phi(x_i)^T, each of mean T = diag(t) and
+        squared HS norm ||phi(x)||^4 = k(x, x)^2. k(x, x) is a trigonometric
+        polynomial of degree 2h, h = N // 2, so the 4h + 1 point uniform grid
+        averages its square exactly. The replicate mean of the squared norm
+        must lie within 3 standard errors of it, and the norm scaled by 0.9
+        must not."""
+        m, replicates = 1024, 500
+        model, _ = _setup(n_trunc=128)
+        points = 4 * (model.n_trunc // 2) + 1
+        grid = np.arange(points) * (2 * np.pi / points)
+        diagonal = np.sum(features(model, grid) ** 2, axis=1)
+        want = (np.mean(diagonal**2) - np.sum(model.eigenvalues**2)) / m
+        rng = np.random.default_rng(0)
+        squares = np.empty(replicates)
+        for i in range(replicates):
+            gap = model.empirical_operator(model.sample_moments(draw_inputs(m, rng)))
+            gap[np.diag_indices_from(gap)] -= model.eigenvalues
+            squares[i] = np.sum(gap * gap)
+
+        def z_score(values):
+            return (values.mean() - want) / (values.std(ddof=1) / np.sqrt(values.size))
+
+        assert abs(z_score(squares)) <= 3.0
+        assert abs(z_score(0.81 * squares)) > 3.0
 
     def test_bound_shrinks_with_m(self):
         model, _ = _setup()

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ratelab import estimator
 from ratelab._lapack import lapack
 from ratelab.errors import ParameterError, UnsupportedNormError
 from ratelab.estimator import (
@@ -32,9 +33,9 @@ from ratelab.mercer import (
 )
 
 from oracles import (
-    GaussianRBF,
     basis,
     error_l2_montecarlo,
+    features,
     fit_tikhonov_direct,
     predict,
     rank,
@@ -50,29 +51,24 @@ def _toy_problem(m=20, d=1, seed=0, sigma=0.2, n_trunc=8):
 
 
 def _expansion_of(model, xs, rows):
-    """Phi^T c for coefficient rows c at ``xs``, Phi = B diag(sqrt t) built here:
-    the expansion against sqrt(t_n) e_n of sum_i k(., x_i) c_i."""
-    return (basis(model, xs) * np.sqrt(model.eigenvalues)).T @ rows
-
-
-def _fitted_and_oracle(result, model, data, rows):
-    """The fit's rows and the oracle ``rows`` below N, where the fit keeps its
-    rows, else its expansion and the oracle rows' expansion Phi^T c."""
-    if result.dual is not None:
-        return result.dual, rows
-    return result.expansion, _expansion_of(model, data.xs, rows)
+    """Phi^T c for coefficient rows c at ``xs``, Phi = B diag(sqrt t) built in
+    the oracles: the expansion against sqrt(t_n) e_n of sum_i k(., x_i) c_i."""
+    return features(model, xs).T @ rows
 
 
 class TestFit:
     def test_single_point_tikhonov(self):
-        """With m = 1 and k(x, x) = 1 the solve is (1 + lam) c = y."""
+        """With m = 1 the solve is (k(x, x) + lam) c = y, and the expansion
+        Phi^T c."""
         model = build_model(b=2.0, n_trunc=8)
         x0 = 0.0
-        k00 = float(model.scalar_kernel(np.array([x0]), np.array([x0]))[0, 0])
+        k00 = float(model.scalar_kernel(np.array([x0]))[0, 0])
         data = Dataset(xs=np.array([x0]), ys=np.array([1.0]))
         result = fit(data, model, tikhonov(), lam=1.0)
         expected = 1.0 / (k00 + 1.0)
-        assert result.dual[0, 0] == pytest.approx(expected, rel=1e-14)
+        np.testing.assert_allclose(
+            result.expansion, _expansion_of(model, data.xs, [[expected]]), rtol=1e-14
+        )
         assert predict(result, np.array([x0]))[0, 0] == pytest.approx(
             k00 * expected, rel=1e-14
         )
@@ -82,9 +78,7 @@ class TestFit:
         model, _, data = _toy_problem(m=24, seed=seed)
         spectral = fit(data, model, tikhonov(), lam=0.05)
         direct = fit_tikhonov_direct(data, model, lam=0.05)
-        np.testing.assert_allclose(
-            *_fitted_and_oracle(spectral, model, data, direct.dual), rtol=1e-10, atol=1e-14
-        )
+        np.testing.assert_allclose(spectral.expansion, direct.expansion, rtol=1e-10, atol=1e-14)
 
     def test_matches_direct_solve_on_factored_path(self):
         """m above the feature count exercises the factored decomposition."""
@@ -92,9 +86,7 @@ class TestFit:
         assert data.m > model.n_trunc
         spectral = fit(data, model, tikhonov(), lam=0.05)
         direct = fit_tikhonov_direct(data, model, lam=0.05)
-        np.testing.assert_allclose(
-            *_fitted_and_oracle(spectral, model, data, direct.dual), rtol=1e-10, atol=1e-14
-        )
+        np.testing.assert_allclose(spectral.expansion, direct.expansion, rtol=1e-10, atol=1e-14)
 
     def test_matches_direct_solve_with_duplicate_inputs(self):
         """Repeated inputs make the Gram singular; the null-space term covers it."""
@@ -104,15 +96,7 @@ class TestFit:
         data = Dataset(xs=xs, ys=ys)
         spectral = fit(data, model, tikhonov(), lam=0.1)
         direct = fit_tikhonov_direct(data, model, lam=0.1)
-        np.testing.assert_allclose(spectral.dual, direct.dual, rtol=1e-10, atol=1e-14)
-
-    def test_matches_direct_solve_for_rbf_kernel(self):
-        kernel = GaussianRBF(lengthscale=1.0)
-        rng = np.random.default_rng(4)
-        data = Dataset(xs=rng.uniform(0, 2 * np.pi, 12), ys=rng.standard_normal(12))
-        spectral = fit(data, kernel, tikhonov(), lam=0.02)
-        direct = fit_tikhonov_direct(data, kernel, lam=0.02)
-        np.testing.assert_allclose(spectral.dual, direct.dual, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(spectral.expansion, direct.expansion, rtol=1e-10, atol=1e-14)
 
     def test_iterated_tikhonov_shrinks_less(self):
         """More iterations pass more signal, so training residuals shrink."""
@@ -176,8 +160,6 @@ class TestFactoredFit:
         dense = eigendecompose(assemble_gram(model, data.xs, basis(model, data.xs)))
         for name, filt in _four_filters(model).items():
             factored = fit(data, model, filt, lam=0.05)
-            assert factored.expansion is not None, name
-            assert factored.dual is None, name
             oracle = fit(data, model, filt, lam=0.05, gram=dense)
             assert factored.expansion.shape == (N_FACTORED, d)
             assert basis_coefficients(factored, model) is factored.expansion
@@ -214,8 +196,8 @@ def _eigh_oracle(data, model, filt, lam):
 
 
 class TestEighOracle:
-    """Both fit paths match coefficients built from np.linalg.eigh in the test itself:
-    the rows below N, their expansion Phi^T c from m = N on."""
+    """Both fit paths match coefficients built from np.linalg.eigh in the test
+    itself, through their expansion Phi^T c."""
 
     @pytest.mark.parametrize(
         "m", [1, 2, 5, N_FACTORED, N_FACTORED + 1, 8 * N_FACTORED]
@@ -225,14 +207,12 @@ class TestEighOracle:
         model, _, data = _toy_problem(m=m, d=d, seed=m + d, n_trunc=N_FACTORED)
         for name, filt in _four_filters(model).items():
             result = fit(data, model, filt, lam=0.05)
-            assert (result.dual is not None) == (m < N_FACTORED), name
-            oracle = _eigh_oracle(data, model, filt, 0.05)
-            got, want = _fitted_and_oracle(result, model, data, oracle)
-            assert got.shape == want.shape
-            assert _relative_gap(got, want) <= 1e-10, name
+            want = _expansion_of(model, data.xs, _eigh_oracle(data, model, filt, 0.05))
+            assert result.expansion.shape == want.shape
+            assert _relative_gap(result.expansion, want) <= 1e-10, name
         direct = fit_tikhonov_direct(data, model, lam=0.05)
         tik = fit(data, model, tikhonov(), lam=0.05)
-        assert _relative_gap(*_fitted_and_oracle(tik, model, data, direct.dual)) <= 1e-10
+        assert _relative_gap(tik.expansion, direct.expansion) <= 1e-10
 
     def test_fits_without_eigh(self, monkeypatch):
         """Neither path calls np.linalg.eigh, dense (m < N) or factored (m >= N)."""
@@ -246,8 +226,7 @@ class TestEighOracle:
                 patch.setattr(np.linalg, "eigh", refuse)
                 result = fit(data, model, tikhonov(), lam=0.05)
                 assert np.isfinite(error_norms(result, model, target).l2)
-            assert (result.dual is not None) == (m < N_FACTORED)
-            assert _relative_gap(*_fitted_and_oracle(result, model, data, oracle)) <= 1e-10
+            assert _relative_gap(result.expansion, _expansion_of(model, data.xs, oracle)) <= 1e-10
 
 
 def _solve_iterated(matrix, rhs, lam, nu):
@@ -286,11 +265,11 @@ class TestResolventFit:
         result = fit(data, model, filt, lam=lam)
         if m < N_FACTORED:
             gram = assemble_gram(model, data.xs)
-            oracle = _solve_iterated(gram, data.ys / m, lam, nu)
-            assert _relative_gap(result.dual, oracle) <= 1e-10
+            oracle = _expansion_of(model, data.xs, _solve_iterated(gram, data.ys / m, lam, nu))
+            assert _relative_gap(result.expansion, oracle) <= 1e-10
             if nu == 1:
-                direct = fit_tikhonov_direct(data, model, lam=lam).dual
-                assert _relative_gap(result.dual, direct) <= 1e-10
+                direct = fit_tikhonov_direct(data, model, lam=lam).expansion
+                assert _relative_gap(result.expansion, direct) <= 1e-10
         else:
             operator = model.empirical_operator(model.moments_of(data))
             u = np.sqrt(model.eigenvalues)[:, None] * model.moments_of(data).response
@@ -307,25 +286,24 @@ class TestResolventFit:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("nu", [1, 3])
     def test_coefficients_need_no_eigensolve(self, m, d, nu, monkeypatch):
-        """With no eigensolve, the coefficient rows below N, and from m = N on
-        their expansion Phi^T c, against rows built here from an eigh of the
-        m x m Gram on both sides of m = N."""
+        """With no eigensolve, the expansion against Phi^T c for rows built here
+        from an eigh of the m x m Gram, on both sides of m = N."""
         model, _, data = _toy_problem(m=m, d=d, seed=m + 10 * d + nu, n_trunc=N_FACTORED)
         filt = tikhonov() if nu == 1 else iterated_tikhonov(nu)
         lam = 0.05
         calls = _count_lapack(monkeypatch, "dsytrd", "dstevd")
         result = fit(data, model, filt, lam=lam)
         assert calls == []
-        assert (result.dual is not None) == (m < N_FACTORED)
-        got, want = _fitted_and_oracle(result, model, data, _eigh_oracle(data, model, filt, lam))
-        assert got.shape == want.shape
-        assert _relative_gap(got, want) <= 1e-10
+        want = _expansion_of(model, data.xs, _eigh_oracle(data, model, filt, lam))
+        assert result.expansion.shape == want.shape
+        assert _relative_gap(result.expansion, want) <= 1e-10
 
     def test_nonpositive_pivot_falls_back_to_the_clamped_eigenpairs(self, monkeypatch):
         """lam below a negative round-off eigenvalue: G + lam I is indefinite, so the
         fit filters the eigenpairs, which clamp that eigenvalue to zero, and raises
         nothing. A decomposition passed in keeps its matrix; one the fit builds
-        and factors in place gets it back before it is reduced."""
+        and factors in place gets it back before it is reduced. G is made by
+        hand and stands for the Gram of a MercerModel at five inputs."""
         reduced = []
         real = lapack.dsytrd
         monkeypatch.setattr(
@@ -335,36 +313,29 @@ class TestResolventFit:
         rotation, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         spectrum = np.array([1.0, 0.5, 0.25, 0.1, -1e-12])
         gram = (rotation * spectrum) @ rotation.T
+        model = build_model(b=2.0, n_trunc=8)
         data = Dataset(xs=np.arange(5.0), ys=rng.standard_normal((5, 2)))
         lam = 1e-13
         clamped = np.maximum(spectrum, 0.0)
-        oracle = rotation @ ((rotation.T @ data.ys) / (clamped + lam)[:, None]) / 5
-        fixed = _FixedGram(gram)
+        rows = rotation @ ((rotation.T @ data.ys) / (clamped + lam)[:, None]) / 5
+        oracle = _expansion_of(model, data.xs, rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = eigendecompose(gram)
             kept = eig.matrix.copy()
             assert tikhonov().apply_matrix(eig.matrix, np.ones((5, 1)), lam) is None
-            result = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam, gram=eig)
-            own = fit(data, fixed, tikhonov(), lam)
+            result = fit(data, model, tikhonov(), lam, gram=eig)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "assemble_gram", lambda *_args: gram)
+                own = fit(data, model, tikhonov(), lam)
         assert np.array_equal(eig.matrix, kept)
         assert len(reduced) == 2 and np.array_equal(reduced[0], kept)
-        assert _relative_gap(result.dual, oracle) <= 1e-10
+        assert _relative_gap(result.expansion, oracle) <= 1e-10
         assert result.clamped == eig.clamped == pytest.approx(1e-12, rel=1e-3)
         assert len(reduced) == 2  # eig.clamped was read off the fit's own reduction of eig
-        assert np.array_equal(reduced[1], eigendecompose(assemble_gram(fixed, data.xs)).matrix)
-        assert _relative_gap(own.dual, oracle) <= 1e-10
+        assert np.array_equal(reduced[1], kept)
+        assert _relative_gap(own.expansion, oracle) <= 1e-10
         assert own.clamped == pytest.approx(1e-12, rel=1e-3)
-
-
-class _FixedGram:
-    """A kernel whose scaled Gram at any m inputs is the given m x m matrix."""
-
-    def __init__(self, gram):
-        self.gram = gram
-
-    def scalar_kernel(self, xs, zs):
-        return self.gram * len(xs)
 
 
 class TestSharedDecomposition:
@@ -385,8 +356,6 @@ class TestSharedDecomposition:
             reused = fit(data, model, filters[name], lam=0.05, gram=shared)
             fresh = fit(data, model, filters[name], lam=0.05)
             assert np.array_equal(reused.expansion, fresh.expansion), name
-            if m < N_FACTORED:
-                assert np.array_equal(reused.dual, fresh.dual), name
             assert (reused.clamped, reused.dropped) == (fresh.clamped, fresh.dropped), name
             assert np.array_equal(shared.matrix, kept), name
         assert np.array_equal(shared.matrix, kept)
@@ -465,19 +434,15 @@ class TestErrorNorms:
         assert errs.rkhs < 1e-6
 
     def test_exact_norms_need_the_models_own_kernel(self):
-        """Norms and the expansion both refuse a fit under another kernel, under
-        a second model of the same N, on either side of m = N, and a fit that
-        holds no expansion."""
+        """Norms and the expansion both refuse a fit under a second model of the
+        same N, on either side of m = N."""
         for m in (6, 12):
             model, target, data = _toy_problem(m=m, seed=10)
-            rbf = fit(data, GaussianRBF(lengthscale=1.0), tikhonov(), lam=0.05)
             twin = fit(data, build_model(b=2.0, n_trunc=model.n_trunc), tikhonov(), lam=0.05)
-            direct = fit_tikhonov_direct(data, model, lam=0.05)
             with pytest.raises(UnsupportedNormError):
-                error_norms(rbf, model, target)
-            for other in (rbf, twin, direct):
-                with pytest.raises(UnsupportedNormError):
-                    basis_coefficients(other, model)
+                error_norms(twin, model, target)
+            with pytest.raises(UnsupportedNormError):
+                basis_coefficients(twin, model)
 
     def test_export_round_trip(self):
         model, _, data = _toy_problem(m=6, seed=11)

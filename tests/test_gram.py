@@ -19,7 +19,7 @@ from ratelab.gram import (
 )
 from ratelab.mercer import build_model, trigonometric_basis
 
-from oracles import GaussianRBF, basis, eigenvectors, rank, reconstruction_error
+from oracles import basis, eigenvectors, rank, reconstruction_error
 
 
 class TestDataset:
@@ -27,7 +27,6 @@ class TestDataset:
         data = Dataset(xs=np.array([0.0, 1.0]), ys=np.array([2.0, 3.0]))
         assert data.ys.shape == (2, 1)
         assert data.m == 2
-        assert data.output_dim == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
@@ -57,15 +56,18 @@ class TestDataset:
 
 class TestAssembleGram:
     def test_scaling_and_symmetry(self):
-        kernel = GaussianRBF(lengthscale=1.0)
+        """k(x, x) = sum_n t_n e_n(x)^2, divided by m."""
+        model = build_model(b=2.0, n_trunc=9)
         xs = np.array([0.0, 1.0, 3.0])
-        gram = assemble_gram(kernel, xs)
+        gram = assemble_gram(model, xs)
         np.testing.assert_allclose(gram, gram.T)
-        np.testing.assert_allclose(np.diag(gram), 1.0 / 3.0)
+        np.testing.assert_allclose(np.diag(gram), basis(model, xs) ** 2 @ model.eigenvalues / 3.0)
 
     def test_single_point(self):
-        gram = assemble_gram(GaussianRBF(lengthscale=2.0), np.array([1.5]))
-        np.testing.assert_allclose(gram, [[1.0]])
+        """k(0, 0) = t_0 + 2 sum of the cos eigenvalues = kappa_sq at d = 1."""
+        model = build_model(b=2.0, n_trunc=8)
+        gram = assemble_gram(model, np.array([0.0]))
+        np.testing.assert_allclose(gram, [[model.kappa_sq]])
 
     @pytest.mark.parametrize("m", [5, 8])
     def test_mercer_gram_from_a_carried_basis_is_identical(self, m, monkeypatch):
@@ -79,10 +81,6 @@ class TestAssembleGram:
         assert np.array_equal(assemble_gram(model, xs, table), fresh)
         monkeypatch.setattr(mercer, "trigonometric_basis", None)
         assert np.array_equal(assemble_gram(model, xs, carried), fresh)
-
-    def test_bad_lengthscale(self):
-        with pytest.raises(ParameterError):
-            GaussianRBF(lengthscale=0.0)
 
 
 class TestEigendecompose:
