@@ -11,6 +11,7 @@ from .errors import (
     AmplitudeError,
     BracketUnderflowError,
     CertificationError,
+    Check,
     ConfigError,
     ConstructionError,
     ContractError,

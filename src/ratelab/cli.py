@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 when the requested check passed (or nothing was checked),
-1 when a check ran and failed, 2 on configuration or usage errors.
+Exit codes: 0 when every check the command ran passed (or nothing was
+checked), 1 when one failed (`_exit_code`; a sweep fails on a FAIL verdict),
+2 on configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def _filter(kind: str, args, kappa_sq: float):
     return filter_from_dict({"id": kind, **given}, kappa_sq=kappa_sq)
 
 
+def _exit_code(checks) -> int:
+    """0 when every Check passed, else 1."""
+    return 0 if all(check.passed for check in checks) else 1
+
+
 def _print(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -96,33 +102,34 @@ def _cmd_filters(args) -> int:
     kappa_sq = _positive("--kappa-sq", args.kappa_sq)
     kinds = [args.filter] if args.filter else list(FILTER_KINDS)
     _check_filter_flags(kinds, args)
-    all_passed = True
+    every = []
     for kind in kinds:
-        report = _filter(kind, args, kappa_sq).verify(kappa_sq=kappa_sq)
-        all_passed &= report.passed
-        print(f"{kind}: {'ok' if report.passed else 'FAILED'}")
-        for row in report.rows:
+        checks = _filter(kind, args, kappa_sq).verify(kappa_sq=kappa_sq)
+        every += checks
+        print(f"{kind}: {'FAILED' if _exit_code(checks) else 'ok'}")
+        for check in checks:
             print(
-                f"  {row.name}: attained {row.attained!r} <= allowed {row.allowed!r}"
-                f" [{'ok' if row.passed else 'VIOLATED'}]"
+                f"  {check.name}: attained {check.value!r} <= allowed {check.limit!r}"
+                f" [{'ok' if check.passed else 'VIOLATED'}]"
             )
-    return 0 if all_passed else 1
+    return _exit_code(every)
 
 
 def _cmd_effdim(args) -> int:
     if args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
     lam_min, lam_max = _positive("--lam-min", args.lam_min), _positive("--lam-max", args.lam_max)
-    lams = np.geomspace(lam_min, lam_max, args.points)
+    lams = np.geomspace(lam_min, lam_max, args.points).tolist()
     model, _ = _build_lab(args)
-    report = effdim_bound_check(model, lams)
-    for row in report.rows:
+    checks = effdim_bound_check(model, lams)
+    for lam, poly, crude in zip(lams, checks[::2], checks[1::2]):
         print(
-            f"lam={row.lam!r} value={row.value!r} poly={row.poly_bound!r} "
-            f"crude={row.crude_bound!r} [{'ok' if row.within else 'VIOLATED'}]"
+            f"lam={lam!r} value={poly.value!r} poly={poly.limit!r} crude={crude.limit!r} "
+            f"[{'VIOLATED' if _exit_code((poly, crude)) else 'ok'}]"
         )
-    print(f"effective dimension bounds: {'ok' if report.passed else 'FAILED'}")
-    return 0 if report.passed else 1
+    code = _exit_code(checks)
+    print(f"effective dimension bounds: {'FAILED' if code else 'ok'}")
+    return code
 
 
 def _cmd_concentration(args) -> int:
@@ -156,15 +163,15 @@ def _cmd_concentration(args) -> int:
             "eta": report.eta,
             "bound": report.bound,
             "frequency": report.frequency,
-            "passed": report.passed,
+            "passed": report.check.passed,
         }
     )
-    return 0 if report.passed else 1
+    return _exit_code([report.check])
 
 
 def _cmd_lower_bound(args) -> int:
     model, phi = _build_lab(args)
-    check = empirical_fano_check(
+    race = empirical_fano_check(
         model,
         phi,
         args.radius,
@@ -174,10 +181,10 @@ def _cmd_lower_bound(args) -> int:
         seed=resolve_seed(args.seed, "--seed"),
     )
 
-    level = check["amplitude"]
+    level = race["amplitude"]
     measures = [
         TwoPointMeasure(model=model, target=member, amplitude=level)
-        for member in check["family"].members[:KL_MEMBERS]
+        for member in race["family"].members[:KL_MEMBERS]
     ]
     kl_max = 0.0
     for i, first in enumerate(measures):
@@ -186,15 +193,15 @@ def _cmd_lower_bound(args) -> int:
 
     _print(
         {
-            "ell": check["ell"],
-            "N": check["N"],
-            "separation": check["separation"],
+            "ell": race["ell"],
+            "N": race["N"],
+            "separation": race["separation"],
             "kl_max": kl_max,
-            "fano_bound": check["fano_bound"],
-            "observed_frequency": check["observed_frequency"],
+            "fano_bound": race["fano_bound"],
+            "observed_frequency": race["observed_frequency"],
         }
     )
-    return 0 if check["consistent"] else 1
+    return _exit_code([race["check"]])
 
 
 def _cmd_fit(args) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ParameterError
+from .errors import CertificationError, Check, ParameterError
 from .gram import SampleMoments, spectral_norm
 from .mercer import (
     MercerModel,
@@ -98,7 +98,7 @@ class TailRow:
 
     @property
     def violated(self) -> bool:
-        return self.statistic > self.bound
+        return not self.statistic <= self.bound  # a NaN statistic violates
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ class TailReport:
         return sum(row.violated for row in self.rows) / len(self.rows)
 
     @property
-    def passed(self) -> bool:
-        return self.frequency <= self.eta
+    def check(self) -> Check:
+        return Check("violation_frequency", self.frequency, self.eta)
 
 
 def tail_test(

@@ -1,9 +1,31 @@
-"""Exception types shared across the package.
+"""Exception types and the one verdict record shared across the package.
 
 The split keeps caller mistakes (bad arguments, bad data) distinguishable
 from broken internal guarantees (contract violations, numerical failures),
-which the CLI maps to different exit codes.
+which the CLI maps to different exit codes. Every claim the lab tests ends
+in a `Check`, whose failure is the CLI's exit code 1.
 """
+
+from dataclasses import dataclass
+
+CHECK_SLACK = 1e-12  # the relative slack of every verdict
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ``value`` <= ``limit``, up to a relative CHECK_SLACK.
+
+    A NaN value fails. A floor is checked as floor <= observation, and a
+    band of k standard errors puts k se in ``limit``.
+    """
+
+    name: str
+    value: float
+    limit: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.limit * (1 + CHECK_SLACK)
 
 
 class RateLabError(Exception):

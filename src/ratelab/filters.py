@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import lapack
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import Check, DomainError, NumericalError, ParameterError
 from .index_functions import IndexFunction, geometric_grid, nondecreasing
 
 # The parameters each kind takes, by their JSON names, with their types.
@@ -36,7 +36,6 @@ FILTER_PARAMS = {
 FILTER_KINDS = tuple(FILTER_PARAMS)
 
 VERIFY_POINTS = 256
-VERIFY_SLACK = 1e-9  # relative slack for attained-vs-declared comparisons
 
 
 def _iteration_count(lam: float) -> int:
@@ -215,8 +214,8 @@ class SpectralFilter:
 
     # -- verification ---------------------------------------------------------
 
-    def verify(self, kappa_sq: float = 1.0) -> "VerificationReport":
-        """Recompute attained suprema on grids and compare with declarations.
+    def verify(self, kappa_sq: float = 1.0) -> tuple:
+        """Recompute attained suprema on grids: one Check per declared constant.
 
         The grids are geometric with 256 points, sigma over
         [1e-8 * kappa_sq, kappa_sq] and lam over [1e-6, 1]. The decay is
@@ -243,15 +242,14 @@ class SpectralFilter:
                 attained = float(np.max(np.abs(r) * sigma_grid**p)) / float(lam) ** p
                 sup_order[p] = max(sup_order[p], attained)
 
-        rows = [
-            CheckRow("operator_bound", sup_op, cons.operator_bound),
-            CheckRow("scale_bound", sup_scale, cons.scale_bound),
-            CheckRow("residual_bound", sup_res, cons.residual_bound),
-        ]
-        for p in orders:
-            decay = self.residual_decay_constant(p)
-            rows.append(CheckRow(f"residual_decay_order_{p:g}", sup_order[p], decay))
-        return VerificationReport(self.describe(), tuple(rows))
+        return (
+            Check("operator_bound", sup_op, cons.operator_bound),
+            Check("scale_bound", sup_scale, cons.scale_bound),
+            Check("residual_bound", sup_res, cons.residual_bound),
+        ) + tuple(
+            Check(f"residual_decay_order_{p:g}", sup_order[p], self.residual_decay_constant(p))
+            for p in orders
+        )
 
     def covers_index(self, phi: IndexFunction, extra_sqrt: bool = False) -> bool:
         """Whether the qualification covers ``phi``: t**p / phi(t) nondecreasing.
@@ -276,27 +274,6 @@ class SpectralFilter:
         if self.kind == "landweber":
             out["tau"] = self.step
         return out
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    attained: float
-    allowed: float
-
-    @property
-    def passed(self) -> bool:
-        return self.attained <= self.allowed * (1 + VERIFY_SLACK)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    filter_id: dict
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
 
 
 def tikhonov() -> SpectralFilter:

@@ -18,6 +18,7 @@ are written with repr (shortest round trip) and JSON keys are sorted.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, TruncationError
+from .errors import Check, ConfigError, TruncationError
 from .estimator import error_norms, fit
 from .filters import FILTER_KINDS, FILTER_PARAMS, filter_from_dict
 from .index_functions import HolderIndex, IndexFunction, index_from_dict
@@ -124,10 +125,10 @@ class ExperimentConfig:
             _number(filter_spec, key, None, "filter", params[key])
 
         noise_spec = raw.get("noise", {"kind": "gaussian", "sigma": 0.5})
-        # a NaN or infinite level, or a boolean, is refused by name before
+        # a NaN or infinite level, a boolean or a string is refused by name before
         # NoiseSpec's range check; any other non-number is left to noise_from_dict
         for key, value in noise_spec.items() if isinstance(noise_spec, dict) else ():
-            if isinstance(value, (float, bool)):
+            if key != "kind" and isinstance(value, (float, bool, str)):
                 _convert(value, f"noise.{key}")
         try:
             noise = noise_from_dict(noise_spec)
@@ -213,6 +214,8 @@ def resolve_seed(seed, key: str = "seed") -> int:
     RATE_LAB_SEED when that is set. Both are checked, and each is refused
     by name unless it is a nonnegative integer, the only seeds numpy takes."""
     env = os.environ.get(SEED_ENV_VAR)
+    with contextlib.suppress(TypeError, ValueError):
+        env = int(env)  # the variable's text, as the integer it spells if it is one
     for value, name in [(seed, key)] + ([] if env is None else [(env, SEED_ENV_VAR)]):
         resolved = _convert(value, name, int)
         if resolved < 0:
@@ -229,9 +232,10 @@ def _convert(value, name: str, kind=float):
     """``value`` converted by ``kind``, refused unless finite and, for int, integral.
 
     A float such as 64.0 is a valid int; 64.9 is refused, not truncated,
-    and NaN or infinity is refused for either kind, as is a JSON boolean.
+    and NaN or infinity is refused for either kind, as is a JSON boolean
+    or a string, even one that spells a number.
     """
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ConfigError(name, f"need a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(name, f"need an integer, got {value!r}")
@@ -490,9 +494,11 @@ def rate_sweep(config: ExperimentConfig) -> SweepResult:
         if exponent is None:
             verdicts[norm] = "UNCHECKED"
             continue
-        close = abs(slopes[norm].slope + exponent) <= config.slope_tolerance
-        tight = slopes[norm].stderr <= config.slope_tolerance / 2.0
-        verdicts[norm] = "PASS" if close and tight else "FAIL"
+        checks = (
+            Check("slope", abs(slopes[norm].slope + exponent), config.slope_tolerance),
+            Check("stderr", slopes[norm].stderr, config.slope_tolerance / 2.0),
+        )
+        verdicts[norm] = "PASS" if all(check.passed for check in checks) else "FAIL"
 
     return SweepResult(
         config=config,

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    Check,
     ConstructionError,
     ContractError,
     PackingFailureError,
@@ -345,7 +346,7 @@ def empirical_fano_check(
     makes), fits Tikhonov with lambda from the psi rule at this
     m, and records whether the fit landed epsilon/2 or farther from the
     truth in L2. The observed frequency must not undercut the floor by
-    more than three binomial standard errors; ``consistent`` reports that
+    more than three binomial standard errors; ``check`` holds that
     comparison. The packing is built from ``seed``, and trial i draws from
     SeedSequence([seed, i]). The result also holds the adversarial
     ``family`` the trials drew from.
@@ -382,7 +383,7 @@ def empirical_fano_check(
         "trials": trials,
         "observed_frequency": observed,
         "standard_error": se,
-        "consistent": observed >= bound - 3.0 * se,
+        "check": Check("fano_floor", bound - 3.0 * se, observed),
         "family": family,
     }
 

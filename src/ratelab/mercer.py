@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     AmplitudeError,
+    Check,
     ConstructionError,
     ContractError,
     DomainError,
@@ -40,7 +41,6 @@ PERIOD = 2.0 * math.pi
 
 SPECTRUM_RULES = ("lower", "midpoint", "upper")
 SOURCE_RADIUS_SLACK = 1e-12
-BOUND_SLACK = 1e-12
 # Basis cells per row chunk at m >= N: 256 rows at N = 512, whose table of
 # 257 complex columns is 1 MiB.
 CHUNK_CELLS = 2**17
@@ -524,22 +524,10 @@ def power_law_source(model: MercerModel, s: float = 1.0, radius: float = 1.0) ->
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    error: float
-    limit: float
-
-    @property
-    def holds(self) -> bool:
-        return self.error <= self.limit * (1 + BOUND_SLACK)
-
-
-@dataclass(frozen=True)
 class ApproxErrorReport:
     l2_error: float
     rkhs_error: float
-    bounds: tuple
-    applicable: bool
+    bounds: tuple  # a Check per licensed limit, empty when none is licensed
 
 
 def approx_error_norms(
@@ -567,23 +555,18 @@ def approx_error_norms(
     phi_lam = phi.value(lam)
     checks = []
     if flags.phi_times_sqrt_t_nondecreasing and flags.sqrt_t_over_phi_nondecreasing:
-        checks.append(BoundCheck("l2_sqrt_weighted", l2_error, radius * phi_lam * math.sqrt(lam)))
+        checks.append(Check("l2_sqrt_weighted", l2_error, radius * phi_lam * math.sqrt(lam)))
     if flags.phi_nondecreasing and flags.t_over_phi_nondecreasing:
         kappa = math.sqrt(model.kappa_sq)
-        checks.append(BoundCheck("l2_kernel_scaled", l2_error, radius * kappa * phi_lam))
-        checks.append(BoundCheck("rkhs_direct", rkhs_error, radius * phi_lam))
+        checks.append(Check("l2_kernel_scaled", l2_error, radius * kappa * phi_lam))
+        checks.append(Check("rkhs_direct", rkhs_error, radius * phi_lam))
     for check in checks:
-        if not check.holds:
+        if not check.passed:
             raise ContractError(
-                f"licensed limit {check.name} failed: error {check.error!r} "
+                f"licensed limit {check.name} failed: error {check.value!r} "
                 f"> limit {check.limit!r}"
             )
-    return ApproxErrorReport(
-        l2_error=l2_error,
-        rkhs_error=rkhs_error,
-        bounds=tuple(checks),
-        applicable=bool(checks),
-    )
+    return ApproxErrorReport(l2_error=l2_error, rkhs_error=rkhs_error, bounds=tuple(checks))
 
 
 # -- noise models -------------------------------------------------------------
@@ -607,7 +590,7 @@ class NoiseCertificate:
 
     @property
     def satisfied(self) -> bool:
-        return self.moment_value <= self.moment_limit * (1 + 1e-9)
+        return Check("noise_moment", self.moment_value, self.moment_limit).passed
 
 
 @dataclass(frozen=True)

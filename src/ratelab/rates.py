@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import Check, DomainError, ParameterError
 from .index_functions import IndexFunction, invert_monotone
 
 
@@ -20,34 +20,14 @@ def effective_dimension(eigenvalues: np.ndarray, lam: float, output_dim: int = 1
     return output_dim * float(np.sum(t / (t + lam)))
 
 
-@dataclass(frozen=True)
-class EffDimRow:
-    lam: float
-    value: float
-    poly_bound: float
-    crude_bound: float
-
-    @property
-    def within(self) -> bool:
-        return self.value <= min(self.poly_bound, self.crude_bound) * (1 + 1e-12)
-
-
-@dataclass(frozen=True)
-class EffDimReport:
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(row.within for row in self.rows)
-
-
-def effdim_bound_check(model, lam_grid) -> EffDimReport:
+def effdim_bound_check(model, lam_grid) -> tuple:
     """Compare the effective dimension against its two closed-form ceilings.
 
-    Polynomial ceiling d * (beta * b / (b - 1)) * lam**(-1/b) needs decay
-    b > 1; otherwise only the crude ceiling kappa_sq / lam applies.
+    Two Checks per lam, in grid order: "poly", the polynomial ceiling
+    d * (beta * b / (b - 1)) * lam**(-1/b), which needs decay b > 1 and is
+    infinite otherwise, then "crude", the ceiling kappa_sq / lam.
     """
-    rows = []
+    checks = []
     b = model.decay_b
     for lam in np.asarray(lam_grid, dtype=float).tolist():
         value = effective_dimension(model.eigenvalues, lam, model.output_dim)
@@ -55,9 +35,8 @@ def effdim_bound_check(model, lam_grid) -> EffDimReport:
             poly = model.output_dim * (model.decay_beta * b / (b - 1.0)) * lam ** (-1.0 / b)
         else:
             poly = math.inf
-        crude = model.kappa_sq / lam
-        rows.append(EffDimRow(lam=lam, value=value, poly_bound=poly, crude_bound=crude))
-    return EffDimReport(rows=tuple(rows))
+        checks += [Check("poly", value, poly), Check("crude", value, model.kappa_sq / lam)]
+    return tuple(checks)
 
 
 LAMBDA_RULES = ("psi", "theta")

@@ -1,16 +1,19 @@
 """Tests for the command-line entry points."""
 
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from ratelab import cli
+from ratelab import cli, concentration, lower_bounds, rates
 from ratelab._lapack import lapack
 from ratelab.cli import main
 from ratelab.estimator import basis_coefficients
-from ratelab.mercer import norms_of_expansion
+from ratelab.filters import SpectralFilter
+from ratelab.mercer import ExpansionNorms, norms_of_expansion
 
 MINI_CONFIG = {
     "model": {"b": 2.0, "N_trunc": 64},
@@ -509,6 +512,80 @@ class TestSweep:
         assert f"config key '{key}': need a number, got True" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"model": {"b": "2", "N_trunc": 64}}, "model.b"),
+            ({"model": {"b": 2.0, "N_trunc": "64"}}, "model.N_trunc"),
+            ({"phi": {"kind": "holder", "r": "0.5"}}, "phi.r"),
+            ({"m_grid": ["16", "32", "64", "128"]}, "m_grid"),
+            ({"replicates": "4"}, "replicates"),
+            ({"seed": "3"}, "seed"),
+            ({"eta": "0.1"}, "eta"),
+            ({"filter": {"id": "iterated_tikhonov", "nu": "2"}}, "filter.nu"),
+            ({"noise": {"kind": "gaussian", "sigma": "0.5"}}, "noise.sigma"),
+        ],
+    )
+    def test_numeric_string_exits_with_usage_error(self, change, key, tmp_path, capsys):
+        """A JSON string is no number, even one that spells it: "2" was read as 2,
+        the sweep ran, and report.json echoed "r": "0.5"."""
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(dict(MINI_CONFIG, **change)))
+        code = main(["sweep", "--config", str(config_path), "--outdir", str(tmp_path / "o")])
+        assert code == 2
+        assert re.search(f"config key '{key}': need a number, got '[0-9.]+'", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_with_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "absent.json"), "--outdir", str(tmp_path / "o")])
         assert code == 2
+
+
+class TestFailedCheckExits1:
+    """Each checking command exits 1, and prints its failure marker, when a check fails."""
+
+    def test_filters(self, monkeypatch, capsys):
+        declared = SpectralFilter.constants
+        monkeypatch.setattr(
+            SpectralFilter,
+            "constants",
+            lambda self: dataclasses.replace(declared(self), operator_bound=0.5),
+        )
+        assert main(["filters", "--filter", "tikhonov"]) == 1
+        out = capsys.readouterr().out
+        assert "tikhonov: FAILED" in out
+        assert re.search(r"operator_bound: attained \S+ <= allowed 0\.5 \[VIOLATED\]", out)
+
+    def test_effdim(self, monkeypatch, capsys):
+        monkeypatch.setattr(rates, "effective_dimension", lambda *args: math.inf)
+        assert main(["effdim", "--b", "2", "--n-trunc", "64", "--points", "4"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[VIOLATED]") == 4
+        assert "effective dimension bounds: FAILED" in out
+
+    def test_concentration(self, monkeypatch, capsys):
+        monkeypatch.setattr(concentration, "operator_deviation_bound", lambda *args: 0.0)
+        argv = ["--b", "2", "--n-trunc", "16", "--m", "64", "--replicates", "100"]
+        assert main(["concentration", *argv, "--kind", "operator"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert payload["frequency"] == 1.0
+
+    def test_lower_bound(self, monkeypatch, capsys):
+        """Every trial patched to land on its truth: observed 0 under a floor near 0.88.
+        kl_max is patched too, since the divergence ceiling reads the same norms."""
+        monkeypatch.setattr(lower_bounds, "norms_of_expansion", lambda *args: ExpansionNorms(0.0, 0.0))
+        monkeypatch.setattr(cli, "kl_divergence", lambda first, second: 0.0)
+        assert main(["lower-bound", "--b", "2", "--n-trunc", "64", "--trials", "20"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["observed_frequency"] == 0.0
+        assert payload["fano_bound"] > 0.5
+
+    def test_sweep(self, tmp_path, capsys):
+        config_path = tmp_path / "tight.json"
+        config_path.write_text(json.dumps(dict(MINI_CONFIG, slope_tolerance=1e-6)))
+        code = main(["sweep", "--config", str(config_path), "--outdir", str(tmp_path / "o")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "-> FAIL" in out
+        assert "overall: FAIL" in out

@@ -1,8 +1,13 @@
 """Tests for deviation statistics and their high-probability bounds."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from ratelab import concentration
+from ratelab.cli import main
 from ratelab.concentration import (
     MIN_REPLICATES,
     TAIL_KINDS,
@@ -136,7 +141,7 @@ class TestTailTest:
             seed=0,
         )
         assert report.frequency <= report.eta
-        assert report.passed
+        assert report.check.passed
         assert len(report.rows) == 100
 
     def test_deterministic_for_fixed_seed(self):
@@ -165,7 +170,21 @@ class TestTailTest:
         kwargs = dict(lam=0.1, m=64, eta=0.1, replicates=100, seed=0)
         with pytest.raises(ParameterError, match="sample_error tail test needs output noise"):
             tail_test("sample_error", model, target, noise, **kwargs)
-        assert tail_test("operator", model, target, noise, **kwargs).passed
+        assert tail_test("operator", model, target, noise, **kwargs).check.passed
+
+    def test_nan_statistic_counts_as_a_violation(self, monkeypatch, capsys):
+        """A NaN statistic compared false against its bound and so counted as
+        no violation: frequency 0.0, and the test passed."""
+        monkeypatch.setattr(concentration, "operator_deviation", lambda model, moments: math.nan)
+        model, target = _setup(n_trunc=16)
+        noise = NoiseSpec(kind="gaussian", sigma=0.5)
+        report = tail_test("operator", model, target, noise, 0.1, 64, 0.1, replicates=100)
+        assert all(row.violated for row in report.rows)
+        assert report.frequency == 1.0
+        assert not report.check.passed
+        argv = ["--b", "2", "--n-trunc", "16", "--m", "64", "--replicates", "100"]
+        assert main(["concentration", *argv, "--kind", "operator"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_trunc, m", [(16, 64), (128, 1024)])

@@ -137,7 +137,7 @@ class TestConfig:
             (
                 {"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5},
                  "noise": {"kind": "gaussian", "sigma": "x"}},
-                "noise",
+                "noise.sigma",
             ),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "m_grid": [32, "x"]}, "m_grid"),
             ({"model": {"b": 2.0}, "phi": {"kind": "holder", "r": 0.5}, "m_grid": 64}, "m_grid"),

@@ -385,4 +385,6 @@ class TestEmpiricalFano:
         assert out["N"] == 3
         assert out["trials"] == 60
         assert 0.0 <= out["observed_frequency"] <= 1.0
-        assert out["consistent"]
+        assert out["check"].passed
+        assert out["check"].value == out["fano_bound"] - 3.0 * out["standard_error"]
+        assert out["check"].limit == out["observed_frequency"]

@@ -54,11 +54,10 @@ class TestEffectiveDimension:
     @pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
     def test_bounds_hold_along_a_grid(self, b):
         model = build_model(b=b, n_trunc=64)
-        report = effdim_bound_check(model, np.geomspace(1e-4, 1.0, 16))
-        assert report.passed
-        for row in report.rows:
-            assert row.value <= row.poly_bound * (1 + 1e-12)
-            assert row.value <= row.crude_bound * (1 + 1e-12)
+        checks = effdim_bound_check(model, np.geomspace(1e-4, 1.0, 16))
+        assert [check.name for check in checks] == ["poly", "crude"] * 16
+        for check in checks:
+            assert check.value <= check.limit * (1 + 1e-12)
 
 
 @pytest.fixture(scope="module")
